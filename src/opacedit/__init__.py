@@ -8,7 +8,6 @@ from .automata import (
     ObservationProfile,
     ParseError,
     Trace,
-    extended_transition,
     fmt_state_set,
     format_model,
     generated_language,
@@ -19,7 +18,6 @@ from .automata import (
 from .observers import (
     ObserverAutomaton,
     build_observer,
-    observer_run,
     reach_set,
     standard_observers,
 )
@@ -35,10 +33,9 @@ from .game import (
     build_edit_game,
     enumerate_actions,
     insertion,
-    state_utility,
     substitution,
 )
-from .trimming import TrimmedGameStructure, trim_game, trim_game_naive
+from .trimming import TrimmedGameStructure, trim_game
 from .mechanism import (
     MealyEditFunction,
     Mechanism,
@@ -52,13 +49,8 @@ from .mechanism import (
 )
 from .opacity import (
     OpacityVerdict,
-    check_c_available,
-    check_confidential,
-    check_i_available,
-    check_integrity,
     default_depth,
     evaluate_editor,
-    ic_enforcing,
     nonsecret_explanation_exists,
     verify_cso,
 )

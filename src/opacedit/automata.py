@@ -137,11 +137,6 @@ class ObservationProfile:
         return frozenset(aut.events) - self.observable
 
 
-def extended_transition(aut: FiniteAutomaton, state: int, trace: Iterable[str]) -> Optional[int]:
-    """State reached from ``state`` by consuming ``trace``; None if undefined."""
-    return aut.run(state, trace)
-
-
 def project(trace: Iterable[str], alphabet: Iterable[str]) -> Trace:
     """Natural projection: erase every event outside ``alphabet``."""
     keep = alphabet if isinstance(alphabet, (set, frozenset)) else frozenset(alphabet)

@@ -31,7 +31,8 @@ from .harness import (
     random_instance,
     simulate,
 )
-from .mechanism import POLICIES, format_mealy, parse_mealy, build_uem, refine_to_em, synthesize
+from .mechanism import (POLICIES, MealyEditFunction, build_uem, format_mealy, parse_mealy,
+                        refine_to_em, synthesize)
 from .observers import standard_observers
 from .opacity import default_depth, verify_cso
 from .trimming import trim_game
@@ -87,6 +88,16 @@ def _config(args) -> PipelineConfig:
         policy=getattr(args, "policy", "prefer-passthrough"),
         seed=getattr(args, "seed", None),
     )
+
+
+def _load_transducer(path: str, profile: ObservationProfile) -> MealyEditFunction:
+    fe = parse_mealy(Path(path).read_text())
+    if fe.alphabet != profile.defender:
+        raise ModelError(
+            f"transducer alphabet {{{','.join(sorted(fe.alphabet))}}} differs from "
+            f"the defender alphabet {{{','.join(sorted(profile.defender))}}}"
+        )
+    return fe
 
 
 def _write_dot(dot_dir: Path, name: str, text: str) -> None:
@@ -216,7 +227,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     aut, profile = _load(Path(args.input))
-    fe = parse_mealy(Path(args.transducer).read_text())
+    fe = _load_transducer(args.transducer, profile)
     trace = tuple(args.events)
     try:
         steps = simulate(aut, profile, fe, trace)
@@ -238,7 +249,7 @@ def cmd_simulate(args) -> int:
 def cmd_check(args) -> int:
     config = _config(args)
     aut, profile = _load(config.path)
-    fe = parse_mealy(Path(args.transducer).read_text())
+    fe = _load_transducer(args.transducer, profile)
     depth = config.depth if config.depth is not None else default_depth(aut, profile, config.k)
     verdict = oracle_ic_enforcing(aut, profile, fe, depth)
     if verdict.ok:

@@ -24,6 +24,12 @@ def _quote_lines(lines) -> str:
     return '"' + "\\n".join(line.replace('"', '\\"') for line in lines) + '"'
 
 
+def _info_label(aut: FiniteAutomaton, v) -> str:
+    return "(%s,%s,%s)" % (
+        fmt_state_set(aut, v.sys), fmt_state_set(aut, v.intr), fmt_state_set(aut, v.dfn)
+    )
+
+
 def observer_dot(
     obs: ObserverAutomaton,
     aut: FiniteAutomaton,
@@ -71,13 +77,8 @@ def game_dot(
     a_ids = {v: f"a{i}" for i, v in enumerate(game.a_states)}
     f_ids = {v: f"f{i}" for i, v in enumerate(game.f_states)}
 
-    def info_label(v) -> str:
-        return "(%s,%s,%s)" % (
-            fmt_state_set(aut, v.sys), fmt_state_set(aut, v.intr), fmt_state_set(aut, v.dfn)
-        )
-
     for v in game.a_states:
-        attrs = [f"label={_quote(info_label(v))}", "shape=ellipse"]
+        attrs = [f"label={_quote(_info_label(aut, v))}", "shape=ellipse"]
         if game.utility[v] == 0:
             attrs.append("style=filled")
             attrs.append("fillcolor=red")
@@ -85,7 +86,8 @@ def game_dot(
             attrs.append("style=bold")
         lines.append(f"  {a_ids[v]} [{', '.join(attrs)}];")
     for vf in game.f_states:
-        attrs = [f"label={_quote('[' + info_label(vf.info) + ',' + vf.pending + ']')}", "shape=box"]
+        label = "[" + _info_label(aut, vf.info) + "," + vf.pending + "]"
+        attrs = [f"label={_quote(label)}", "shape=box"]
         if game.utility[vf] == 0:
             attrs.append("style=filled")
             attrs.append("fillcolor=red")
@@ -96,7 +98,7 @@ def game_dot(
             lines.append(f"  {a_ids[v]} -> {f_ids[vf]} [label={_quote(event)}];")
     disabled_edges = []
     for vf in game.f_states:
-        for act in sorted(game.def_moves[vf], key=lambda a: a.sort_key()):
+        for act in game.actions_at(vf):
             target = game.def_moves[vf][act]
             lines.append(
                 f"  {f_ids[vf]} -> {a_ids[target]} [label={_quote(act.label(vf.pending))}];"
@@ -129,18 +131,13 @@ def mechanism_dot(mech: Mechanism, aut: FiniteAutomaton, name: str = "mechanism"
     a_ids = {v: f"m{i}" for i, v in enumerate(mech.ua_states)}
     f_ids = {v: f"o{i}" for i, v in enumerate(mech.uf_states)}
 
-    def info_label(v) -> str:
-        return "(%s,%s,%s)" % (
-            fmt_state_set(aut, v.sys), fmt_state_set(aut, v.intr), fmt_state_set(aut, v.dfn)
-        )
-
     for v in mech.ua_states:
-        label = _quote_lines(info_label(m) for m in sorted(v, key=info_key))
+        label = _quote_lines(_info_label(aut, m) for m in sorted(v, key=info_key))
         style = ", style=bold" if v == mech.initial else ""
         lines.append(f"  {a_ids[v]} [label={label}{style}];")
     for vf in mech.uf_states:
         label = _quote_lines(
-            "[" + info_label(m.info) + "," + m.pending + "]"
+            "[" + _info_label(aut, m.info) + "," + m.pending + "]"
             for m in sorted(vf.members, key=aug_key)
         )
         lines.append(f"  {f_ids[vf]} [label={label}, shape=box, style=rounded];")
@@ -149,7 +146,7 @@ def mechanism_dot(mech: Mechanism, aut: FiniteAutomaton, name: str = "mechanism"
             vf = mech.moves_in[v][event]
             lines.append(f"  {a_ids[v]} -> {f_ids[vf]} [label={_quote(event)}];")
     for vf in mech.uf_states:
-        for act in sorted(mech.moves_out[vf], key=lambda a: a.sort_key()):
+        for act in mech.actions_at(vf):
             target = mech.moves_out[vf][act]
             attrs = f"label={_quote(act.label(vf.observed))}"
             if (vf, act) in mech.partial:

@@ -228,8 +228,3 @@ def build_edit_game(
         def_moves=def_moves,
         utility=utility,
     )
-
-
-def state_utility(game: EditGameStructure, v) -> int:
-    """Utility label of a game state: 0 marks a problematic state."""
-    return game.utility[v]

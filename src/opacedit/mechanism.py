@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .automata import Trace
 from .game import EditAction, InfoState, aug_key, info_key
-from .trimming import TrimmedGameStructure
+from .trimming import TrimmedGameStructure, backward_dead, live_part
 
 MergedA = frozenset  # frozenset[InfoState]
 
@@ -145,61 +145,17 @@ def refine_to_em(uem: Mechanism) -> Optional[Mechanism]:
     may share a successor, and a totally defined action must not be dragged
     down by someone else's partial one.
     """
-    dead_edges: set[tuple[MergedF, EditAction]] = set(uem.partial)
-    pruned_a: set[MergedA] = set()
-    pruned_f: set[MergedF] = set()
-    changed = True
-    while changed:
-        changed = False
-        for vuf in uem.uf_states:
-            if vuf in pruned_f:
-                continue
-            if all(
-                (vuf, act) in dead_edges or tgt in pruned_a
-                for act, tgt in uem.moves_out[vuf].items()
-            ):
-                pruned_f.add(vuf)
-                changed = True
-        for vua in uem.ua_states:
-            if vua in pruned_a:
-                continue
-            if any(vuf in pruned_f for vuf in uem.moves_in[vua].values()):
-                pruned_a.add(vua)
-                changed = True
-    if uem.initial in pruned_a:
+    dead = backward_dead(uem.moves_in, uem.moves_out, (), cut=uem.partial)
+    if uem.initial in dead:
         return None
-
-    reach_a: dict[MergedA, None] = {uem.initial: None}
-    reach_f: dict[MergedF, None] = {}
-    moves_in: dict[MergedA, dict[str, MergedF]] = {}
-    moves_out: dict[MergedF, dict[EditAction, MergedA]] = {}
-    queue = deque([uem.initial])
-    while queue:
-        vua = queue.popleft()
-        row = {}
-        for event, vuf in uem.moves_in[vua].items():
-            assert vuf not in pruned_f, "uncontrollable observation into a pruned state"
-            row[event] = vuf
-            if vuf in reach_f:
-                continue
-            reach_f[vuf] = None
-            keep = {
-                act: tgt for act, tgt in uem.moves_out[vuf].items()
-                if tgt not in pruned_a and (vuf, act) not in dead_edges
-            }
-            assert keep, "surviving observation state lost every action"
-            moves_out[vuf] = keep
-            for tgt in keep.values():
-                if tgt not in reach_a:
-                    reach_a[tgt] = None
-                    queue.append(tgt)
-        moves_in[vua] = row
-
+    moves_in, moves_out = live_part(
+        uem.initial, uem.moves_in, uem.moves_out, dead, cut=uem.partial
+    )
     return Mechanism(
         defender=uem.defender,
         initial=uem.initial,
-        ua_states=tuple(sorted(reach_a, key=merged_a_key)),
-        uf_states=tuple(sorted(reach_f, key=merged_f_key)),
+        ua_states=tuple(v for v in uem.ua_states if v in moves_in),
+        uf_states=tuple(v for v in uem.uf_states if v in moves_out),
         moves_in=moves_in,
         moves_out=moves_out,
         partial=frozenset(),
@@ -364,12 +320,12 @@ def parse_mealy(text: str) -> MealyEditFunction:
         next_state[(q, event)] = q2
     if alphabet is None:
         raise ValueError("transducer text lacks an alphabet line")
+    used = [initial] + [q for q, _ in output] + list(next_state.values())
     if n_states is None:
-        n_states = max(
-            [initial]
-            + [q for q, _ in output]
-            + list(next_state.values())
-        ) + 1
+        n_states = max(used) + 1
+    for q in used:
+        if not 0 <= q < n_states:
+            raise ValueError(f"transducer state {q} outside [0, {n_states})")
     return MealyEditFunction(
         alphabet=alphabet,
         n_states=n_states,

@@ -134,13 +134,6 @@ def build_observer(
     )
 
 
-def observer_run(
-    obs: ObserverAutomaton, word: Iterable[str], start: Optional[StateSet] = None
-) -> Optional[StateSet]:
-    """Fold the observer over ``word``; None once a reactive step is undefined."""
-    return obs.run(word, start)
-
-
 def standard_observers(
     aut: FiniteAutomaton, profile: ObservationProfile
 ) -> tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton]:

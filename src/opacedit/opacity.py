@@ -1,11 +1,12 @@
-"""Current-state opacity and the edit-function enforceability predicates.
+"""Current-state opacity and the bounded evaluation of edit functions.
 
 Opacity is decided on the intruder observer: the plant leaks exactly when
-some reachable intruder estimate consists of secret states only.  The four
-enforceability predicates quantify over observable behavior up to a caller
-chosen depth and evaluate an editor jointly against the intruder and
-defender observers; an edit output is "defined" precisely when both
-observers can still parse it.
+some reachable intruder estimate consists of secret states only.
+``evaluate_editor`` quantifies over observable behavior up to a caller
+chosen depth and evaluates an editor jointly against the intruder and
+defender observers; its report holds the four enforceability properties.
+An edit output is "defined" precisely when both observers can still parse
+it.
 """
 from __future__ import annotations
 
@@ -173,10 +174,6 @@ class EditorReport:
         # itself checked, so integrity is the conjunction below
         return self.i_available and self.c_available and self.confidential
 
-    @property
-    def ic_enforcing(self) -> bool:
-        return self.integral
-
 
 _UNDEFINED = ("<undefined>",)
 
@@ -312,36 +309,3 @@ def default_depth(aut: FiniteAutomaton, profile: ObservationProfile, k: int = 1)
     _, o_intr, o_def = standard_observers(aut, profile)
     return aut.n_states * len(o_intr.states) * len(o_def.states) + k + 1
 
-
-def check_i_available(
-    aut: FiniteAutomaton, profile: ObservationProfile, fe: SupportsEdit, depth: int
-) -> bool:
-    """Editor output defined on every observable projection up to depth."""
-    return evaluate_editor(aut, profile, fe, depth).i_available
-
-
-def check_c_available(
-    aut: FiniteAutomaton, profile: ObservationProfile, fe: SupportsEdit, depth: int
-) -> bool:
-    """Equal defender views imply defined outputs with equal defender views."""
-    return evaluate_editor(aut, profile, fe, depth).c_available
-
-
-def check_confidential(
-    aut: FiniteAutomaton, profile: ObservationProfile, fe: SupportsEdit, depth: int
-) -> bool:
-    """Secret-reaching behavior keeps a non-secret explanation after editing."""
-    return evaluate_editor(aut, profile, fe, depth).confidential
-
-
-def check_integrity(
-    aut: FiniteAutomaton, profile: ObservationProfile, fe: SupportsEdit, depth: int
-) -> bool:
-    """Every prefix of every checked trace passes availability and confidentiality."""
-    return evaluate_editor(aut, profile, fe, depth).integral
-
-
-def ic_enforcing(
-    aut: FiniteAutomaton, profile: ObservationProfile, fe: SupportsEdit, depth: int
-) -> bool:
-    return evaluate_editor(aut, profile, fe, depth).ic_enforcing

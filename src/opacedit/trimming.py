@@ -4,148 +4,135 @@ System moves are uncontrollable: an information state dies as soon as one
 observable event leads into a dead augmented state.  Defender moves are
 controllable: individual edit actions into dead information states are
 disabled, and an augmented state dies only when no response survives.
-The fixpoint runs backwards over a worklist; a naive full-sweep variant is
-kept for cross-checking since both must compute the same fixpoint.
+The same backward safety solver and live-part pass also refine the merged
+mechanism (``refine_to_em``), where the cut edges are the partial actions.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Hashable, Iterable, Mapping, Optional
 
-from .game import (
-    AugmentedState,
-    EditAction,
-    EditGameStructure,
-    InfoState,
-    aug_key,
-    info_key,
-)
+from .game import AugmentedState, EditAction, EditGameStructure, InfoState
+
+Rows = Mapping[Hashable, Mapping[Hashable, Hashable]]
 
 
 @dataclass(frozen=True)
 class TrimmedGameStructure:
-    """Surviving game plus the per-state sets of enabled edit actions."""
+    """Surviving game plus the per-state edit actions that trimming disabled."""
 
     game: EditGameStructure
-    control: dict[AugmentedState, tuple[EditAction, ...]]
     disabled: dict[AugmentedState, tuple[EditAction, ...]]
     removed_a: tuple[InfoState, ...]
     removed_f: tuple[AugmentedState, ...]
 
 
-def _finish(
-    game: EditGameStructure, bad: set
-) -> Optional[TrimmedGameStructure]:
-    if game.initial in bad:
-        return None
+def _cut_by_source(cut: Collection[tuple]) -> dict:
+    by_source: dict = {}
+    for node, label in cut:
+        by_source.setdefault(node, set()).add(label)
+    return by_source
 
-    control: dict[AugmentedState, dict[EditAction, InfoState]] = {}
-    disabled: dict[AugmentedState, tuple[EditAction, ...]] = {}
-    for vf in game.f_states:
-        if vf in bad:
-            continue
-        live = {act: tgt for act, tgt in game.def_moves[vf].items() if tgt not in bad}
-        dead = tuple(sorted(
-            (act for act, tgt in game.def_moves[vf].items() if tgt in bad),
-            key=EditAction.sort_key,
-        ))
-        assert live, "surviving augmented state lost every action"
-        control[vf] = live
-        if dead:
-            disabled[vf] = dead
 
-    # accessible part only; surviving system moves cannot point at dead states
-    reach_a: dict[InfoState, None] = {game.initial: None}
-    reach_f: dict[AugmentedState, None] = {}
-    queue = deque([game.initial])
+def backward_dead(
+    unctrl: Rows, ctrl: Rows, seeds: Iterable[Hashable], cut: Collection[tuple] = ()
+) -> set:
+    """Backward attractor of ``seeds`` on a bipartite safety game.
+
+    ``unctrl`` rows belong to the plant: a node dies once any successor is
+    dead.  ``ctrl`` rows belong to the defender: a node dies once every
+    successor over an edge not in ``cut`` (``(node, label)`` pairs) is dead.
+    Predecessor counters make this linear in the number of edges.
+    """
+    cut_at = _cut_by_source(cut)
+    dead = set(seeds)
+    parents: dict[Hashable, list] = {}
+    for node, row in unctrl.items():
+        for succ in row.values():
+            parents.setdefault(succ, []).append(node)
+    live_count: dict[Hashable, int] = {}
+    for node, row in ctrl.items():
+        skip = cut_at.get(node, ())
+        live = [succ for label, succ in row.items() if label not in skip]
+        live_count[node] = len(live)
+        for succ in live:
+            parents.setdefault(succ, []).append(node)
+        if not live:
+            dead.add(node)
+
+    queue = deque(dead)
     while queue:
-        v = queue.popleft()
-        for vf in game.sys_moves[v].values():
-            assert vf not in bad, "uncontrollable move into a pruned state survived"
-            if vf in reach_f:
+        for parent in parents.get(queue.popleft(), ()):
+            if parent in dead:
                 continue
-            reach_f[vf] = None
-            for tgt in control[vf].values():
-                if tgt not in reach_a:
-                    reach_a[tgt] = None
-                    queue.append(tgt)
+            if parent in live_count:
+                live_count[parent] -= 1
+                if live_count[parent]:
+                    continue
+            dead.add(parent)
+            queue.append(parent)
+    return dead
 
-    sub_sys = {v: dict(game.sys_moves[v]) for v in reach_a}
-    sub_def = {vf: dict(control[vf]) for vf in reach_f}
-    utility = {v: 1 for v in reach_a}
-    utility.update({vf: 1 for vf in reach_f})
+
+def live_part(
+    initial: Hashable, unctrl: Rows, ctrl: Rows, dead: set, cut: Collection[tuple] = ()
+) -> tuple[dict, dict]:
+    """Rows reachable from ``initial`` once ``dead`` nodes are gone.
+
+    Uncontrollable rows are kept whole, since none of their moves can be
+    refused; controllable rows keep only their uncut edges into live nodes.
+    """
+    cut_at = _cut_by_source(cut)
+    kept_u = {initial: dict(unctrl[initial])}
+    kept_c: dict = {}
+    queue = deque([initial])
+    while queue:
+        for node in kept_u[queue.popleft()].values():
+            assert node not in dead, "uncontrollable move into a pruned state survived"
+            if node in kept_c:
+                continue
+            skip = cut_at.get(node, ())
+            row = {
+                label: succ for label, succ in ctrl[node].items()
+                if succ not in dead and label not in skip
+            }
+            assert row, "surviving controllable state lost every action"
+            kept_c[node] = row
+            for succ in row.values():
+                if succ not in kept_u:
+                    kept_u[succ] = dict(unctrl[succ])
+                    queue.append(succ)
+    return kept_u, kept_c
+
+
+def trim_game(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
+    """Prune utility-0 states to a fixpoint; None when the initial state dies."""
+    seeds = [v for v in game.a_states + game.f_states if game.utility[v] == 0]
+    dead = backward_dead(game.sys_moves, game.def_moves, seeds)
+    if game.initial in dead:
+        return None
+    sys_moves, def_moves = live_part(game.initial, game.sys_moves, game.def_moves, dead)
+    f_states = tuple(vf for vf in game.f_states if vf in def_moves)
+    disabled = {}
+    for vf in f_states:
+        lost = tuple(act for act, tgt in game.def_moves[vf].items() if tgt in dead)
+        if lost:
+            disabled[vf] = lost
     trimmed = EditGameStructure(
         profile=game.profile,
         k=game.k,
         ops=game.ops,
         initial=game.initial,
-        a_states=tuple(sorted(reach_a, key=info_key)),
-        f_states=tuple(sorted(reach_f, key=aug_key)),
-        sys_moves=sub_sys,
-        def_moves=sub_def,
-        utility=utility,
+        a_states=tuple(v for v in game.a_states if v in sys_moves),
+        f_states=f_states,
+        sys_moves=sys_moves,
+        def_moves=def_moves,
+        utility=dict.fromkeys(list(sys_moves) + list(def_moves), 1),
     )
     return TrimmedGameStructure(
         game=trimmed,
-        control={vf: tuple(sorted(sub_def[vf], key=EditAction.sort_key)) for vf in reach_f},
-        disabled={vf: disabled[vf] for vf in reach_f if vf in disabled},
-        removed_a=tuple(sorted((v for v in game.a_states if v in bad), key=info_key)),
-        removed_f=tuple(sorted((v for v in game.f_states if v in bad), key=aug_key)),
+        disabled=disabled,
+        removed_a=tuple(v for v in game.a_states if v in dead),
+        removed_f=tuple(vf for vf in game.f_states if vf in dead),
     )
-
-
-def trim_game(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
-    """Prune utility-0 states to a fixpoint; None when the initial state dies."""
-    bad: set = {v for v in game.a_states if game.utility[v] == 0}
-    bad |= {vf for vf in game.f_states if game.utility[vf] == 0}
-
-    a_parents: dict[AugmentedState, list[InfoState]] = {vf: [] for vf in game.f_states}
-    for v in game.a_states:
-        for vf in game.sys_moves[v].values():
-            a_parents[vf].append(v)
-    f_in: dict[InfoState, list[AugmentedState]] = {v: [] for v in game.a_states}
-    live_count: dict[AugmentedState, int] = {}
-    for vf in game.f_states:
-        live_count[vf] = len(game.def_moves[vf])
-        for tgt in game.def_moves[vf].values():
-            f_in[tgt].append(vf)
-
-    queue = deque(sorted((v for v in bad if isinstance(v, InfoState)), key=info_key))
-    queue.extend(sorted((v for v in bad if isinstance(v, AugmentedState)), key=aug_key))
-    while queue:
-        v = queue.popleft()
-        if isinstance(v, InfoState):
-            for vf in f_in[v]:
-                live_count[vf] -= 1
-                if live_count[vf] == 0 and vf not in bad:
-                    bad.add(vf)
-                    queue.append(vf)
-        else:
-            for parent in a_parents[v]:
-                if parent not in bad:
-                    bad.add(parent)
-                    queue.append(parent)
-    return _finish(game, bad)
-
-
-def trim_game_naive(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
-    """Restart-the-sweep formulation of the same fixpoint, for cross-checks."""
-    bad: set = {v for v in game.a_states if game.utility[v] == 0}
-    bad |= {vf for vf in game.f_states if game.utility[vf] == 0}
-    changed = True
-    while changed:
-        changed = False
-        for v in game.a_states:
-            if v in bad:
-                continue
-            if any(vf in bad for vf in game.sys_moves[v].values()):
-                bad.add(v)
-                changed = True
-        for vf in game.f_states:
-            if vf in bad:
-                continue
-            if all(tgt in bad for tgt in game.def_moves[vf].values()):
-                bad.add(vf)
-                changed = True
-    return _finish(game, bad)

@@ -54,16 +54,16 @@ class TestParsing:
 class TestExtendedTransition:
     def test_empty_trace_is_identity(self, fig3_aut):
         for state in range(fig3_aut.n_states):
-            assert oe.extended_transition(fig3_aut, state, ()) == state
+            assert fig3_aut.run(state, ()) == state
 
     def test_abc_reaches_the_secret(self, fig3_aut):
-        end = oe.extended_transition(fig3_aut, fig3_aut.initial, T("abc"))
+        end = fig3_aut.run(fig3_aut.initial, T("abc"))
         assert end is not None
         assert fig3_aut.is_secret(end)
         assert fig3_aut.labels[end] == "5"
 
     def test_dd_is_undefined(self, fig3_aut):
-        assert oe.extended_transition(fig3_aut, fig3_aut.initial, T("dd")) is None
+        assert fig3_aut.run(fig3_aut.initial, T("dd")) is None
 
     def test_composition(self, fig3_aut):
         mid = fig3_aut.run(fig3_aut.initial, T("ab"))

@@ -126,6 +126,35 @@ class TestSimulateAndCheck:
         assert record["trace"] == ["a", "b"]
 
 
+
+IDENTITY_EDGES = "0 b / b 0\n0 c / c 0\n0 d / d 0\n"
+
+
+class TestMalformedTransducer:
+    """Transducers that do not fit the plant are input errors, not failures."""
+
+    @pytest.mark.parametrize("text", [
+        "alphabet b c d\nstates 1\n" + IDENTITY_EDGES + "3 b / c 0\n",
+        "alphabet b c d\nstates 1\n0 b / b 7\n0 c / c 0\n0 d / d 0\n",
+        "alphabet b c d\nstates 1\ninitial 4\n" + IDENTITY_EDGES,
+    ], ids=["edge-source", "next-state", "initial"])
+    def test_check_rejects_state_out_of_range(self, fig3_file, tmp_path, capsys, text):
+        path = tmp_path / "bad.mealy"
+        path.write_text(text)
+        assert main(["check", fig3_file, str(path), "--depth", "4"]) == 2
+        assert "outside [0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--depth", "4"], ["simulate", "a", "b", "c"],
+    ], ids=["check", "simulate"])
+    def test_rejects_foreign_alphabet(self, fig3_file, tmp_path, capsys, command):
+        path = tmp_path / "narrow.mealy"
+        path.write_text("alphabet b\nstates 1\n0 b / b 0\n")
+        argv = [command[0], fig3_file, str(path), *command[1:]]
+        assert main(argv) == 2
+        assert "differs from the defender alphabet {b,c,d}" in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_observers_summary(self, fig3_file, capsys):
         assert main(["observers", fig3_file]) == 0

@@ -4,6 +4,7 @@ import opacedit as oe
 from opacedit.game import PASSTHROUGH
 
 from conftest import SUBS_ONLY, info
+from oracles import refine_naive
 
 
 def T(s):
@@ -118,6 +119,23 @@ class TestRefineToEm:
             for act in fig3_em.moves_out[vuf]:
                 for member in vuf.members:
                     assert act in fig3_tgs.game.def_moves[member]
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_worklist_equals_naive_sweep(self, seed):
+        aut, profile = oe.random_instance(seed)
+        tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+        if tgs is None:
+            return
+        uem = oe.build_uem(tgs)
+        fast = oe.refine_to_em(uem)
+        slow = refine_naive(uem)
+        if fast is None or slow is None:
+            assert fast is None and slow is None
+            return
+        assert fast.ua_states == slow.ua_states
+        assert fast.uf_states == slow.uf_states
+        assert fast.moves_in == slow.moves_in
+        assert fast.moves_out == slow.moves_out
 
 
 class TestSynthesize:

@@ -104,32 +104,33 @@ class _SpyEditor:
 class TestChecks:
     def test_synthesized_editor_passes_everything(self, fig3, fig3_fe):
         aut, profile = fig3
-        assert oe.check_i_available(aut, profile, fig3_fe, 6)
-        assert oe.check_c_available(aut, profile, fig3_fe, 6)
-        assert oe.check_confidential(aut, profile, fig3_fe, 6)
-        assert oe.check_integrity(aut, profile, fig3_fe, 6)
-        assert oe.ic_enforcing(aut, profile, fig3_fe, 6)
+        report = oe.evaluate_editor(aut, profile, fig3_fe, 6)
+        assert report.i_available
+        assert report.c_available
+        assert report.confidential
+        assert report.integral
 
     def test_empty_editor_is_unavailable(self, fig3):
         aut, profile = fig3
         empty = oe.MealyEditFunction(
             alphabet=profile.defender, n_states=1, initial=0, output={}, next_state={}
         )
-        assert not oe.check_i_available(aut, profile, empty, 3)
+        assert not oe.evaluate_editor(aut, profile, empty, 3).i_available
 
     def test_depth_zero_is_trivially_available(self, fig3):
         aut, profile = fig3
         empty = oe.MealyEditFunction(
             alphabet=profile.defender, n_states=1, initial=0, output={}, next_state={}
         )
-        assert oe.check_i_available(aut, profile, empty, 0)
+        assert oe.evaluate_editor(aut, profile, empty, 0).i_available
 
     def test_identity_editor_is_available_but_not_confidential(self, fig3):
         aut, profile = fig3
         ident = oe.MealyEditFunction.identity(profile.defender)
-        assert oe.check_i_available(aut, profile, ident, 5)
-        assert oe.check_c_available(aut, profile, ident, 5)
-        assert not oe.check_confidential(aut, profile, ident, 5)
+        report = oe.evaluate_editor(aut, profile, ident, 5)
+        assert report.i_available
+        assert report.c_available
+        assert not report.confidential
 
     def test_editor_branching_on_invisible_event_fails_c(self, fig3):
         aut, profile = fig3
@@ -150,7 +151,7 @@ class TestChecks:
             word, state = fig3_fe.step(state, event)
             out.extend(word)
         assert tuple(out) == T("acd")
-        assert oe.check_confidential(aut, profile, fig3_fe, 4)
+        assert oe.evaluate_editor(aut, profile, fig3_fe, 4).confidential
 
     def test_vacuous_confidentiality_without_secrets(self, fig3):
         aut, profile = fig3
@@ -159,7 +160,7 @@ class TestChecks:
             initial=aut.initial, secret=frozenset(),
         )
         ident = oe.MealyEditFunction.identity(profile.defender)
-        assert oe.check_confidential(bare, profile, ident, 5)
+        assert oe.evaluate_editor(bare, profile, ident, 5).confidential
 
 
 class TestIntegrity:
@@ -168,14 +169,9 @@ class TestIntegrity:
         ident = oe.MealyEditFunction.identity(profile.defender)
         for editor in (fig3_fe, ident):
             for depth in range(5):
-                parts = (
-                    oe.check_i_available(aut, profile, editor, depth),
-                    oe.check_c_available(aut, profile, editor, depth),
-                    oe.check_confidential(aut, profile, editor, depth),
-                    oe.check_integrity(aut, profile, editor, depth),
-                )
-                assert parts[3] == all(parts[:3])
-                assert oe.ic_enforcing(aut, profile, editor, depth) == all(parts)
+                report = oe.evaluate_editor(aut, profile, editor, depth)
+                parts = (report.i_available, report.c_available, report.confidential)
+                assert report.integral == all(parts)
 
     def test_prefix_leak_breaks_integrity(self):
         # the only length-1 behavior reaches the secret with no alibi, while
@@ -187,10 +183,10 @@ class TestIntegrity:
             "trans 1 a 2\ntrans 2 b 3\n"
         )
         ident = oe.MealyEditFunction.identity(profile.defender)
-        assert oe.check_i_available(aut, profile, ident, 3)
-        assert oe.check_c_available(aut, profile, ident, 3)
-        assert not oe.check_integrity(aut, profile, ident, 3)
         report = oe.evaluate_editor(aut, profile, ident, 3)
+        assert report.i_available
+        assert report.c_available
+        assert not report.integral
         assert report.conf_counterexample == T("a")
 
 

@@ -53,8 +53,9 @@ class TestUnobservableEvents:
     def test_checks_quantify_over_projections(self):
         aut, profile = _model()
         ident = oe.MealyEditFunction.identity(profile.defender)
-        assert oe.check_i_available(aut, profile, ident, 4)
-        assert oe.check_confidential(aut, profile, ident, 4)
+        report = oe.evaluate_editor(aut, profile, ident, 4)
+        assert report.i_available
+        assert report.confidential
         assert oe.exact_ic_check(aut, profile, ident)
 
     def test_secret_prefix_with_silent_witness(self):

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 import opacedit as oe
 from opacedit.game import PASSTHROUGH, substitution
+from opacedit.trimming import backward_dead, live_part
 
 from conftest import info
+from oracles import live_rows, sweep_dead, trim_game_naive
 
 
 class TestTrimFig3:
@@ -18,8 +22,8 @@ class TestTrimFig3:
         ((vf, acts),) = fig3_tgs.disabled.items()
         assert vf == oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b")
         assert acts == (PASSTHROUGH,)
-        assert PASSTHROUGH not in fig3_tgs.control[vf]
-        assert substitution("c") in fig3_tgs.control[vf]
+        assert PASSTHROUGH not in fig3_tgs.game.actions_at(vf)
+        assert substitution("c") in fig3_tgs.game.actions_at(vf)
 
     def test_initial_survives(self, fig3_game, fig3_tgs):
         assert fig3_tgs.game.initial == fig3_game.initial
@@ -38,7 +42,7 @@ class TestTrimEdgeCases:
         assert set(tgs.game.f_states) == set(game.f_states)
         assert not tgs.disabled
         for vf in game.f_states:
-            assert set(tgs.control[vf]) == set(game.def_moves[vf])
+            assert tgs.game.actions_at(vf) == game.actions_at(vf)
 
     def test_secret_initial_state_is_unenforceable(self):
         aut, profile = oe.parse_model(
@@ -54,7 +58,7 @@ class TestTrimEdgeCases:
         assert again is not None
         assert set(again.game.a_states) == set(fig3_tgs.game.a_states)
         assert set(again.game.f_states) == set(fig3_tgs.game.f_states)
-        assert again.control == fig3_tgs.control
+        assert again.game.def_moves == fig3_tgs.game.def_moves
         assert not again.disabled
 
 
@@ -64,13 +68,14 @@ class TestTrimProperties:
         aut, profile = oe.random_instance(seed)
         game = oe.build_edit_game(aut, profile, k=1)
         fast = oe.trim_game(game)
-        slow = oe.trim_game_naive(game)
+        slow = trim_game_naive(game)
         if fast is None or slow is None:
             assert fast is None and slow is None
             return
         assert fast.game.a_states == slow.game.a_states
         assert fast.game.f_states == slow.game.f_states
-        assert fast.control == slow.control
+        assert fast.game.sys_moves == slow.game.sys_moves
+        assert fast.game.def_moves == slow.game.def_moves
         assert fast.disabled == slow.disabled
         assert fast.removed_a == slow.removed_a
         assert fast.removed_f == slow.removed_f
@@ -93,11 +98,41 @@ class TestTrimProperties:
         if tgs is None:
             return
         for vf in tgs.game.f_states:
-            assert tgs.control[vf]
+            assert tgs.game.actions_at(vf)
         survivors = set(tgs.game.a_states)
         for vf in tgs.game.f_states:
             for target in tgs.game.def_moves[vf].values():
                 assert target in survivors
+
+
+def _random_safety_game(rng):
+    """Bipartite rows over plant nodes 0..n-1 and defender nodes ("f", i)."""
+    n_a, n_f = rng.randint(1, 8), rng.randint(1, 8)
+    unctrl = {
+        a: {e: ("f", rng.randrange(n_f)) for e in rng.sample("abc", rng.randint(0, 3))}
+        for a in range(n_a)
+    }
+    ctrl = {
+        ("f", i): {x: rng.randrange(n_a) for x in rng.sample("xyz", rng.randint(1, 3))}
+        for i in range(n_f)
+    }
+    nodes = list(unctrl) + list(ctrl)
+    seeds = rng.sample(nodes, rng.randint(0, 2))
+    cut = {(f, x) for f, row in ctrl.items() for x in row if rng.random() < 0.2}
+    return unctrl, ctrl, seeds, cut
+
+
+class TestSafetySolver:
+    def test_worklist_equals_naive_sweep_on_random_graphs(self):
+        rng = random.Random(20241010)
+        for _ in range(500):
+            unctrl, ctrl, seeds, cut = _random_safety_game(rng)
+            dead = backward_dead(unctrl, ctrl, seeds, cut)
+            assert dead == sweep_dead(unctrl, ctrl, seeds, cut)
+            if 0 not in dead:
+                assert live_part(0, unctrl, ctrl, dead, cut) == live_rows(
+                    0, unctrl, ctrl, dead, cut
+                )
 
 
 class _GameStrategyEditor:
