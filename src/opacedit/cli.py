@@ -140,8 +140,7 @@ def _build_stages(aut, profile, config):
     game = build_edit_game(aut, profile, k=config.k, ops=config.ops, observers=observers)
     tgs = trim_game(game)
     uem = build_uem(tgs) if tgs is not None else None
-    em = refine_to_em(uem) if uem is not None else None
-    return observers, game, tgs, uem, em
+    return observers, game, tgs, uem
 
 
 def cmd_game(args) -> int:
@@ -177,10 +176,11 @@ def cmd_trim(args) -> int:
 def cmd_mechanism(args) -> int:
     config = _config(args)
     aut, profile = _load(config.path)
-    _, _, tgs, uem, em = _build_stages(aut, profile, config)
+    _, _, tgs, uem = _build_stages(aut, profile, config)
     if tgs is None:
         print("not enforceable: initial state pruned")
         return EXIT_UNENFORCEABLE
+    em = refine_to_em(uem.complete())
     print(f"merged mechanism: {len(uem.ua_states)} belief states, "
           f"{len(uem.uf_states)} observation states, {len(uem.partial)} partial actions")
     if em is None:
@@ -197,7 +197,10 @@ def cmd_mechanism(args) -> int:
 def cmd_synthesize(args) -> int:
     config = _config(args)
     aut, profile = _load(config.path)
-    observers, game, tgs, uem, em = _build_stages(aut, profile, config)
+    observers, game, tgs, uem = _build_stages(aut, profile, config)
+    if config.dot_dir and uem is not None:
+        uem.complete()  # the DOT files show the whole mechanism
+    em = refine_to_em(uem) if uem is not None else None
     if config.dot_dir:
         o_sys, o_intr, o_def = observers
         _write_dot(config.dot_dir, "observer_system", observer_dot(o_sys, aut, name="observer_system"))

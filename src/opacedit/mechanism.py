@@ -7,6 +7,14 @@ member ("no guarantees"); a second pass prunes actions that are undefined at
 some member, since playing one would let the intruder notice the interface.
 A concrete deterministic transducer is then extracted with a pluggable
 action-selection policy.
+
+The merged mechanism is built on demand.  Refinement and synthesis walk the
+strategy their action order prefers and expand a belief state only when the
+walk reaches it; the backward safety solver runs over the expanded part,
+where unexpanded beliefs count as live, and the walk is repeated until it
+meets no dead observation state (a local fixpoint in the style of
+on-the-fly game solving).  ``Mechanism.complete`` expands everything, for
+callers that show the whole structure.
 """
 from __future__ import annotations
 
@@ -35,26 +43,189 @@ def merged_f_key(v: MergedF) -> tuple:
     return (tuple(sorted(aug_key(m) for m in v.members)), v.observed)
 
 
-@dataclass
+# (q, event, action, q') for each transducer edge, in visiting order
+Walk = tuple[list, list[tuple[int, str, EditAction, int]]]
+
+
 class Mechanism:
     """Merged game over defender observations.
 
     ``guaranteed`` is False for the no-guarantees stage, where ``partial``
     lists the (state, action) pairs that are undefined at some member; the
     refined mechanism has ``guaranteed=True`` and an empty ``partial``.
+
+    ``build_uem`` gives a mechanism over a trimmed game that holds the rows
+    of the beliefs expanded so far: ``expand`` adds one belief's row and
+    ``complete`` every reachable one.  ``ua_states``, ``uf_states`` and
+    ``partial`` list the expanded part in canonical order; reading them
+    never expands.  A refined mechanism keeps the one it was refined from
+    as ``source``, and synthesis walks that source.
     """
 
-    defender: frozenset[str]
-    initial: MergedA
-    ua_states: tuple[MergedA, ...]
-    uf_states: tuple[MergedF, ...]
-    moves_in: dict[MergedA, dict[str, MergedF]]
-    moves_out: dict[MergedF, dict[EditAction, MergedA]]
-    partial: frozenset[tuple[MergedF, EditAction]]
-    guaranteed: bool
+    def __init__(
+        self,
+        defender: frozenset[str],
+        initial: MergedA,
+        moves_in: dict[MergedA, dict[str, MergedF]],
+        moves_out: dict[MergedF, dict[EditAction, MergedA]],
+        partial: Iterable[tuple[MergedF, EditAction]] = (),
+        guaranteed: bool = False,
+        source: Optional["Mechanism"] = None,
+        tgs: Optional[TrimmedGameStructure] = None,
+    ):
+        self.defender = defender
+        self.initial = initial
+        self.moves_in = moves_in
+        self.moves_out = moves_out
+        self.guaranteed = guaranteed
+        self.source = source
+        self._tgs = tgs
+        self._events = sorted(defender)
+        self._partial = set(partial)
+        self._closures: dict[InfoState, frozenset] = {}
+        # rows are only ever added, so a row count dates each cached result
+        self._views: tuple[int, tuple] = (-1, ())
+        self._solved: tuple[int, set] = (-1, set())
+
+    def _canonical(self) -> tuple:
+        if self._views[0] != len(self.moves_in):
+            if self.source is None:
+                ua = tuple(sorted(self.moves_in, key=merged_a_key))
+                uf = tuple(sorted(self.moves_out, key=merged_f_key))
+            else:  # filtered from the source, whose rows hold all of ours
+                ua = tuple(v for v in self.source.ua_states if v in self.moves_in)
+                uf = tuple(v for v in self.source.uf_states if v in self.moves_out)
+            self._views = (len(self.moves_in), (ua, uf, frozenset(self._partial)))
+        return self._views[1]
+
+    @property
+    def ua_states(self) -> tuple[MergedA, ...]:
+        return self._canonical()[0]
+
+    @property
+    def uf_states(self) -> tuple[MergedF, ...]:
+        return self._canonical()[1]
+
+    @property
+    def partial(self) -> frozenset[tuple[MergedF, EditAction]]:
+        return self._canonical()[2]
 
     def actions_at(self, v: MergedF) -> tuple[EditAction, ...]:
         return tuple(sorted(self.moves_out[v], key=EditAction.sort_key))
+
+    def _closure(self, hits: Iterable[InfoState]) -> frozenset:
+        """Unobservable closure of ``hits``, as the union of each hit's
+        memoized closure."""
+        parts = []
+        for v in hits:
+            closed = self._closures.get(v)
+            if closed is None:
+                closed = self._closures[v] = unobservable_closure(self._tgs, (v,))
+            parts.append(closed)
+        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+
+    def expand(self, vua: MergedA) -> dict[str, MergedF]:
+        """Row of ``vua``, merged on first request together with the action
+        rows and partial pairs of its new observation states."""
+        if vua in self.moves_in or self._tgs is None:
+            return self.moves_in[vua]
+        game = self._tgs.game
+        row: dict[str, MergedF] = {}
+        for event in self._events:
+            members = frozenset(
+                game.sys_moves[v][event] for v in vua if event in game.sys_moves[v]
+            )
+            if not members:
+                continue
+            vuf = MergedF(members, event)
+            row[event] = vuf
+            if vuf in self.moves_out:
+                continue
+            hits_of: dict[EditAction, list[InfoState]] = {}
+            for z in members:
+                for act, hit in game.def_moves[z].items():
+                    hits_of.setdefault(act, []).append(hit)
+            out: dict[EditAction, MergedA] = {}
+            for act in sorted(hits_of, key=EditAction.sort_key):
+                hits = hits_of[act]
+                out[act] = self._closure(hits)
+                if len(hits) < len(members):
+                    self._partial.add((vuf, act))
+            self.moves_out[vuf] = out
+        self.moves_in[vua] = row
+        return row
+
+    def complete(self) -> "Mechanism":
+        """Expand, breadth-first, every belief reachable from the initial one."""
+        seen = {self.initial}
+        queue = deque(seen)
+        while queue:
+            for vuf in self.expand(queue.popleft()).values():
+                for target in self.moves_out[vuf].values():
+                    if target not in seen:
+                        seen.add(target)
+                        queue.append(target)
+        return self
+
+    def _dead(self) -> set:
+        """Nodes proven dead over the expanded rows; an unexpanded belief
+        has no row, so it counts as live."""
+        if self._solved[0] != len(self.moves_in):
+            self._solved = (len(self.moves_in), backward_dead(
+                self.moves_in, self.moves_out, (), cut=self._partial))
+        return self._solved[1]
+
+    def _walk(self, key: Callable[[EditAction], tuple]) -> Optional[Walk]:
+        """Breadth-first walk of the strategy that plays, at each observation
+        state, the ``key``-least uncut action whose target is not proven
+        dead, expanding beliefs as it reaches them.  None when the initial
+        belief is proven dead.
+
+        A node dies only on complete evidence, so every action the walk
+        skips loses in the whole mechanism too, and a walk that closes is a
+        winning strategy: its actions are the key-least winning ones.
+        """
+        ranked: dict[MergedF, list[tuple[EditAction, MergedA]]] = {}
+        while True:
+            dead = self._dead()
+            if self.initial in dead:
+                return None
+            walk = self._walk_once(key, dead, ranked)
+            if walk is not None:
+                return walk
+            # The walk met observation states whose actions all lead into
+            # proven-dead beliefs.  It expanded rows the last solve had not
+            # seen, and solving again proves those states dead.
+
+    def _walk_once(
+        self, key: Callable[[EditAction], tuple], dead: set,
+        ranked: dict[MergedF, list[tuple[EditAction, MergedA]]],
+    ) -> Optional[Walk]:
+        """One pass of ``_walk``; None when some observation state has no
+        uncut action into a belief not proven dead.  ``ranked`` keeps each
+        observation state's uncut actions in ``key`` order across passes."""
+        order = [self.initial]
+        index = {self.initial: 0}
+        edges = []
+        stuck = False
+        for q, vua in enumerate(order):
+            row = self.expand(vua)
+            for event in sorted(row):
+                vuf = row[event]
+                if vuf not in ranked:
+                    acts = self.moves_out[vuf]
+                    ranked[vuf] = [(a, acts[a]) for a in sorted(acts, key=key)
+                                   if (vuf, a) not in self._partial]
+                act, target = next(
+                    ((a, t) for a, t in ranked[vuf] if t not in dead), (None, None))
+                if act is None:
+                    stuck = True  # vua is lost; walk on to find more such states
+                    break
+                if target not in index:
+                    index[target] = len(order)
+                    order.append(target)
+                edges.append((q, event, act, index[target]))
+        return None if stuck else (order, edges)
 
 
 def unobservable_closure(tgs: TrimmedGameStructure, seeds: Iterable[InfoState]) -> frozenset:
@@ -79,57 +250,14 @@ def unobservable_closure(tgs: TrimmedGameStructure, seeds: Iterable[InfoState]) 
 
 
 def build_uem(tgs: TrimmedGameStructure) -> Mechanism:
-    """No-guarantees merged mechanism over the surviving game."""
-    game = tgs.game
-    defender = sorted(game.profile.defender)
-    initial = unobservable_closure(tgs, {game.initial})
-
-    ua_seen: dict[MergedA, None] = {initial: None}
-    uf_seen: dict[MergedF, None] = {}
-    moves_in: dict[MergedA, dict[str, MergedF]] = {}
-    moves_out: dict[MergedF, dict[EditAction, MergedA]] = {}
-    partial: set[tuple[MergedF, EditAction]] = set()
-
-    queue = deque([initial])
-    while queue:
-        vua = queue.popleft()
-        row: dict[str, MergedF] = {}
-        for event in defender:
-            members = frozenset(
-                game.sys_moves[v][event] for v in vua if event in game.sys_moves[v]
-            )
-            if not members:
-                continue
-            vuf = MergedF(members, event)
-            row[event] = vuf
-            if vuf in uf_seen:
-                continue
-            uf_seen[vuf] = None
-            actions: set[EditAction] = set()
-            for z in members:
-                actions.update(game.def_moves[z])
-            out: dict[EditAction, MergedA] = {}
-            for act in sorted(actions, key=EditAction.sort_key):
-                hits = [game.def_moves[z][act] for z in members if act in game.def_moves[z]]
-                target = unobservable_closure(tgs, hits)
-                out[act] = target
-                if len(hits) < len(members):
-                    partial.add((vuf, act))
-                if target not in ua_seen:
-                    ua_seen[target] = None
-                    queue.append(target)
-            moves_out[vuf] = out
-        moves_in[vua] = row
-
+    """No-guarantees merged mechanism over the surviving game, expanded on
+    demand from its initial belief state."""
     return Mechanism(
-        defender=game.profile.defender,
-        initial=initial,
-        ua_states=tuple(sorted(ua_seen, key=merged_a_key)),
-        uf_states=tuple(sorted(uf_seen, key=merged_f_key)),
-        moves_in=moves_in,
-        moves_out=moves_out,
-        partial=frozenset(partial),
-        guaranteed=False,
+        defender=tgs.game.profile.defender,
+        initial=unobservable_closure(tgs, {tgs.game.initial}),
+        moves_in={},
+        moves_out={},
+        tgs=tgs,
     )
 
 
@@ -144,22 +272,32 @@ def refine_to_em(uem: Mechanism) -> Optional[Mechanism]:
     per action, not per reached belief state: distinct observation states
     may share a successor, and a totally defined action must not be dragged
     down by someone else's partial one.
+
+    The walk in canonical action order (prefer-passthrough's) expands what
+    it needs to decide the initial belief state.  Over a partial expansion
+    the refined rows keep only proven-winning parts: an action into an
+    unexpanded belief counts as cut.  On a completed mechanism this is the
+    whole refinement, in one round of the solver.
     """
-    dead = backward_dead(uem.moves_in, uem.moves_out, (), cut=uem.partial)
-    if uem.initial in dead:
+    if uem._walk(EditAction.sort_key) is None:
         return None
-    moves_in, moves_out = live_part(
-        uem.initial, uem.moves_in, uem.moves_out, dead, cut=uem.partial
-    )
+    unexpanded = {
+        (vuf, act) for vuf, row in uem.moves_out.items()
+        for act, target in row.items() if target not in uem.moves_in
+    }
+    if unexpanded:
+        cut = uem._partial | unexpanded
+        dead = backward_dead(uem.moves_in, uem.moves_out, (), cut=cut)
+    else:
+        cut, dead = uem._partial, uem._dead()
+    moves_in, moves_out = live_part(uem.initial, uem.moves_in, uem.moves_out, dead, cut=cut)
     return Mechanism(
         defender=uem.defender,
         initial=uem.initial,
-        ua_states=tuple(v for v in uem.ua_states if v in moves_in),
-        uf_states=tuple(v for v in uem.uf_states if v in moves_out),
         moves_in=moves_in,
         moves_out=moves_out,
-        partial=frozenset(),
         guaranteed=True,
+        source=uem,
     )
 
 
@@ -224,41 +362,29 @@ class MealyEditFunction:
 
 
 def synthesize(em: Mechanism, policy: str = "prefer-passthrough") -> MealyEditFunction:
-    """Extract one deterministic edit function from a refined mechanism."""
+    """Extract one deterministic edit function from a refined mechanism.
+
+    Each observation state plays its policy-least winning action.  The walk
+    runs over the mechanism ``em`` was refined from, expanding what the
+    policy's strategy needs beyond what refinement expanded."""
     if not em.guaranteed:
         raise ValueError("synthesis requires a refined mechanism")
-    for vuf in em.uf_states:
-        if not em.moves_out[vuf]:
-            raise ValueError("corrupt mechanism: observation state without actions")
+    if not all(em.moves_out.values()):
+        raise ValueError("corrupt mechanism: observation state without actions")
     try:
         key = POLICIES[policy]
     except KeyError:
         raise ValueError(f"unknown policy {policy!r}") from None
 
-    index: dict[MergedA, int] = {em.initial: 0}
-    order: list[MergedA] = [em.initial]
-    output: dict[tuple[int, str], Trace] = {}
-    next_state: dict[tuple[int, str], int] = {}
-    queue = deque([em.initial])
-    while queue:
-        vua = queue.popleft()
-        q = index[vua]
-        for event in sorted(em.moves_in[vua]):
-            vuf = em.moves_in[vua][event]
-            act = min(em.moves_out[vuf], key=key)
-            target = em.moves_out[vuf][act]
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            output[(q, event)] = act.word(event)
-            next_state[(q, event)] = index[target]
+    walk = (em.source or em)._walk(key)
+    assert walk is not None, "a refined mechanism has a winning initial belief state"
+    order, edges = walk
     return MealyEditFunction(
         alphabet=em.defender,
         n_states=len(order),
         initial=0,
-        output=output,
-        next_state=next_state,
+        output={(q, event): act.word(event) for q, event, act, _ in edges},
+        next_state={(q, event): q2 for q, event, _, q2 in edges},
         policy=policy,
         beliefs=tuple(order),
     )
@@ -320,10 +446,12 @@ def parse_mealy(text: str) -> MealyEditFunction:
         next_state[(q, event)] = q2
     if alphabet is None:
         raise ValueError("transducer text lacks an alphabet line")
-    used = [initial] + [q for q, _ in output] + list(next_state.values())
     if n_states is None:
-        n_states = max(used) + 1
-    for q in used:
+        raise ValueError("transducer text lacks a states line")
+    for q, event in output:
+        if event not in alphabet:
+            raise ValueError(f"transducer edge from state {q} on {event!r} outside the alphabet")
+    for q in [initial] + [q for q, _ in output] + list(next_state.values()):
         if not 0 <= q < n_states:
             raise ValueError(f"transducer state {q} outside [0, {n_states})")
     return MealyEditFunction(

@@ -66,7 +66,8 @@ def fig3_tgs(fig3_game):
 
 @pytest.fixture(scope="session")
 def fig3_uem(fig3_tgs):
-    return oe.build_uem(fig3_tgs)
+    # the fixtures inspect the whole structure
+    return oe.build_uem(fig3_tgs).complete()
 
 
 @pytest.fixture(scope="session")

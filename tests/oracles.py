@@ -3,14 +3,15 @@
 The restart sweep recomputes the backward safety fixpoint the slow,
 obviously-correct way, and the naive trim and refinement rebuild their
 survivors by re-sorting with the canonical keys rather than filtering the
-parent's already sorted tuples.
+parent's already sorted tuples.  The naive refinement takes a completed
+mechanism.
 """
 from __future__ import annotations
 
 from typing import Optional
 
 from opacedit.game import EditAction, EditGameStructure, aug_key, info_key
-from opacedit.mechanism import Mechanism, merged_a_key, merged_f_key
+from opacedit.mechanism import Mechanism
 from opacedit.trimming import TrimmedGameStructure
 
 
@@ -94,8 +95,6 @@ def refine_naive(uem: Mechanism) -> Optional[Mechanism]:
     return Mechanism(
         defender=uem.defender,
         initial=uem.initial,
-        ua_states=tuple(sorted(moves_in, key=merged_a_key)),
-        uf_states=tuple(sorted(moves_out, key=merged_f_key)),
         moves_in=moves_in,
         moves_out=moves_out,
         partial=frozenset(),

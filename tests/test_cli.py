@@ -154,6 +154,20 @@ class TestMalformedTransducer:
         assert main(argv) == 2
         assert "differs from the defender alphabet {b,c,d}" in capsys.readouterr().err
 
+    def test_check_rejects_edge_outside_alphabet(self, fig3_file, tmp_path, capsys):
+        # the a-edge would be ignored, leaving the identity editor's verdict
+        path = tmp_path / "foreign.mealy"
+        path.write_text("alphabet b c d\nstates 1\n" + IDENTITY_EDGES + "0 a / z 0\n")
+        assert main(["check", fig3_file, str(path), "--depth", "4"]) == 2
+        assert "on 'a' outside the alphabet" in capsys.readouterr().err
+
+    def test_check_requires_states_line(self, fig3_file, tmp_path, capsys):
+        # without it the count would be inferred from the edges, hiding gaps
+        path = tmp_path / "stateless.mealy"
+        path.write_text("alphabet b c d\n" + IDENTITY_EDGES)
+        assert main(["check", fig3_file, str(path), "--depth", "4"]) == 2
+        assert "lacks a states line" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_observers_summary(self, fig3_file, capsys):

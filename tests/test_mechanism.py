@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 import opacedit as oe
@@ -5,6 +7,9 @@ from opacedit.game import PASSTHROUGH
 
 from conftest import SUBS_ONLY, info
 from oracles import refine_naive
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
 
 
 def T(s):
@@ -62,7 +67,7 @@ class TestBuildUem:
         )
         game = oe.build_edit_game(fig3_aut, profile, k=0, ops=SUBS_ONLY)
         tgs = oe.trim_game(game)
-        uem = oe.build_uem(tgs)
+        uem = oe.build_uem(tgs).complete()
         assert all(len(v) == 1 for v in uem.ua_states)
         assert all(len(v.members) == 1 for v in uem.uf_states)
         assert len(uem.ua_states) == len(tgs.game.a_states)
@@ -92,7 +97,7 @@ class TestRefineToEm:
             defender=frozenset("abcd"),
         )
         game = oe.build_edit_game(fig3_aut, profile, k=0, ops=SUBS_ONLY)
-        uem = oe.build_uem(oe.trim_game(game))
+        uem = oe.build_uem(oe.trim_game(game)).complete()
         assert not uem.partial
         em = oe.refine_to_em(uem)
         assert em is not None
@@ -126,7 +131,7 @@ class TestRefineToEm:
         tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
         if tgs is None:
             return
-        uem = oe.build_uem(tgs)
+        uem = oe.build_uem(tgs).complete()
         fast = oe.refine_to_em(uem)
         slow = refine_naive(uem)
         if fast is None or slow is None:
@@ -166,8 +171,6 @@ class TestSynthesize:
         narrowed = Mechanism(
             defender=fig3_em.defender,
             initial=fig3_em.initial,
-            ua_states=fig3_em.ua_states,
-            uf_states=fig3_em.uf_states,
             moves_in=fig3_em.moves_in,
             moves_out={
                 vuf: {min(acts, key=key): acts[min(acts, key=key)]}
@@ -246,3 +249,106 @@ class TestMechanismAgreement:
         for policy in oe.POLICIES:
             fe = oe.synthesize(em, policy=policy)
             assert oe.exact_ic_check(aut, profile, fe)
+
+
+def _needs_backtracking(uem, em, fe, policy) -> bool:
+    """Whether some observation state the transducer meets has a
+    policy-preferred uncut action that loses, so a walk that never undid a
+    choice would pick wrongly.  ``uem`` and ``em`` are complete."""
+    key = oe.POLICIES[policy]
+    for vua in fe.beliefs:
+        for vuf in uem.moves_in[vua].values():
+            uncut = [a for a in uem.moves_out[vuf] if (vuf, a) not in uem.partial]
+            if min(uncut, key=key) != min(em.moves_out[vuf], key=key):
+                return True
+    return False
+
+
+# (max_states, seed); seeds 9 and 48 need backtracking
+DEMAND_CASES = [(5, seed) for seed in range(12)] + [(8, 9), (10, 48), (12, 48)]
+
+
+class TestDemandDriven:
+    """The demand-driven walk against the completed mechanism."""
+
+    @staticmethod
+    def _tgs(max_states, seed):
+        aut, profile = oe.random_instance(seed, max_states=max_states)
+        return oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+
+    @pytest.mark.parametrize("max_states,seed", DEMAND_CASES)
+    def test_lazy_equals_completed(self, max_states, seed):
+        tgs = self._tgs(max_states, seed)
+        if tgs is None:
+            return
+        full = oe.refine_to_em(oe.build_uem(tgs).complete())
+        for policy in oe.POLICIES:
+            uem = oe.build_uem(tgs)
+            lazy = oe.refine_to_em(uem)
+            assert (lazy is None) == (full is None)
+            if full is None:
+                continue
+            got = oe.synthesize(lazy, policy=policy)
+            want = oe.synthesize(full, policy=policy)
+            assert oe.format_mealy(got) == oe.format_mealy(want)
+            assert got.beliefs == want.beliefs
+            assert len(uem.ua_states) <= len(full.source.ua_states)
+
+    def test_cases_include_backtracking(self):
+        needing = set()
+        for max_states, seed in DEMAND_CASES:
+            tgs = self._tgs(max_states, seed)
+            if tgs is None:
+                continue
+            uem = oe.build_uem(tgs).complete()
+            em = oe.refine_to_em(uem)
+            for policy in oe.POLICIES if em is not None else ():
+                if _needs_backtracking(uem, em, oe.synthesize(em, policy), policy):
+                    needing.add((max_states, seed, policy))
+        assert needing
+
+    def test_reading_never_expands(self, fig3_tgs):
+        uem = oe.build_uem(fig3_tgs)
+        assert uem.ua_states == () and uem.uf_states == () and not uem.partial
+        uem.expand(uem.initial)
+        assert uem.ua_states == (uem.initial,)
+        assert len(uem.uf_states) == len(uem.moves_in[uem.initial])
+
+    def test_completion_matches_expanding_everything_first(self, fig3_tgs):
+        lazy = oe.build_uem(fig3_tgs)
+        oe.synthesize(oe.refine_to_em(lazy), policy="prefer-insert")
+        lazy.complete()
+        whole = oe.build_uem(fig3_tgs).complete()
+        assert lazy.ua_states == whole.ua_states
+        assert lazy.uf_states == whole.uf_states
+        assert lazy.partial == whole.partial
+        assert lazy.moves_in == whole.moves_in
+        assert lazy.moves_out == whole.moves_out
+
+    @pytest.mark.parametrize("seed,k,ops", [
+        (376, 1, oe.OPS_ALL),
+        (9, 0, frozenset({"delete"})),
+    ], ids=["all-ops", "delete-only"])
+    def test_refuted_at_refine_without_completion(self, seed, k, ops):
+        aut, profile = oe.random_instance(seed)
+        tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=k, ops=ops))
+        assert tgs is not None
+        uem = oe.build_uem(tgs)
+        assert oe.refine_to_em(uem) is None
+        assert len(uem.ua_states) < len(oe.build_uem(tgs).complete().ua_states)
+
+    def test_default_synthesis_expands_few_beliefs(self):
+        aut, profile = oe.parse_model((INSTANCES / "gen-27-12-5.aut").read_text())
+        tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+        uem = oe.build_uem(tgs)
+        oe.synthesize(oe.refine_to_em(uem))
+        assert len(uem.ua_states) <= 200  # of 4,625 in the whole mechanism
+
+    def test_fourteen_state_anchor_synthesizes(self, capsys):
+        from opacedit.cli import main
+
+        path = INSTANCES / "gen-6-16-6.aut"
+        assert main(["synthesize", str(path)]) == 0
+        fe = oe.parse_mealy(capsys.readouterr().out)
+        aut, profile = oe.parse_model(path.read_text())
+        assert oe.exact_ic_check(aut, profile, fe)
