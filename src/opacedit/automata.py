@@ -53,7 +53,8 @@ class FiniteAutomaton:
         n = len(self.labels)
         if n == 0:
             raise ModelError("automaton needs at least one state")
-        if len(set(self.labels)) != n:
+        index = {label: i for i, label in enumerate(self.labels)}
+        if len(index) != n:
             raise ModelError("state labels must be unique")
         if len(set(self.events)) != len(self.events):
             raise ModelError("event ids must be unique")
@@ -77,6 +78,7 @@ class FiniteAutomaton:
         object.__setattr__(
             self, "_arcs", tuple({e: a[e] for e in sorted(a)} for a in arcs)
         )
+        object.__setattr__(self, "_index", index)
 
     @property
     def n_states(self) -> int:
@@ -105,8 +107,8 @@ class FiniteAutomaton:
 
     def state_named(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]  # type: ignore[attr-defined]
+        except KeyError:
             raise ModelError(f"unknown state label {label!r}") from None
 
 
@@ -209,8 +211,9 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
     pair, and references to undeclared symbols are hard errors carrying the
     line number.
     """
-    states: list[str] = []
-    events: list[str] = []
+    # insertion-ordered: label -> index, event -> None
+    states: dict[str, int] = {}
+    events: dict[str, None] = {}
     sets: dict[str, list[tuple[int, str]]] = {
         "secret": [], "observable": [], "intruder": [], "defender": []
     }
@@ -229,12 +232,12 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
             for tok in args:
                 if tok in states:
                     raise ParseError(lineno, f"state {tok!r} declared twice")
-                states.append(tok)
+                states[tok] = len(states)
         elif directive == "events":
             for tok in args:
                 if tok in events:
                     raise ParseError(lineno, f"event {tok!r} declared twice")
-                events.append(tok)
+                events[tok] = None
         elif directive == "initial":
             if len(args) != 1:
                 raise ParseError(lineno, "initial takes exactly one state")
@@ -255,16 +258,13 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
     if initial is None:
         raise ParseError(0, "no initial state declared")
 
-    index = {label: i for i, label in enumerate(states)}
-    event_set = set(events)
-
     def state_ref(lineno: int, tok: str) -> int:
-        if tok not in index:
+        if tok not in states:
             raise ParseError(lineno, f"undeclared state {tok!r}")
-        return index[tok]
+        return states[tok]
 
     def event_ref(lineno: int, tok: str) -> str:
-        if tok not in event_set:
+        if tok not in events:
             raise ParseError(lineno, f"undeclared event {tok!r}")
         return tok
 

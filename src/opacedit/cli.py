@@ -34,7 +34,7 @@ from .harness import (
 from .mechanism import (POLICIES, MealyEditFunction, build_uem, format_mealy, parse_mealy,
                         refine_to_em, synthesize)
 from .observers import standard_observers
-from .opacity import default_depth, verify_cso
+from .opacity import default_depth, editor_observers, verify_cso
 from .trimming import trim_game
 
 EXIT_OK = 0
@@ -253,8 +253,10 @@ def cmd_check(args) -> int:
     config = _config(args)
     aut, profile = _load(config.path)
     fe = _load_transducer(args.transducer, profile)
-    depth = config.depth if config.depth is not None else default_depth(aut, profile, config.k)
-    verdict = oracle_ic_enforcing(aut, profile, fe, depth)
+    observers = editor_observers(aut, profile)
+    depth = (config.depth if config.depth is not None
+             else default_depth(aut, profile, config.k, observers=observers))
+    verdict = oracle_ic_enforcing(aut, profile, fe, depth, observers=observers)
     if verdict.ok:
         print(f"PASS: ic-enforcing up to depth {depth}")
         return EXIT_OK

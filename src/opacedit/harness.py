@@ -16,10 +16,11 @@ from typing import Iterable, Optional
 from .automata import FiniteAutomaton, ObservationProfile, Trace, project
 from .game import EditAction, enumerate_actions
 from .mechanism import MealyEditFunction
-from .observers import StateSet, build_observer
+from .observers import ObserverAutomaton, StateSet
 from .opacity import (
     EditorRun,
     SupportsEdit,
+    editor_observers,
     evaluate_editor,
     nonsecret_explanation_exists,
 )
@@ -61,8 +62,7 @@ def simulate(
     profile.validate(aut)
     if aut.run(aut.initial, trace) is None:
         raise SimulationError(f"trace {' '.join(trace) or 'ε'} is not generated by the plant")
-    o_intr = build_observer(aut, profile.intruder, profile.observable)
-    o_def = build_observer(aut, profile.defender, profile.observable)
+    o_intr, o_def = editor_observers(aut, profile)
     run = EditorRun(fe, profile, o_intr, o_def)
     steps: list[SimulationStep] = []
     state = aut.initial
@@ -96,10 +96,17 @@ class OracleVerdict:
 
 
 def oracle_ic_enforcing(
-    aut: FiniteAutomaton, profile: ObservationProfile, fe: SupportsEdit, depth: int
+    aut: FiniteAutomaton,
+    profile: ObservationProfile,
+    fe: SupportsEdit,
+    depth: int,
+    observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton]] = None,
 ) -> OracleVerdict:
-    """Exhaustive definitional check; reports the first failing prefix."""
-    report = evaluate_editor(aut, profile, fe, depth)
+    """Exhaustive definitional check; reports the first failing prefix.
+
+    ``observers`` are the intruder and defender observers, when the caller
+    has them already."""
+    report = evaluate_editor(aut, profile, fe, depth, observers=observers)
     if report.first_violation is None:
         return OracleVerdict(True)
     kind, sigma = report.first_violation
@@ -117,8 +124,7 @@ def certifying_depth(
     Behavior repeats once the joint configuration does, so this depth is
     enough to certify the bounded checks whenever it is below the cap.
     """
-    o_intr = build_observer(aut, profile.intruder, profile.observable)
-    o_def = build_observer(aut, profile.defender, profile.observable)
+    o_intr, o_def = editor_observers(aut, profile)
     start = (aut.initial, o_intr.initial, o_def.initial, fe.initial)
     seen = {start}
     queue = deque([start])
@@ -158,8 +164,7 @@ def exact_ic_check(
     observations alone (Mealy and history editors); such editors satisfy
     defender-view consistency by construction.
     """
-    o_intr = build_observer(aut, profile.intruder, profile.observable)
-    o_def = build_observer(aut, profile.defender, profile.observable)
+    o_intr, o_def = editor_observers(aut, profile)
     start = (aut.initial, o_intr.initial, o_def.initial, editor.initial)
     seen = {start}
     queue = deque([start])
@@ -342,8 +347,7 @@ def find_edit_strategy(
     the observed event, and the parked configuration set.
     """
     profile.validate(aut)
-    o_intr = build_observer(aut, profile.intruder, profile.observable)
-    o_def = build_observer(aut, profile.defender, profile.observable)
+    o_intr, o_def = editor_observers(aut, profile)
     action_menu = {
         e: enumerate_actions(e, profile, k, ops) for e in sorted(profile.defender)
     }

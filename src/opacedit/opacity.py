@@ -4,7 +4,8 @@ Opacity is decided on the intruder observer: the plant leaks exactly when
 some reachable intruder estimate consists of secret states only.
 ``evaluate_editor`` quantifies over observable behavior up to a caller
 chosen depth and evaluates an editor jointly against the intruder and
-defender observers; its report holds the four enforceability properties.
+defender observers; its report holds availability, confidentiality and
+their conjunction, integrity.
 An edit output is "defined" precisely when both observers can still parse
 it.
 """
@@ -14,16 +15,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Protocol
 
-from .automata import FiniteAutomaton, ObservationProfile, Trace, project
-from .observers import ObserverAutomaton, build_observer, standard_observers
+from .automata import FiniteAutomaton, ObservationProfile, Trace
+from .observers import ObserverAutomaton, build_observer
 
 
 class SupportsEdit(Protocol):
     """Stateful editor: consumes observable events, emits output words.
 
-    ``step`` must return the forced single-event word for events outside the
-    defender alphabet (the editor cannot see them, though a defective editor
-    may still try to change state on them, which the checks will catch).
+    ``step`` must return the forced single-event word and the unchanged
+    state for events outside the defender alphabet, which the editor cannot
+    see; ``evaluate_editor`` raises ``ValueError`` on an editor that does not.
     """
 
     initial: Any
@@ -146,23 +147,26 @@ class EditorRun:
         return word
 
 
+def editor_observers(
+    aut: FiniteAutomaton, profile: ObservationProfile
+) -> tuple[ObserverAutomaton, ObserverAutomaton]:
+    """The intruder and defender observers an editor's output drives."""
+    return (build_observer(aut, profile.intruder, profile.observable),
+            build_observer(aut, profile.defender, profile.observable))
+
+
 @dataclass
 class EditorReport:
     """Outcome of evaluating an editor over all observable behavior <= depth."""
 
     depth: int
     i_counterexample: Optional[Trace]
-    c_counterexample: Optional[tuple[Trace, Trace]]
     conf_counterexample: Optional[Trace]
     first_violation: Optional[tuple[str, Trace]]
 
     @property
     def i_available(self) -> bool:
         return self.i_counterexample is None
-
-    @property
-    def c_available(self) -> bool:
-        return self.c_counterexample is None
 
     @property
     def confidential(self) -> bool:
@@ -172,10 +176,7 @@ class EditorReport:
     def integral(self) -> bool:
         # prefix-closed evaluation: every prefix of every checked trace is
         # itself checked, so integrity is the conjunction below
-        return self.i_available and self.c_available and self.confidential
-
-
-_UNDEFINED = ("<undefined>",)
+        return self.i_available and self.confidential
 
 
 def evaluate_editor(
@@ -185,23 +186,35 @@ def evaluate_editor(
     depth: int,
     observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton]] = None,
 ) -> EditorReport:
-    """Single pass over the tree of observable projections of L(G).
+    """Breadth-first search over the observable projections sigma of the
+    plant traces of length <= depth, in length-then-lexicographic order.
 
-    Checks, per projection sigma: the editor stays defined (availability);
-    projections with equal defender views get equal defender-projected
-    outputs (consistency); and whenever some secret plant trace projects to
-    sigma, the intruder view of the output still has a non-secret
-    explanation (confidentiality).  Counterexamples are the shortest, then
-    lexicographically least.
+    Checks, per sigma: the editor and both observer runs stay defined
+    (availability), and whenever some plant trace projecting to sigma ends
+    in a secret state, the intruder estimate of the output is not inside
+    the secret set (confidentiality).  That estimate is exactly the set of
+    endpoints of the plant traces explaining the emitted intruder word.
+    Counterexamples are the shortest, then lexicographically least.
+
+    A node stands for its plant configs (each reachable state with the
+    length of its shortest plant trace), the editor state and both
+    estimates.  A node whose states, editor state and estimates equal those
+    of an earlier node, with no state reached by a shorter plant trace, is
+    checked but not expanded: its subtree could only repeat, later in the
+    order, what the earlier node's subtree shows.  The cost is therefore
+    bounded by the distinct such nodes up to the depth.
+
+    The editor must keep its state and pass the event through on events
+    outside the defender alphabet; otherwise ``ValueError`` is raised.  Two
+    defined runs with the same defender view then emit the same defender
+    output, so consistency between defender views needs no check.  Editor
+    states must be hashable.
     """
     profile.validate(aut)
-    if observers is None:
-        o_intr = build_observer(aut, profile.intruder, profile.observable)
-        o_def = build_observer(aut, profile.defender, profile.observable)
-    else:
-        o_intr, o_def = observers
+    o_intr, o_def = observers if observers is not None else editor_observers(aut, profile)
     unobs = frozenset(aut.events) - profile.observable
     observable = sorted(profile.observable)
+    secret = aut.secret
 
     def uo_close(configs: dict[int, int]) -> dict[int, int]:
         best = dict(configs)
@@ -216,53 +229,30 @@ def evaluate_editor(
                     stack.append((dst, length + 1))
         return best
 
-    i_cx: Optional[Trace] = None
-    c_cx: Optional[tuple[Trace, Trace]] = None
-    conf_cx: Optional[Trace] = None
-    first: Optional[tuple[str, Trace]] = None
+    # node n's word is node parent[n]'s word followed by last[n]
+    parent: list[int] = [-1]
+    last: list[str] = [""]
 
-    def record(kind: str, sigma: Trace, pair: Optional[Trace] = None) -> None:
-        nonlocal i_cx, c_cx, conf_cx, first
-        if kind == "i-availability" and i_cx is None:
-            i_cx = sigma
-        elif kind == "c-availability" and c_cx is None:
-            c_cx = (pair if pair is not None else sigma, sigma)
-        elif kind == "confidentiality" and conf_cx is None:
-            conf_cx = sigma
-        if first is None:
-            first = (kind, sigma)
+    def word(node: int) -> Trace:
+        out: list[str] = []
+        while node > 0:
+            out.append(last[node])
+            node = parent[node]
+        return tuple(reversed(out))
 
-    groups: dict[Trace, tuple[Trace, Trace]] = {}
-    explain_memo: dict[Trace, bool] = {}
-
-    def explained(beta: Trace) -> bool:
-        got = explain_memo.get(beta)
-        if got is None:
-            got = nonsecret_explanation_exists(aut, beta, profile.intruder)
-            explain_memo[beta] = got
-        return got
-
-    def check_node(sigma: Trace, pd_sigma: Trace, configs: dict[int, int],
-                   emit_i: Trace, emit_d: Trace, defined: bool) -> None:
-        value = emit_d if defined else _UNDEFINED
-        if not defined:
-            record("i-availability", sigma)
-        seen = groups.get(pd_sigma)
-        if seen is None:
-            groups[pd_sigma] = (sigma, value)
-        elif seen[1] != value:
-            record("c-availability", sigma, pair=seen[0])
-        if defined and any(x in aut.secret for x in configs) and not explained(emit_i):
-            record("confidentiality", sigma)
+    # the first node failing each property, in the order found
+    found: dict[str, int] = {}
 
     root_configs = uo_close({aut.initial: 0})
-    root = ((), (), root_configs, editor.initial, o_intr.initial, o_def.initial, (), ())
-    check_node((), (), root_configs, (), (), True)
-    queue = deque([root])
-    while queue:
-        if i_cx is not None and c_cx is not None and conf_cx is not None:
-            break
-        sigma, pd_sigma, configs, q, x_i, x_d, emit_i, emit_d = queue.popleft()
+    if o_intr.initial <= secret and not secret.isdisjoint(root_configs):
+        found["confidentiality"] = 0
+    # configs of the expanded nodes, by (states, editor state, estimates)
+    expanded = {
+        (frozenset(root_configs), editor.initial, o_intr.initial, o_def.initial): [root_configs]
+    }
+    queue = deque([(0, root_configs, editor.initial, o_intr.initial, o_def.initial)])
+    while queue and len(found) < 2:
+        node, configs, q, x_i, x_d = queue.popleft()
         for event in observable:
             stepped: dict[int, int] = {}
             for state, length in configs.items():
@@ -273,39 +263,54 @@ def evaluate_editor(
                     stepped[dst] = length + 1
             if not stepped:
                 continue
-            child_sigma = sigma + (event,)
-            child_pd = pd_sigma + ((event,) if event in profile.defender else ())
-            child_configs = uo_close(stepped)
+            child = len(parent)
+            parent.append(node)
+            last.append(event)
             step = editor.step(q, event)
             if step is None:
-                check_node(child_sigma, child_pd, child_configs, (), (), False)
+                found.setdefault("i-availability", child)
                 continue
-            word, q2 = step
-            if event not in profile.defender and word != (event,):
-                raise ValueError("editor rewrote an event it cannot observe")
-            nx_i = o_intr.run(word, x_i)
-            nx_d = o_def.run(word, x_d)
+            out, q2 = step
+            if event not in profile.defender:
+                if out != (event,):
+                    raise ValueError("editor rewrote an event it cannot observe")
+                if q2 != q:
+                    raise ValueError("editor changed state on an event it cannot observe")
+            nx_i = o_intr.run(out, x_i)
+            nx_d = o_def.run(out, x_d)
             if nx_i is None or nx_d is None:
-                check_node(child_sigma, child_pd, child_configs, (), (), False)
+                found.setdefault("i-availability", child)
                 continue
-            child_emit_i = emit_i + project(word, profile.intruder)
-            child_emit_d = emit_d + project(word, profile.defender)
-            check_node(child_sigma, child_pd, child_configs,
-                       child_emit_i, child_emit_d, True)
-            queue.append((child_sigma, child_pd, child_configs, q2,
-                          nx_i, nx_d, child_emit_i, child_emit_d))
+            child_configs = uo_close(stepped)
+            if nx_i <= secret and not secret.isdisjoint(child_configs):
+                found.setdefault("confidentiality", child)
+            key = (frozenset(child_configs), q2, nx_i, nx_d)
+            earlier = expanded.setdefault(key, [])
+            if any(all(seen[s] <= n for s, n in child_configs.items()) for seen in earlier):
+                continue
+            earlier.append(child_configs)
+            queue.append((child, child_configs, q2, nx_i, nx_d))
 
+    words = {kind: word(node) for kind, node in found.items()}
     return EditorReport(
         depth=depth,
-        i_counterexample=i_cx,
-        c_counterexample=c_cx,
-        conf_counterexample=conf_cx,
-        first_violation=first,
+        i_counterexample=words.get("i-availability"),
+        conf_counterexample=words.get("confidentiality"),
+        first_violation=next(iter(words.items()), None),
     )
 
 
-def default_depth(aut: FiniteAutomaton, profile: ObservationProfile, k: int = 1) -> int:
-    """Documented certification bound: product state count plus k plus one."""
-    _, o_intr, o_def = standard_observers(aut, profile)
-    return aut.n_states * len(o_intr.states) * len(o_def.states) + k + 1
+def default_depth(
+    aut: FiniteAutomaton,
+    profile: ObservationProfile,
+    k: int = 1,
+    *,
+    observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton]] = None,
+) -> int:
+    """Documented certification bound: product state count plus k plus one.
 
+    ``observers`` are the intruder and defender observers, when the caller
+    has them already."""
+    profile.validate(aut)
+    o_intr, o_def = observers if observers is not None else editor_observers(aut, profile)
+    return aut.n_states * len(o_intr.states) * len(o_def.states) + k + 1

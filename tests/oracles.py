@@ -4,14 +4,22 @@ The restart sweep recomputes the backward safety fixpoint the slow,
 obviously-correct way, and the naive trim and refinement rebuild their
 survivors by re-sorting with the canonical keys rather than filtering the
 parent's already sorted tuples.  The naive refinement takes a completed
-mechanism.
+mechanism.  The tree walk evaluates an editor on every observable
+projection up to a depth, one node per word, with explicit defender-view
+consistency groups and explanation searches.
 """
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
+from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, project
 from opacedit.game import EditAction, EditGameStructure, aug_key, info_key
 from opacedit.mechanism import Mechanism
+from opacedit.observers import ObserverAutomaton
+from opacedit.opacity import (EditorReport, SupportsEdit, editor_observers,
+                              nonsecret_explanation_exists)
 from opacedit.trimming import TrimmedGameStructure
 
 
@@ -99,4 +107,144 @@ def refine_naive(uem: Mechanism) -> Optional[Mechanism]:
         moves_out=moves_out,
         partial=frozenset(),
         guaranteed=True,
+    )
+
+
+_UNDEFINED = ("<undefined>",)
+
+
+@dataclass
+class TreeReport(EditorReport):
+    """``EditorReport`` plus the defender-view consistency the tree checks."""
+
+    c_counterexample: Optional[tuple[Trace, Trace]] = None
+
+    @property
+    def c_available(self) -> bool:
+        return self.c_counterexample is None
+
+    @property
+    def integral(self) -> bool:
+        return self.i_available and self.c_available and self.confidential
+
+
+def evaluate_editor_tree(
+    aut: FiniteAutomaton,
+    profile: ObservationProfile,
+    editor: SupportsEdit,
+    depth: int,
+    observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton]] = None,
+) -> TreeReport:
+    """Single pass over the tree of observable projections of L(G).
+
+    Checks, per projection sigma: the editor stays defined (availability);
+    projections with equal defender views get equal defender-projected
+    outputs (consistency); and whenever some secret plant trace projects to
+    sigma, the intruder view of the output still has a non-secret
+    explanation (confidentiality).  Counterexamples are the shortest, then
+    lexicographically least.
+    """
+    profile.validate(aut)
+    o_intr, o_def = observers if observers is not None else editor_observers(aut, profile)
+    unobs = frozenset(aut.events) - profile.observable
+    observable = sorted(profile.observable)
+
+    def uo_close(configs: dict[int, int]) -> dict[int, int]:
+        best = dict(configs)
+        stack = list(best.items())
+        while stack:
+            state, length = stack.pop()
+            if length != best.get(state) or length >= depth:
+                continue
+            for event, dst in aut.arcs(state).items():
+                if event in unobs and length + 1 < best.get(dst, depth + 2):
+                    best[dst] = length + 1
+                    stack.append((dst, length + 1))
+        return best
+
+    i_cx: Optional[Trace] = None
+    c_cx: Optional[tuple[Trace, Trace]] = None
+    conf_cx: Optional[Trace] = None
+    first: Optional[tuple[str, Trace]] = None
+
+    def record(kind: str, sigma: Trace, pair: Optional[Trace] = None) -> None:
+        nonlocal i_cx, c_cx, conf_cx, first
+        if kind == "i-availability" and i_cx is None:
+            i_cx = sigma
+        elif kind == "c-availability" and c_cx is None:
+            c_cx = (pair if pair is not None else sigma, sigma)
+        elif kind == "confidentiality" and conf_cx is None:
+            conf_cx = sigma
+        if first is None:
+            first = (kind, sigma)
+
+    groups: dict[Trace, tuple[Trace, Trace]] = {}
+    explain_memo: dict[Trace, bool] = {}
+
+    def explained(beta: Trace) -> bool:
+        got = explain_memo.get(beta)
+        if got is None:
+            got = nonsecret_explanation_exists(aut, beta, profile.intruder)
+            explain_memo[beta] = got
+        return got
+
+    def check_node(sigma: Trace, pd_sigma: Trace, configs: dict[int, int],
+                   emit_i: Trace, emit_d: Trace, defined: bool) -> None:
+        value = emit_d if defined else _UNDEFINED
+        if not defined:
+            record("i-availability", sigma)
+        seen = groups.get(pd_sigma)
+        if seen is None:
+            groups[pd_sigma] = (sigma, value)
+        elif seen[1] != value:
+            record("c-availability", sigma, pair=seen[0])
+        if defined and any(x in aut.secret for x in configs) and not explained(emit_i):
+            record("confidentiality", sigma)
+
+    root_configs = uo_close({aut.initial: 0})
+    root = ((), (), root_configs, editor.initial, o_intr.initial, o_def.initial, (), ())
+    check_node((), (), root_configs, (), (), True)
+    queue = deque([root])
+    while queue:
+        if i_cx is not None and c_cx is not None and conf_cx is not None:
+            break
+        sigma, pd_sigma, configs, q, x_i, x_d, emit_i, emit_d = queue.popleft()
+        for event in observable:
+            stepped: dict[int, int] = {}
+            for state, length in configs.items():
+                if length >= depth:
+                    continue
+                dst = aut.step(state, event)
+                if dst is not None and length + 1 < stepped.get(dst, depth + 2):
+                    stepped[dst] = length + 1
+            if not stepped:
+                continue
+            child_sigma = sigma + (event,)
+            child_pd = pd_sigma + ((event,) if event in profile.defender else ())
+            child_configs = uo_close(stepped)
+            step = editor.step(q, event)
+            if step is None:
+                check_node(child_sigma, child_pd, child_configs, (), (), False)
+                continue
+            word, q2 = step
+            if event not in profile.defender and word != (event,):
+                raise ValueError("editor rewrote an event it cannot observe")
+            nx_i = o_intr.run(word, x_i)
+            nx_d = o_def.run(word, x_d)
+            if nx_i is None or nx_d is None:
+                check_node(child_sigma, child_pd, child_configs, (), (), False)
+                continue
+            child_emit_i = emit_i + project(word, profile.intruder)
+            child_emit_d = emit_d + project(word, profile.defender)
+            check_node(child_sigma, child_pd, child_configs,
+                       child_emit_i, child_emit_d, True)
+            queue.append((child_sigma, child_pd, child_configs, q2,
+                          nx_i, nx_d, child_emit_i, child_emit_d))
+
+    return TreeReport(
+        depth=depth,
+        i_counterexample=i_cx,
+        c_counterexample=c_cx,
+        conf_counterexample=conf_cx,
+        first_violation=first,
     )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from opacedit.cli import main
 from conftest import FIG3_TEXT
 
 EMPTY_SECRET = FIG3_TEXT.replace("secret 5\n", "")
+
+ROOT = Path(__file__).resolve().parent.parent
 
 UNENFORCEABLE = (
     "states s t\ninitial s\nsecret s\nevents a\nobservable a\n"
@@ -124,6 +130,18 @@ class TestSimulateAndCheck:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["property"] == "confidentiality"
         assert record["trace"] == ["a", "b"]
+
+    def test_check_at_the_default_depth_finishes(self):
+        # the default depth here is 302; a walk over every observable word
+        # up to it would not finish
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "opacedit.cli", "check",
+             "bench/instances/gen-5-8-5.aut", "bench/editors/synth-gen-5-8-5.mealy"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "PASS: ic-enforcing up to depth 302\n"
 
 
 

@@ -105,19 +105,17 @@ class TestRefineToEm:
         assert set(em.uf_states) == set(uem.uf_states)
 
     def test_forced_leak_refines_to_nothing(self):
-        # the defender cannot see b at all, so it cannot counter the leak of
-        # the b-branch; merging makes every response partial
+        # the defender cannot see a, so on b it cannot tell the leaking step
+        # 1 -b-> 2 from the harmless 3 -b-> 1; trimming keeps a response for
+        # each, but merging them makes every response to b partial
         aut, profile = oe.parse_model(
-            "states 1 2 3\ninitial 1\nsecret 2\nevents a b\n"
-            "observable a b\nintruder a b\ndefender a\n"
-            "trans 1 b 2\ntrans 1 a 3\ntrans 2 a 2\ntrans 3 a 3\n"
+            "states 1 2 3\ninitial 1\nsecret 2\nevents a b c\n"
+            "observable a b c\nintruder a b\ndefender b c\n"
+            "trans 1 a 3\ntrans 1 b 2\ntrans 1 c 1\ntrans 3 b 1\n"
         )
-        game = oe.build_edit_game(aut, profile, k=1)
-        tgs = oe.trim_game(game)
-        if tgs is None:
-            return
-        em = oe.refine_to_em(oe.build_uem(tgs))
-        assert em is None
+        tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+        assert tgs is not None  # the refutation is refinement's
+        assert oe.refine_to_em(oe.build_uem(tgs)) is None
 
     def test_member_totality_after_refinement(self, fig3_tgs, fig3_em):
         for vuf in fig3_em.uf_states:

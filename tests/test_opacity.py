@@ -1,6 +1,11 @@
+import random
+
+import pytest
+
 import opacedit as oe
 
 from conftest import sset
+from oracles import evaluate_editor_tree
 
 
 def T(s):
@@ -106,7 +111,6 @@ class TestChecks:
         aut, profile = fig3
         report = oe.evaluate_editor(aut, profile, fig3_fe, 6)
         assert report.i_available
-        assert report.c_available
         assert report.confidential
         assert report.integral
 
@@ -129,19 +133,21 @@ class TestChecks:
         ident = oe.MealyEditFunction.identity(profile.defender)
         report = oe.evaluate_editor(aut, profile, ident, 5)
         assert report.i_available
-        assert report.c_available
         assert not report.confidential
 
     def test_editor_branching_on_invisible_event_fails_c(self, fig3):
         aut, profile = fig3
         spy = _SpyEditor()
         # the defender views of b and ab agree, the outputs do not
-        report = oe.evaluate_editor(aut, profile, spy, 2)
+        report = evaluate_editor_tree(aut, profile, spy, 2)
         assert not report.c_available
         assert report.i_available
         sigma1, sigma2 = report.c_counterexample
         assert sigma1 != sigma2
         assert oe.project(sigma1, profile.defender) == oe.project(sigma2, profile.defender)
+        # the package checks consistency as a precondition instead
+        with pytest.raises(ValueError, match="changed state"):
+            oe.evaluate_editor(aut, profile, spy, 2)
 
     def test_editor_mapping_abc_to_acd_is_confidential(self, fig3, fig3_fe):
         aut, profile = fig3
@@ -170,8 +176,7 @@ class TestIntegrity:
         for editor in (fig3_fe, ident):
             for depth in range(5):
                 report = oe.evaluate_editor(aut, profile, editor, depth)
-                parts = (report.i_available, report.c_available, report.confidential)
-                assert report.integral == all(parts)
+                assert report.integral == (report.i_available and report.confidential)
 
     def test_prefix_leak_breaks_integrity(self):
         # the only length-1 behavior reaches the secret with no alibi, while
@@ -185,7 +190,6 @@ class TestIntegrity:
         ident = oe.MealyEditFunction.identity(profile.defender)
         report = oe.evaluate_editor(aut, profile, ident, 3)
         assert report.i_available
-        assert report.c_available
         assert not report.integral
         assert report.conf_counterexample == T("a")
 
@@ -207,3 +211,73 @@ class TestStructuralCAvailability:
                 assert by_view[view] == run
             else:
                 by_view[view] = run
+
+
+def _random_editor(rng, defender):
+    """Partial Mealy editor whose outputs mix passthrough, deletion,
+    substitution and two-event words over the defender alphabet."""
+    events = sorted(defender)
+    n_states = rng.randint(1, 3)
+    output, next_state = {}, {}
+    for q in range(n_states):
+        for event in events:
+            if rng.random() < 0.15:
+                continue
+            output[(q, event)] = rng.choice((
+                (event,), (), (rng.choice(events),),
+                (rng.choice(events), rng.choice(events)),
+            ))
+            next_state[(q, event)] = rng.randrange(n_states)
+    return oe.MealyEditFunction(alphabet=frozenset(defender), n_states=n_states,
+                                initial=0, output=output, next_state=next_state)
+
+
+def _cross_check_cases(seeds):
+    """All events observable, then hiding 1 to n-2 of the n events."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        aut, full = oe.random_instance(seed, 6, 5)
+        events = sorted(aut.events)
+        profiles = [full]
+        for hide in range(1, len(events) - 1):
+            observable = frozenset(events) - frozenset(rng.sample(events, hide))
+            profiles.append(oe.ObservationProfile(
+                observable=observable, intruder=full.intruder & observable,
+                defender=full.defender & observable,
+            ))
+        for profile in profiles:
+            editors = [oe.MealyEditFunction.identity(profile.defender)]
+            editors += [_random_editor(rng, profile.defender) for _ in range(3)]
+            for editor in editors:
+                for depth in (0, 2, 4, 7):
+                    yield aut, profile, editor, depth
+
+
+class TestTreeCrossCheck:
+    def test_shorter_plant_trace_is_expanded_again(self):
+        # a and b both reach {4} with equal estimates, but a by a 3-event
+        # plant trace and b by a 1-event one: the leak b a a c fits depth 5,
+        # a a a c needs depth 6, so b must be expanded though a was
+        aut, profile = oe.parse_model(
+            "states 1 2 3 4 5 6 7\ninitial 1\nsecret 5\nevents a b c u\n"
+            "observable a b c\nintruder c\ndefender c\n"
+            "trans 1 u 2\ntrans 2 u 3\ntrans 3 a 4\ntrans 1 b 4\n"
+            "trans 4 a 6\ntrans 6 a 7\ntrans 7 c 5\n"
+        )
+        ident = oe.MealyEditFunction.identity(profile.defender)
+        for depth, leak in ((3, None), (5, T("baac")), (6, T("aaac"))):
+            report = oe.evaluate_editor(aut, profile, ident, depth)
+            assert report.conf_counterexample == leak
+            assert evaluate_editor_tree(aut, profile, ident, depth).conf_counterexample == leak
+
+    def test_search_matches_the_tree(self):
+        kinds = set()
+        for aut, profile, editor, depth in _cross_check_cases(range(60)):
+            got = oe.evaluate_editor(aut, profile, editor, depth)
+            want = evaluate_editor_tree(aut, profile, editor, depth)
+            assert (got.i_counterexample, got.conf_counterexample, got.first_violation) == (
+                want.i_counterexample, want.conf_counterexample, want.first_violation)
+            assert want.c_available or not want.i_available
+            kinds.add(want.first_violation and want.first_violation[0])
+        # the sample exercises every outcome
+        assert kinds == {None, "i-availability", "confidentiality"}
