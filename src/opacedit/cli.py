@@ -135,9 +135,11 @@ def cmd_observers(args) -> int:
     return EXIT_OK
 
 
-def _build_stages(aut, profile, config):
+def _build_stages(aut, profile, config, whole_game=False):
     observers = standard_observers(aut, profile)
     game = build_edit_game(aut, profile, k=config.k, ops=config.ops, observers=observers)
+    if whole_game:
+        game.complete()
     tgs = trim_game(game)
     uem = build_uem(tgs) if tgs is not None else None
     return observers, game, tgs, uem
@@ -146,7 +148,7 @@ def _build_stages(aut, profile, config):
 def cmd_game(args) -> int:
     config = _config(args)
     aut, profile = _load(config.path)
-    game = build_edit_game(aut, profile, k=config.k, ops=config.ops)
+    game = build_edit_game(aut, profile, k=config.k, ops=config.ops).complete()
     zero = sum(1 for v in list(game.a_states) + list(game.f_states) if game.utility[v] == 0)
     print(f"game: {len(game.a_states)} information states, "
           f"{len(game.f_states)} augmented states, {zero} utility-0")
@@ -158,7 +160,7 @@ def cmd_game(args) -> int:
 def cmd_trim(args) -> int:
     config = _config(args)
     aut, profile = _load(config.path)
-    game = build_edit_game(aut, profile, k=config.k, ops=config.ops)
+    game = build_edit_game(aut, profile, k=config.k, ops=config.ops).complete()
     tgs = trim_game(game)
     if tgs is None:
         print("not enforceable: initial state pruned")
@@ -197,9 +199,11 @@ def cmd_mechanism(args) -> int:
 def cmd_synthesize(args) -> int:
     config = _config(args)
     aut, profile = _load(config.path)
-    observers, game, tgs, uem = _build_stages(aut, profile, config)
+    # the DOT files show the whole game and the whole mechanism
+    observers, game, tgs, uem = _build_stages(aut, profile, config,
+                                              whole_game=config.dot_dir is not None)
     if config.dot_dir and uem is not None:
-        uem.complete()  # the DOT files show the whole mechanism
+        uem.complete()
     em = refine_to_em(uem) if uem is not None else None
     if config.dot_dir:
         o_sys, o_intr, o_def = observers
@@ -250,12 +254,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _config(args)
-    aut, profile = _load(config.path)
+    if args.max_insert < 0:
+        raise ModelError("max insertion length must be nonnegative")
+    aut, profile = _load(Path(args.input))
     fe = _load_transducer(args.transducer, profile)
     observers = editor_observers(aut, profile)
-    depth = (config.depth if config.depth is not None
-             else default_depth(aut, profile, config.k, observers=observers))
+    depth = (args.depth if args.depth is not None
+             else default_depth(aut, profile, args.max_insert, observers=observers))
     verdict = oracle_ic_enforcing(aut, profile, fe, depth, observers=observers)
     if verdict.ok:
         print(f"PASS: ic-enforcing up to depth {depth}")
@@ -294,14 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_pipeline_flags(p, dot=True):
+    def add_max_insert(p):
+        p.add_argument("--max-insert", type=int, default=1, metavar="K",
+                       help="upper bound on inserted prefix length (default 1)")
+
+    def add_pipeline_flags(p):
         p.add_argument("--ops", default=None,
                        help="comma list from substitute,delete,insert "
                             "(default: all, without insert when K is 0)")
-        p.add_argument("--max-insert", type=int, default=1, metavar="K",
-                       help="upper bound on inserted prefix length (default 1)")
-        if dot:
-            p.add_argument("--dot", metavar="DIR", help="write stage DOT files to DIR")
+        add_max_insert(p)
+        p.add_argument("--dot", metavar="DIR", help="write stage DOT files to DIR")
 
     p = sub.add_parser("verify", help="report OPAQUE / NOT OPAQUE with a witness")
     p.add_argument("input")
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("transducer")
     p.add_argument("--depth", type=int, default=None)
-    add_pipeline_flags(p, dot=False)
+    add_max_insert(p)  # feeds the default depth
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")

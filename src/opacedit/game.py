@@ -5,7 +5,9 @@ plant moves by playing an observable event, which lands in an augmented
 state carrying that pending event; the defender answers with an edit action
 whose rendered output word drives the intruder and defender observers
 through their self-loop conventions.  A move exists only when both observer
-runs stay defined.
+runs stay defined.  The structure is built on demand, one information
+state's row at a time, so a trim that refutes the plant early never builds
+the rest.
 """
 from __future__ import annotations
 
@@ -148,20 +150,138 @@ def apply_defender_move(
     return InfoState(v.info.sys, new_intr, new_def)
 
 
-@dataclass(frozen=True)
 class EditGameStructure:
-    profile: ObservationProfile
-    k: int
-    ops: frozenset[str]
-    initial: InfoState
-    a_states: tuple[InfoState, ...]
-    f_states: tuple[AugmentedState, ...]
-    sys_moves: dict[InfoState, dict[str, AugmentedState]]
-    def_moves: dict[AugmentedState, dict[EditAction, InfoState]]
-    utility: dict[object, int]
+    """Edit game structure with its utility labeling, built on demand.
+
+    ``build_edit_game`` gives a structure that holds only its initial
+    information state.  ``expand`` adds one information state's system row
+    together with the defender rows and utilities of its new augmented
+    states; an information state is labeled when a defender row first
+    reaches it and gets its own row when expanded.  ``complete`` expands
+    everything reachable.  ``a_states`` and ``f_states`` list the part built
+    so far in canonical order; reading them never expands.  A structure
+    made from given rows (a trimmed game) is already whole.
+    """
+
+    def __init__(
+        self,
+        profile: ObservationProfile,
+        k: int,
+        ops: frozenset[str],
+        initial: InfoState,
+        sys_moves: dict[InfoState, dict[str, AugmentedState]],
+        def_moves: dict[AugmentedState, dict[EditAction, InfoState]],
+        utility: dict[object, int],
+        observers: tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton],
+        secret: Optional[frozenset[int]] = None,
+    ):
+        self.profile = profile
+        self.k = k
+        self.ops = ops
+        self.initial = initial
+        self.sys_moves = sys_moves
+        self.def_moves = def_moves
+        self.utility = utility
+        self.observers = observers
+        self._secret = secret  # None for a structure made from given rows
+        # information states labeled so far, each mapped to the one instance
+        # that every row refers to
+        self._info = {v: v for v in utility if v not in def_moves}
+        self._events = sorted(profile.observable)
+        self._menus = ({e: enumerate_actions(e, profile, k, ops) for e in self._events}
+                       if secret is not None else {})
+        # (observer, estimate, pending event) -> the estimate after each menu
+        # action's word, None where the run is undefined
+        self._responses: dict[tuple[int, StateSet, str], tuple] = {}
+        # rows are only ever added, so a row count dates the cached views
+        self._views: tuple[int, tuple] = (-1, ())
+
+    def _canonical(self) -> tuple:
+        if self._views[0] != len(self.sys_moves):
+            # observer states are sorted like their sorted members, so ranks
+            # in them give the order of info_key and aug_key
+            r_sys, r_intr, r_def = (
+                {s: i for i, s in enumerate(obs.states)} for obs in self.observers)
+
+            def rank(v: InfoState) -> tuple[int, int, int]:
+                return (r_sys[v.sys], r_intr[v.intr], r_def[v.dfn])
+
+            a_states = tuple(sorted(self._info, key=rank))
+            f_states = tuple(sorted(self.def_moves, key=lambda vf: (rank(vf.info), vf.pending)))
+            self._views = (len(self.sys_moves), (a_states, f_states))
+        return self._views[1]
+
+    @property
+    def a_states(self) -> tuple[InfoState, ...]:
+        return self._canonical()[0]
+
+    @property
+    def f_states(self) -> tuple[AugmentedState, ...]:
+        return self._canonical()[1]
 
     def actions_at(self, v: AugmentedState) -> tuple[EditAction, ...]:
         return tuple(sorted(self.def_moves[v], key=EditAction.sort_key))
+
+    def _label(self, v: InfoState) -> InfoState:
+        self._info[v] = v
+        self.utility[v] = 0 if (v.sys <= self._secret and v.intr <= self._secret) else 1
+        return v
+
+    def _respond(self, which: int, estimate: StateSet, event: str) -> tuple:
+        """Estimates of observer ``which`` (1 intruder, 2 defender) after
+        each menu action's word for ``event``; None where undefined."""
+        key = (which, estimate, event)
+        got = self._responses.get(key)
+        if got is None:
+            obs = self.observers[which]
+            got = self._responses[key] = tuple(
+                obs.run(act.word(event), estimate) for act in self._menus[event])
+        return got
+
+    def expand(self, v: InfoState) -> dict[str, AugmentedState]:
+        """System row of ``v``, built on first request together with the
+        defender rows and utilities of its new augmented states.  Each
+        response is ``apply_defender_move`` with the observer runs shared
+        by all augmented states with the same estimate and pending event."""
+        if v in self.sys_moves or self._secret is None:
+            return self.sys_moves[v]
+        o_sys = self.observers[0]
+        row: dict[str, AugmentedState] = {}
+        for event in self._events:
+            nxt_sys = o_sys.step(v.sys, event)
+            if nxt_sys is None:
+                continue
+            vf = AugmentedState(InfoState(nxt_sys, v.intr, v.dfn), event)
+            row[event] = vf
+            if vf in self.def_moves:
+                continue
+            responses: dict[EditAction, InfoState] = {}
+            for act, new_intr, new_def in zip(
+                self._menus[event],
+                self._respond(1, v.intr, event),
+                self._respond(2, v.dfn, event),
+            ):
+                if new_intr is None or new_def is None:
+                    continue
+                target = InfoState(nxt_sys, new_intr, new_def)
+                responses[act] = self._info.get(target) or self._label(target)
+            self.def_moves[vf] = responses
+            self.utility[vf] = 1 if responses else 0
+        self.sys_moves[v] = row
+        return row
+
+    def complete(self) -> "EditGameStructure":
+        """Expand, breadth-first, every information state reachable from the
+        initial one."""
+        seen = {self.initial}
+        queue = deque(seen)
+        while queue:
+            for vf in self.expand(queue.popleft()).values():
+                for target in self.def_moves[vf].values():
+                    if target not in seen:
+                        seen.add(target)
+                        queue.append(target)
+        return self
 
 
 def build_edit_game(
@@ -171,60 +291,23 @@ def build_edit_game(
     ops: Iterable[str] = OPS_ALL,
     observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton]] = None,
 ) -> EditGameStructure:
-    """Accessible edit game structure with its utility labeling."""
+    """Edit game structure with its utility labeling, expanded on demand
+    from its initial information state."""
     ops = frozenset(ops)
     if not ops <= OPS_ALL:
         raise ValueError(f"unknown edit operations: {sorted(ops - OPS_ALL)}")
-    o_sys, o_intr, o_def = observers if observers is not None else standard_observers(aut, profile)
-    initial = InfoState(o_sys.initial, o_intr.initial, o_def.initial)
-    observable = sorted(profile.observable)
-
-    a_seen: dict[InfoState, None] = {initial: None}
-    f_seen: dict[AugmentedState, None] = {}
-    sys_moves: dict[InfoState, dict[str, AugmentedState]] = {}
-    def_moves: dict[AugmentedState, dict[EditAction, InfoState]] = {}
-
-    action_cache = {e: enumerate_actions(e, profile, k, ops) for e in observable}
-    queue = deque([initial])
-    while queue:
-        v = queue.popleft()
-        moves: dict[str, AugmentedState] = {}
-        for event in observable:
-            nxt_sys = o_sys.step(v.sys, event)
-            if nxt_sys is None:
-                continue
-            vf = AugmentedState(InfoState(nxt_sys, v.intr, v.dfn), event)
-            moves[event] = vf
-            if vf in f_seen:
-                continue
-            f_seen[vf] = None
-            responses: dict[EditAction, InfoState] = {}
-            for act in action_cache[event]:
-                target = apply_defender_move(vf, act, o_intr, o_def, profile)
-                if target is None:
-                    continue
-                responses[act] = target
-                if target not in a_seen:
-                    a_seen[target] = None
-                    queue.append(target)
-            def_moves[vf] = responses
-        sys_moves[v] = moves
-
-    secret = aut.secret
-    utility: dict[object, int] = {}
-    for v in a_seen:
-        utility[v] = 0 if (v.sys <= secret and v.intr <= secret) else 1
-    for vf in f_seen:
-        utility[vf] = 0 if not def_moves[vf] else 1
-
-    return EditGameStructure(
+    observers = observers if observers is not None else standard_observers(aut, profile)
+    initial = InfoState(*(obs.initial for obs in observers))
+    game = EditGameStructure(
         profile=profile,
         k=k,
         ops=ops,
         initial=initial,
-        a_states=tuple(sorted(a_seen, key=info_key)),
-        f_states=tuple(sorted(f_seen, key=aug_key)),
-        sys_moves=sys_moves,
-        def_moves=def_moves,
-        utility=utility,
+        sys_moves={},
+        def_moves={},
+        utility={},
+        observers=observers,
+        secret=aut.secret,
     )
+    game._label(initial)
+    return game

@@ -21,11 +21,12 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .automata import Trace
 from .game import EditAction, InfoState, aug_key, info_key
-from .trimming import TrimmedGameStructure, backward_dead, live_part
+from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
 
 MergedA = frozenset  # frozenset[InfoState]
 
@@ -85,7 +86,8 @@ class Mechanism:
         self._closures: dict[InfoState, frozenset] = {}
         # rows are only ever added, so a row count dates each cached result
         self._views: tuple[int, tuple] = (-1, ())
-        self._solved: tuple[int, set] = (-1, set())
+        self._solver = BackwardSolver()
+        self._fed = (0, 0)  # rows of moves_in and moves_out fed to the solver
 
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.moves_in):
@@ -169,11 +171,16 @@ class Mechanism:
 
     def _dead(self) -> set:
         """Nodes proven dead over the expanded rows; an unexpanded belief
-        has no row, so it counts as live."""
-        if self._solved[0] != len(self.moves_in):
-            self._solved = (len(self.moves_in), backward_dead(
-                self.moves_in, self.moves_out, (), cut=self._partial))
-        return self._solved[1]
+        has no row, so it counts as live.  The solver is fed only the rows
+        added since the last call, each observation state's with its
+        partial actions as the cut."""
+        n_in, n_out = self._fed
+        for vuf, row in islice(self.moves_out.items(), n_out, None):
+            self._solver.add_ctrl(vuf, row, {a for a in row if (vuf, a) in self._partial})
+        for vua, row in islice(self.moves_in.items(), n_in, None):
+            self._solver.add_unctrl(vua, row)
+        self._fed = (len(self.moves_in), len(self.moves_out))
+        return self._solver.dead
 
     def _walk(self, key: Callable[[EditAction], tuple]) -> Optional[Walk]:
         """Breadth-first walk of the strategy that plays, at each observation

@@ -4,8 +4,10 @@ System moves are uncontrollable: an information state dies as soon as one
 observable event leads into a dead augmented state.  Defender moves are
 controllable: individual edit actions into dead information states are
 disabled, and an augmented state dies only when no response survives.
-The same backward safety solver and live-part pass also refine the merged
-mechanism (``refine_to_em``), where the cut edges are the partial actions.
+The backward safety solver takes rows as they are built, so trimming can
+drive the game's construction and stop once the initial state is lost.
+The same solver and live-part pass also refine the merged mechanism
+(``refine_to_em``), where the cut edges are the partial actions.
 """
 from __future__ import annotations
 
@@ -35,44 +37,78 @@ def _cut_by_source(cut: Collection[tuple]) -> dict:
     return by_source
 
 
+class BackwardSolver:
+    """Backward attractor on a bipartite safety game, fed one row at a time.
+
+    Uncontrollable rows belong to the plant: a node dies once any successor
+    is dead.  Controllable rows belong to the defender: a node dies once
+    every successor over an uncut edge is dead.  Rows (each node's at most
+    once, with its cut) and seeds may arrive in any order, and ``dead`` is
+    always the attractor of the seeds over the rows fed so far, where a
+    node without a row counts as live.
+    Predecessor counters make the total work linear in the edges fed.
+    """
+
+    def __init__(self) -> None:
+        self.dead: set = set()
+        self._parents: dict[Hashable, list] = {}
+        self._live_count: dict[Hashable, int] = {}
+
+    def seed(self, node: Hashable) -> None:
+        if node not in self.dead:
+            self._kill(node)
+
+    def add_unctrl(self, node: Hashable, row: Mapping) -> None:
+        if node in self.dead:
+            return
+        if any(succ in self.dead for succ in row.values()):
+            self._kill(node)
+            return
+        for succ in row.values():
+            self._parents.setdefault(succ, []).append(node)
+
+    def add_ctrl(self, node: Hashable, row: Mapping, cut: Collection = ()) -> None:
+        """Feed ``node``'s row; edges labeled in ``cut`` do not count."""
+        if node in self.dead:
+            return
+        live = [succ for label, succ in row.items()
+                if label not in cut and succ not in self.dead]
+        self._live_count[node] = len(live)
+        for succ in live:
+            self._parents.setdefault(succ, []).append(node)
+        if not live:
+            self._kill(node)
+
+    def _kill(self, node: Hashable) -> None:
+        dead, live_count = self.dead, self._live_count
+        dead.add(node)
+        stack = [node]
+        while stack:
+            for parent in self._parents.pop(stack.pop(), ()):
+                if parent in dead:
+                    continue
+                if parent in live_count:
+                    live_count[parent] -= 1
+                    if live_count[parent]:
+                        continue
+                dead.add(parent)
+                stack.append(parent)
+
+
 def backward_dead(
     unctrl: Rows, ctrl: Rows, seeds: Iterable[Hashable], cut: Collection[tuple] = ()
 ) -> set:
-    """Backward attractor of ``seeds`` on a bipartite safety game.
-
-    ``unctrl`` rows belong to the plant: a node dies once any successor is
-    dead.  ``ctrl`` rows belong to the defender: a node dies once every
-    successor over an edge not in ``cut`` (``(node, label)`` pairs) is dead.
-    Predecessor counters make this linear in the number of edges.
-    """
+    """Backward attractor of ``seeds`` over whole rows (``BackwardSolver``);
+    ``cut`` holds the ``(node, label)`` pairs of cut controllable edges."""
     cut_at = _cut_by_source(cut)
-    dead = set(seeds)
-    parents: dict[Hashable, list] = {}
-    for node, row in unctrl.items():
-        for succ in row.values():
-            parents.setdefault(succ, []).append(node)
-    live_count: dict[Hashable, int] = {}
+    solver = BackwardSolver()
+    for node in seeds:
+        solver.seed(node)
     for node, row in ctrl.items():
-        skip = cut_at.get(node, ())
-        live = [succ for label, succ in row.items() if label not in skip]
-        live_count[node] = len(live)
-        for succ in live:
-            parents.setdefault(succ, []).append(node)
-        if not live:
-            dead.add(node)
-
-    queue = deque(dead)
-    while queue:
-        for parent in parents.get(queue.popleft(), ()):
-            if parent in dead:
-                continue
-            if parent in live_count:
-                live_count[parent] -= 1
-                if live_count[parent]:
-                    continue
-            dead.add(parent)
-            queue.append(parent)
-    return dead
+        solver.add_ctrl(node, row, cut_at.get(node, ()))
+    for node, row in unctrl.items():
+        solver.add_unctrl(node, row)
+    return solver.dead
 
 
 def live_part(
@@ -106,29 +142,72 @@ def live_part(
     return kept_u, kept_c
 
 
+def _walk_dead(game: EditGameStructure) -> Optional[set]:
+    """States proven dead by the walk ``trim_game`` describes; None as soon
+    as the initial state dies."""
+    solver = BackwardSolver()
+    dead = solver.dead
+    fed: set[AugmentedState] = set()
+    seen = {game.initial}
+    queue = deque(seen)
+    if game.utility[game.initial] == 0:
+        solver.seed(game.initial)
+    while queue:
+        if game.initial in dead:
+            return None
+        v = queue.popleft()
+        if v in dead and v not in game.sys_moves:
+            continue
+        row = game.expand(v)
+        for vf in row.values():
+            if vf in fed:
+                continue
+            fed.add(vf)
+            moves = game.def_moves[vf]
+            for target in moves.values():
+                if target not in seen:
+                    seen.add(target)
+                    queue.append(target)
+                    if game.utility[target] == 0:
+                        solver.seed(target)
+            if game.utility[vf] == 0:
+                solver.seed(vf)
+            solver.add_ctrl(vf, moves)
+        solver.add_unctrl(v, row)
+    return None if game.initial in dead else dead
+
+
 def trim_game(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
-    """Prune utility-0 states to a fixpoint; None when the initial state dies."""
-    seeds = [v for v in game.a_states + game.f_states if game.utility[v] == 0]
-    dead = backward_dead(game.sys_moves, game.def_moves, seeds)
-    if game.initial in dead:
+    """Prune utility-0 states to a fixpoint; None when the initial state dies.
+
+    The walk goes breadth-first from the initial state and expands only
+    states not yet proven dead, feeding each row to one ``BackwardSolver``
+    with the utility-0 states as seeds; it stops as soon as the initial
+    state dies.  When the initial state survives, every state the walk
+    reached is either proven dead or expanded, so the live part and the
+    disabled actions are those of the whole game.  Rows built before the
+    call are fed even where their state is dead, so on a completed game
+    ``removed_a`` and ``removed_f`` list every dead state.
+    """
+    dead = _walk_dead(game)
+    if dead is None:
         return None
     sys_moves, def_moves = live_part(game.initial, game.sys_moves, game.def_moves, dead)
-    f_states = tuple(vf for vf in game.f_states if vf in def_moves)
     disabled = {}
-    for vf in f_states:
-        lost = tuple(act for act, tgt in game.def_moves[vf].items() if tgt in dead)
-        if lost:
-            disabled[vf] = lost
+    for vf in game.f_states:
+        if vf in def_moves:
+            lost = tuple(act for act, tgt in game.def_moves[vf].items() if tgt in dead)
+            if lost:
+                disabled[vf] = lost
     trimmed = EditGameStructure(
         profile=game.profile,
         k=game.k,
         ops=game.ops,
         initial=game.initial,
-        a_states=tuple(v for v in game.a_states if v in sys_moves),
-        f_states=f_states,
         sys_moves=sys_moves,
         def_moves=def_moves,
         utility=dict.fromkeys(list(sys_moves) + list(def_moves), 1),
+        observers=game.observers,
     )
     return TrimmedGameStructure(
         game=trimmed,

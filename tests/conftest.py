@@ -54,7 +54,9 @@ def fig3_observers(fig3):
 @pytest.fixture(scope="session")
 def fig3_game(fig3, fig3_observers):
     aut, profile = fig3
-    return oe.build_edit_game(aut, profile, k=0, ops=SUBS_ONLY, observers=fig3_observers)
+    # the fixtures inspect the whole structure
+    return oe.build_edit_game(
+        aut, profile, k=0, ops=SUBS_ONLY, observers=fig3_observers).complete()
 
 
 @pytest.fixture(scope="session")

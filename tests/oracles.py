@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, project
-from opacedit.game import EditAction, EditGameStructure, aug_key, info_key
+from opacedit.game import EditAction, EditGameStructure, InfoState, aug_key, info_key
 from opacedit.mechanism import Mechanism
 from opacedit.observers import ObserverAutomaton
 from opacedit.opacity import (EditorReport, SupportsEdit, editor_observers,
@@ -61,6 +61,17 @@ def live_rows(initial, unctrl, ctrl, dead, cut) -> tuple[dict, dict]:
     return kept_u, kept_c
 
 
+@dataclass(frozen=True)
+class NaiveGame:
+    """The rows and canonical state tuples of a naively trimmed game."""
+
+    initial: InfoState
+    a_states: tuple
+    f_states: tuple
+    sys_moves: dict
+    def_moves: dict
+
+
 def trim_game_naive(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
     seeds = [v for v in game.a_states + game.f_states if game.utility[v] == 0]
     dead = sweep_dead(game.sys_moves, game.def_moves, seeds)
@@ -74,16 +85,12 @@ def trim_game_naive(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
         lost = [act for act, tgt in game.def_moves[vf].items() if tgt in dead]
         if lost:
             disabled[vf] = tuple(sorted(lost, key=EditAction.sort_key))
-    trimmed = EditGameStructure(
-        profile=game.profile,
-        k=game.k,
-        ops=game.ops,
+    trimmed = NaiveGame(
         initial=game.initial,
         a_states=tuple(sorted(sys_moves, key=info_key)),
         f_states=tuple(sorted(def_moves, key=aug_key)),
         sys_moves=sys_moves,
         def_moves=def_moves,
-        utility={v: 1 for v in list(sys_moves) + list(def_moves)},
     )
     return TrimmedGameStructure(
         game=trimmed,

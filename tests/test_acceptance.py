@@ -59,7 +59,7 @@ def test_criterion_3_game_states_and_utility(fig3, fig3_game):
     with verdict(3, "game structure states and utility labels"):
         aut, _ = fig3
         start = time.monotonic()
-        game = oe.build_edit_game(aut, fig3[1], k=0, ops=SUBS_ONLY)
+        game = oe.build_edit_game(aut, fig3[1], k=0, ops=SUBS_ONLY).complete()
         elapsed = time.monotonic() - start
         states = set(game.a_states)
         assert info(aut, "5", "36", "46") in states

@@ -131,6 +131,20 @@ class TestSimulateAndCheck:
         assert record["property"] == "confidentiality"
         assert record["trace"] == ["a", "b"]
 
+    def test_check_takes_max_insert_but_not_ops(self, fig3_file, editor_file, capsys):
+        # check plays no game, so of the pipeline flags only the insertion
+        # bound is read: it feeds the default depth |X|·|X_I|·|X_D|+k+1
+        assert main(["check", fig3_file, editor_file, "--max-insert", "0"]) == 0
+        at_zero = int(capsys.readouterr().out.split()[-1])
+        assert main(["check", fig3_file, editor_file, "--max-insert", "2"]) == 0
+        assert int(capsys.readouterr().out.split()[-1]) == at_zero + 2
+        assert main(["check", fig3_file, editor_file, "--max-insert", "-1"]) == 2
+        for ops in (["--ops", "substitute"], ["--ops", "insert", "--max-insert", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", fig3_file, editor_file, *ops])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --ops" in capsys.readouterr().err
+
     def test_check_at_the_default_depth_finishes(self):
         # the default depth here is 302; a walk over every observable word
         # up to it would not finish

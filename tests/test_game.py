@@ -1,7 +1,7 @@
 import pytest
 
 import opacedit as oe
-from opacedit.game import DELETE, PASSTHROUGH, insertion, substitution
+from opacedit.game import DELETE, PASSTHROUGH, aug_key, info_key, insertion, substitution
 
 from conftest import SUBS_ONLY, info
 
@@ -76,7 +76,7 @@ class TestApplyDefenderMove:
             "states 1 2\ninitial 1\nevents a b\nobservable a b\n"
             "intruder a\ndefender a\ntrans 1 b 2\ntrans 1 a 1\n"
         )
-        game = oe.build_edit_game(aut, profile, k=0)
+        game = oe.build_edit_game(aut, profile, k=0).complete()
         vf = game.sys_moves[game.initial]["b"]
         o_sys, o_intr, o_def = oe.standard_observers(aut, profile)
         got = oe.apply_defender_move(vf, PASSTHROUGH, o_intr, o_def, profile)
@@ -141,11 +141,39 @@ class TestBuildEditGame:
                 assert fig3_game.utility[vf] == 1
 
 
+class TestOnDemand:
+    def test_a_fresh_game_holds_only_its_initial_state(self, fig3):
+        game = oe.build_edit_game(*fig3, k=0, ops=SUBS_ONLY)
+        assert game.a_states == (game.initial,)
+        assert game.f_states == () and not game.sys_moves and not game.def_moves
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_completion_after_a_lazy_trim_is_the_whole_game(self, seed):
+        aut, profile = oe.random_instance(seed)
+        touched = oe.build_edit_game(aut, profile, k=1)
+        oe.trim_game(touched)
+        touched.complete()
+        whole = oe.build_edit_game(aut, profile, k=1).complete()
+        assert touched.a_states == whole.a_states
+        assert touched.f_states == whole.f_states
+        assert touched.sys_moves == whole.sys_moves
+        assert touched.def_moves == whole.def_moves
+        assert touched.utility == whole.utility
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_canonical_order_is_the_key_order(self, seed):
+        aut, profile = oe.random_instance(seed)
+        game = oe.build_edit_game(aut, profile, k=1).complete()
+        assert game.a_states == tuple(sorted(game.a_states, key=info_key))
+        assert game.f_states == tuple(sorted(game.f_states, key=aug_key))
+
+
 class TestGameInvariants:
     @pytest.mark.parametrize("seed", range(15))
     def test_structure_on_random_instances(self, seed):
         aut, profile = oe.random_instance(seed)
-        game = oe.build_edit_game(aut, profile, k=1)
+        game = oe.build_edit_game(aut, profile, k=1).complete()
+        _, o_intr, o_def = oe.standard_observers(aut, profile)
         for v in game.a_states:
             for event, vf in game.sys_moves[v].items():
                 assert vf in set(game.f_states)
@@ -161,11 +189,14 @@ class TestGameInvariants:
                     assert oe.project(word, profile.defender) == word
                 else:
                     assert act == PASSTHROUGH
+            for act in oe.enumerate_actions(vf.pending, profile, game.k, game.ops):
+                expected = oe.apply_defender_move(vf, act, o_intr, o_def, profile)
+                assert game.def_moves[vf].get(act) == expected
 
     @pytest.mark.parametrize("seed", range(15))
     def test_uneditable_event_semantics(self, seed):
         aut, profile = oe.random_instance(seed)
-        game = oe.build_edit_game(aut, profile, k=1)
+        game = oe.build_edit_game(aut, profile, k=1).complete()
         o_sys, o_intr, o_def = oe.standard_observers(aut, profile)
         for vf in game.f_states:
             if vf.pending in profile.defender:

@@ -1,13 +1,17 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 import opacedit as oe
 from opacedit.game import PASSTHROUGH, substitution
-from opacedit.trimming import backward_dead, live_part
+from opacedit.trimming import BackwardSolver, backward_dead, live_part
 
 from conftest import info
 from oracles import live_rows, sweep_dead, trim_game_naive
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestTrimFig3:
@@ -35,7 +39,7 @@ class TestTrimEdgeCases:
             "states 1 2\ninitial 1\nevents a b\nobservable a b\n"
             "intruder a\ndefender b\ntrans 1 a 2\ntrans 2 b 1\n"
         )
-        game = oe.build_edit_game(aut, profile, k=1)
+        game = oe.build_edit_game(aut, profile, k=1).complete()
         assert all(game.utility[v] == 1 for v in list(game.a_states) + list(game.f_states))
         tgs = oe.trim_game(game)
         assert set(tgs.game.a_states) == set(game.a_states)
@@ -66,7 +70,7 @@ class TestTrimProperties:
     @pytest.mark.parametrize("seed", range(50))
     def test_worklist_equals_naive_sweep(self, seed):
         aut, profile = oe.random_instance(seed)
-        game = oe.build_edit_game(aut, profile, k=1)
+        game = oe.build_edit_game(aut, profile, k=1).complete()
         fast = oe.trim_game(game)
         slow = trim_game_naive(game)
         if fast is None or slow is None:
@@ -133,6 +137,72 @@ class TestSafetySolver:
                 assert live_part(0, unctrl, ctrl, dead, cut) == live_rows(
                     0, unctrl, ctrl, dead, cut
                 )
+
+
+class TestIncrementalSolver:
+    def test_rows_fed_in_any_order(self):
+        # the graphs of the backward_dead cross-check above, rows, seeds and
+        # cuts fed one at a time in shuffled order
+        rng = random.Random(20241010)
+        shuffle = random.Random(7)
+        for _ in range(500):
+            unctrl, ctrl, seeds, cut = _random_safety_game(rng)
+            steps = ([("seed", node) for node in seeds]
+                     + [("ctrl", node) for node in ctrl]
+                     + [("unctrl", node) for node in unctrl])
+            shuffle.shuffle(steps)
+            solver = BackwardSolver()
+            fed_u, fed_c, fed_seeds = {}, {}, []
+            for kind, node in steps:
+                if kind == "seed":
+                    solver.seed(node)
+                    fed_seeds.append(node)
+                elif kind == "ctrl":
+                    solver.add_ctrl(node, ctrl[node], {x for f, x in cut if f == node})
+                    fed_c[node] = ctrl[node]
+                else:
+                    solver.add_unctrl(node, unctrl[node])
+                    fed_u[node] = unctrl[node]
+                assert solver.dead == sweep_dead(fed_u, fed_c, fed_seeds, cut)
+            assert solver.dead == sweep_dead(unctrl, ctrl, seeds, cut)
+
+
+OP_SETS = [frozenset(c) for n in (1, 2, 3)
+           for c in itertools.combinations(sorted(oe.OPS_ALL), n)]
+
+
+class TestOnTheFlyTrim:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", range(100))
+    def test_lazy_game_trims_like_the_complete_one(self, seed, k):
+        aut, profile = oe.random_instance(seed)
+        observers = oe.standard_observers(aut, profile)
+        for ops in OP_SETS:
+            lazy = oe.build_edit_game(aut, profile, k=k, ops=ops, observers=observers)
+            whole = oe.build_edit_game(
+                aut, profile, k=k, ops=ops, observers=observers).complete()
+            got, want = oe.trim_game(lazy), oe.trim_game(whole)
+            # a utility-0 state is dead from the start and never expanded
+            assert all(lazy.utility[v] == 1 for v in lazy.sys_moves)
+            if got is None or want is None:
+                assert got is None and want is None
+                continue
+            assert got.game.a_states == want.game.a_states
+            assert got.game.f_states == want.game.f_states
+            assert got.game.sys_moves == want.game.sys_moves
+            assert got.game.def_moves == want.game.def_moves
+            assert got.disabled == want.disabled
+            # every state the walk reached is proven dead or expanded
+            assert set(lazy.sys_moves) | set(got.removed_a) == set(lazy.a_states)
+
+    def test_refuted_without_building_the_game(self):
+        # the whole game at k=2 has 19,421 information states
+        aut, profile = oe.parse_model(
+            (ROOT / "bench" / "instances" / "gen-53-30-10.aut").read_text())
+        game = oe.build_edit_game(aut, profile, k=2)
+        assert oe.trim_game(game) is None
+        assert len(game.a_states) <= 1000
+        assert all(game.utility[v] == 1 for v in game.sys_moves)
 
 
 class _GameStrategyEditor:
@@ -206,7 +276,8 @@ class TestTrimCharacterizesAvailabilityAndConfidentiality:
         # full-observation strategies survive the trim exactly when they are
         # available and confidential at every depth
         aut, profile = oe.random_instance(seed, max_states=4, max_events=3)
-        game = oe.build_edit_game(aut, profile, k=0, ops=frozenset({"substitute", "delete"}))
+        game = oe.build_edit_game(
+            aut, profile, k=0, ops=frozenset({"substitute", "delete"})).complete()
         strategies = _strategy_space(game, profile.defender)
         if strategies is None:
             pytest.skip("strategy space too large for exhaustive cross-check")
