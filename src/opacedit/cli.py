@@ -122,14 +122,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_observers(args) -> int:
-    config = _config(args)
-    aut, profile = _load(config.path)
+    aut, profile = _load(Path(args.input))
     o_sys, o_intr, o_def = standard_observers(aut, profile)
     for name, obs in (("system", o_sys), ("intruder", o_intr), ("defender", o_def)):
         print(f"{name} observer: {len(obs.states)} states, "
               f"initial {fmt_state_set(aut, obs.initial)}")
-        if config.dot_dir:
-            _write_dot(config.dot_dir, f"observer_{name}",
+        if args.dot:
+            _write_dot(Path(args.dot), f"observer_{name}",
                        observer_dot(obs, aut, name=f"observer_{name}",
                                     include_self_loops=not args.no_self_loops))
     return EXIT_OK
@@ -303,12 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-insert", type=int, default=1, metavar="K",
                        help="upper bound on inserted prefix length (default 1)")
 
+    def add_dot(p):
+        p.add_argument("--dot", metavar="DIR", help="write stage DOT files to DIR")
+
     def add_pipeline_flags(p):
         p.add_argument("--ops", default=None,
                        help="comma list from substitute,delete,insert "
                             "(default: all, without insert when K is 0)")
         add_max_insert(p)
-        p.add_argument("--dot", metavar="DIR", help="write stage DOT files to DIR")
+        add_dot(p)
 
     p = sub.add_parser("verify", help="report OPAQUE / NOT OPAQUE with a witness")
     p.add_argument("input")
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--no-self-loops", action="store_true",
                    help="suppress self-loop edges in DOT output")
-    add_pipeline_flags(p)
+    add_dot(p)
     p.set_defaults(func=cmd_observers)
 
     p = sub.add_parser("game", help="build the edit game structure")

@@ -2,14 +2,16 @@
 
 Output is fully deterministic: nodes and edges are emitted in the canonical
 orders of the underlying structures, so repeated runs produce identical
-bytes.
+bytes.  Each exporter renders a label or computes a sort key once per
+distinct object, in memos that live only for its call.
 """
 from __future__ import annotations
 
-from typing import Optional
+from functools import cache
+from typing import Callable, Optional
 
 from .automata import FiniteAutomaton, fmt_state_set
-from .game import EditGameStructure, aug_key, info_key
+from .game import EditAction, EditGameStructure, InfoState, info_key
 from .mechanism import Mechanism, MealyEditFunction
 from .observers import ObserverAutomaton
 from .trimming import TrimmedGameStructure
@@ -24,10 +26,21 @@ def _quote_lines(lines) -> str:
     return '"' + "\\n".join(line.replace('"', '\\"') for line in lines) + '"'
 
 
-def _info_label(aut: FiniteAutomaton, v) -> str:
-    return "(%s,%s,%s)" % (
-        fmt_state_set(aut, v.sys), fmt_state_set(aut, v.intr), fmt_state_set(aut, v.dfn)
-    )
+def _label_memos(
+    aut: FiniteAutomaton,
+) -> tuple[Callable[[InfoState], str], Callable[[EditAction, str], str]]:
+    """Information-state labels and quoted edge labels, memoized."""
+    state_set = cache(lambda s: fmt_state_set(aut, s))
+
+    @cache
+    def info_label(v: InfoState) -> str:
+        return "(%s,%s,%s)" % (state_set(v.sys), state_set(v.intr), state_set(v.dfn))
+
+    @cache
+    def edge_label(act: EditAction, pending: str) -> str:
+        return _quote(act.label(pending))
+
+    return info_label, edge_label
 
 
 def observer_dot(
@@ -76,9 +89,10 @@ def game_dot(
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     a_ids = {v: f"a{i}" for i, v in enumerate(game.a_states)}
     f_ids = {v: f"f{i}" for i, v in enumerate(game.f_states)}
+    info_label, edge_label = _label_memos(aut)
 
     for v in game.a_states:
-        attrs = [f"label={_quote(_info_label(aut, v))}", "shape=ellipse"]
+        attrs = [f"label={_quote(info_label(v))}", "shape=ellipse"]
         if game.utility[v] == 0:
             attrs.append("style=filled")
             attrs.append("fillcolor=red")
@@ -86,7 +100,7 @@ def game_dot(
             attrs.append("style=bold")
         lines.append(f"  {a_ids[v]} [{', '.join(attrs)}];")
     for vf in game.f_states:
-        label = "[" + _info_label(aut, vf.info) + "," + vf.pending + "]"
+        label = "[" + info_label(vf.info) + "," + vf.pending + "]"
         attrs = [f"label={_quote(label)}", "shape=box"]
         if game.utility[vf] == 0:
             attrs.append("style=filled")
@@ -101,12 +115,12 @@ def game_dot(
         for act in game.actions_at(vf):
             target = game.def_moves[vf][act]
             lines.append(
-                f"  {f_ids[vf]} -> {a_ids[target]} [label={_quote(act.label(vf.pending))}];"
+                f"  {f_ids[vf]} -> {a_ids[target]} [label={edge_label(act, vf.pending)}];"
             )
         if include_disabled and trimmed is not None:
             for act in trimmed.disabled.get(vf, ()):
                 disabled_edges.append(
-                    f"  {f_ids[vf]} -> pruned [label={_quote(act.label(vf.pending))}, "
+                    f"  {f_ids[vf]} -> pruned [label={edge_label(act, vf.pending)}, "
                     "style=dashed, color=gray];"
                 )
     if disabled_edges:
@@ -130,15 +144,18 @@ def mechanism_dot(mech: Mechanism, aut: FiniteAutomaton, name: str = "mechanism"
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box];"]
     a_ids = {v: f"m{i}" for i, v in enumerate(mech.ua_states)}
     f_ids = {v: f"o{i}" for i, v in enumerate(mech.uf_states)}
+    info_label, edge_label = _label_memos(aut)
+    member_key = cache(info_key)
+    partial = mech.partial
 
     for v in mech.ua_states:
-        label = _quote_lines(_info_label(aut, m) for m in sorted(v, key=info_key))
+        label = _quote_lines(info_label(m) for m in sorted(v, key=member_key))
         style = ", style=bold" if v == mech.initial else ""
         lines.append(f"  {a_ids[v]} [label={label}{style}];")
     for vf in mech.uf_states:
         label = _quote_lines(
-            "[" + _info_label(aut, m.info) + "," + m.pending + "]"
-            for m in sorted(vf.members, key=aug_key)
+            "[" + info_label(m.info) + "," + m.pending + "]"
+            for m in sorted(vf.members, key=lambda m: (member_key(m.info), m.pending))
         )
         lines.append(f"  {f_ids[vf]} [label={label}, shape=box, style=rounded];")
     for v in mech.ua_states:
@@ -148,8 +165,8 @@ def mechanism_dot(mech: Mechanism, aut: FiniteAutomaton, name: str = "mechanism"
     for vf in mech.uf_states:
         for act in mech.actions_at(vf):
             target = mech.moves_out[vf][act]
-            attrs = f"label={_quote(act.label(vf.observed))}"
-            if (vf, act) in mech.partial:
+            attrs = f"label={edge_label(act, vf.observed)}"
+            if (vf, act) in partial:
                 attrs += ", style=dashed"
             lines.append(f"  {f_ids[vf]} -> {a_ids[target]} [{attrs}];")
     lines.append("}")

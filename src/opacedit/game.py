@@ -12,8 +12,8 @@ the rest.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace
 from .observers import ObserverAutomaton, StateSet, standard_observers
@@ -28,11 +28,28 @@ _KIND_RANK = {"pass": 0, "delete": 1, "sub": 2, "insert": 3}
 
 @dataclass(frozen=True)
 class EditAction:
-    """One defender response: pass the event through, rewrite it, or erase it."""
+    """One defender response: pass the event through, rewrite it, or erase it.
+
+    Actions key every defender row, so the hash and the sort key are
+    computed once, at construction; equality stays by value."""
 
     kind: str
     target: Optional[str] = None
     prefix: Trace = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.target, self.prefix)))
+        object.__setattr__(self, "_key", (
+            _KIND_RANK[self.kind], self.target or "", len(self.prefix), self.prefix))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return (EditAction, (self.kind, self.target, self.prefix))
 
     def word(self, pending: str) -> Trace:
         """Output word this action emits for the pending event."""
@@ -56,7 +73,7 @@ class EditAction:
         return "+" + "·".join(self.prefix + (pending,))
 
     def sort_key(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.target or "", len(self.prefix), self.prefix)
+        return self._key
 
 
 PASSTHROUGH = EditAction("pass")
@@ -95,6 +112,20 @@ def info_key(v: InfoState) -> tuple:
 
 def aug_key(v: AugmentedState) -> tuple:
     return (info_key(v.info), v.pending)
+
+
+def info_rank(
+    observers: tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton],
+) -> Callable[[InfoState], tuple[int, int, int]]:
+    """Sort key in ``info_key`` order for information states over
+    ``observers``: each estimate's rank in its observer's ``states``, which
+    are sorted like their sorted members."""
+    r_sys, r_intr, r_def = ({s: i for i, s in enumerate(obs.states)} for obs in observers)
+
+    def rank(v: InfoState) -> tuple[int, int, int]:
+        return (r_sys[v.sys], r_intr[v.intr], r_def[v.dfn])
+
+    return rank
 
 
 def enumerate_actions(
@@ -198,14 +229,7 @@ class EditGameStructure:
 
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.sys_moves):
-            # observer states are sorted like their sorted members, so ranks
-            # in them give the order of info_key and aug_key
-            r_sys, r_intr, r_def = (
-                {s: i for i, s in enumerate(obs.states)} for obs in self.observers)
-
-            def rank(v: InfoState) -> tuple[int, int, int]:
-                return (r_sys[v.sys], r_intr[v.intr], r_def[v.dfn])
-
+            rank = info_rank(self.observers)
             a_states = tuple(sorted(self._info, key=rank))
             f_states = tuple(sorted(self.def_moves, key=lambda vf: (rank(vf.info), vf.pending)))
             self._views = (len(self.sys_moves), (a_states, f_states))

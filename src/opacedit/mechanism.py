@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .automata import Trace
-from .game import EditAction, InfoState, aug_key, info_key
+from .game import EditAction, InfoState, aug_key, info_key, info_rank
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
 
 MergedA = frozenset  # frozenset[InfoState]
@@ -57,10 +57,10 @@ class Mechanism:
 
     ``build_uem`` gives a mechanism over a trimmed game that holds the rows
     of the beliefs expanded so far: ``expand`` adds one belief's row and
-    ``complete`` every reachable one.  ``ua_states``, ``uf_states`` and
-    ``partial`` list the expanded part in canonical order; reading them
-    never expands.  A refined mechanism keeps the one it was refined from
-    as ``source``, and synthesis walks that source.
+    ``complete`` every reachable one.  ``ua_states`` and ``uf_states`` list
+    the expanded part in canonical order, and ``partial`` its partial
+    pairs; reading them never expands.  A refined mechanism keeps the one
+    it was refined from as ``source``, and synthesis walks that source.
     """
 
     def __init__(
@@ -82,7 +82,10 @@ class Mechanism:
         self.source = source
         self._tgs = tgs
         self._events = sorted(defender)
-        self._partial = set(partial)
+        # each observation state's partial actions, the cut of its row
+        self._cut: dict[MergedF, set[EditAction]] = {}
+        for vuf, act in partial:
+            self._cut.setdefault(vuf, set()).add(act)
         self._closures: dict[InfoState, frozenset] = {}
         # rows are only ever added, so a row count dates each cached result
         self._views: tuple[int, tuple] = (-1, ())
@@ -91,13 +94,18 @@ class Mechanism:
 
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.moves_in):
-            if self.source is None:
-                ua = tuple(sorted(self.moves_in, key=merged_a_key))
-                uf = tuple(sorted(self.moves_out, key=merged_f_key))
-            else:  # filtered from the source, whose rows hold all of ours
+            if self.source is not None:  # filtered from the source, whose rows hold all of ours
                 ua = tuple(v for v in self.source.ua_states if v in self.moves_in)
                 uf = tuple(v for v in self.source.uf_states if v in self.moves_out)
-            self._views = (len(self.moves_in), (ua, uf, frozenset(self._partial)))
+            elif self._tgs is None:  # made from given rows
+                ua = tuple(sorted(self.moves_in, key=merged_a_key))
+                uf = tuple(sorted(self.moves_out, key=merged_f_key))
+            else:  # members ranked in the observers, in merged_a_key/merged_f_key order
+                rank = info_rank(self._tgs.game.observers)
+                ua = tuple(sorted(self.moves_in, key=lambda v: sorted(map(rank, v))))
+                uf = tuple(sorted(self.moves_out, key=lambda vf: (
+                    sorted((rank(m.info), m.pending) for m in vf.members), vf.observed)))
+            self._views = (len(self.moves_in), (ua, uf))
         return self._views[1]
 
     @property
@@ -110,7 +118,7 @@ class Mechanism:
 
     @property
     def partial(self) -> frozenset[tuple[MergedF, EditAction]]:
-        return self._canonical()[2]
+        return frozenset((vuf, act) for vuf, acts in self._cut.items() for act in acts)
 
     def actions_at(self, v: MergedF) -> tuple[EditAction, ...]:
         return tuple(sorted(self.moves_out[v], key=EditAction.sort_key))
@@ -148,12 +156,15 @@ class Mechanism:
                 for act, hit in game.def_moves[z].items():
                     hits_of.setdefault(act, []).append(hit)
             out: dict[EditAction, MergedA] = {}
+            cut = set()
             for act in sorted(hits_of, key=EditAction.sort_key):
                 hits = hits_of[act]
                 out[act] = self._closure(hits)
                 if len(hits) < len(members):
-                    self._partial.add((vuf, act))
+                    cut.add(act)
             self.moves_out[vuf] = out
+            if cut:
+                self._cut[vuf] = cut
         self.moves_in[vua] = row
         return row
 
@@ -176,7 +187,7 @@ class Mechanism:
         partial actions as the cut."""
         n_in, n_out = self._fed
         for vuf, row in islice(self.moves_out.items(), n_out, None):
-            self._solver.add_ctrl(vuf, row, {a for a in row if (vuf, a) in self._partial})
+            self._solver.add_ctrl(vuf, row, self._cut.get(vuf, ()))
         for vua, row in islice(self.moves_in.items(), n_in, None):
             self._solver.add_unctrl(vua, row)
         self._fed = (len(self.moves_in), len(self.moves_out))
@@ -220,9 +231,8 @@ class Mechanism:
             for event in sorted(row):
                 vuf = row[event]
                 if vuf not in ranked:
-                    acts = self.moves_out[vuf]
-                    ranked[vuf] = [(a, acts[a]) for a in sorted(acts, key=key)
-                                   if (vuf, a) not in self._partial]
+                    acts, cut = self.moves_out[vuf], self._cut.get(vuf, ())
+                    ranked[vuf] = [(a, acts[a]) for a in sorted(acts, key=key) if a not in cut]
                 act, target = next(
                     ((a, t) for a, t in ranked[vuf] if t not in dead), (None, None))
                 if act is None:
@@ -293,10 +303,10 @@ def refine_to_em(uem: Mechanism) -> Optional[Mechanism]:
         for act, target in row.items() if target not in uem.moves_in
     }
     if unexpanded:
-        cut = uem._partial | unexpanded
+        cut = uem.partial | unexpanded
         dead = backward_dead(uem.moves_in, uem.moves_out, (), cut=cut)
     else:
-        cut, dead = uem._partial, uem._dead()
+        cut, dead = uem.partial, uem._dead()
     moves_in, moves_out = live_part(uem.initial, uem.moves_in, uem.moves_out, dead, cut=cut)
     return Mechanism(
         defender=uem.defender,

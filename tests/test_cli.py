@@ -209,6 +209,22 @@ class TestOtherCommands:
         assert "{1,4}" in out
         assert "{1,3}" in out
 
+    def test_observers_writes_three_dot_files(self, fig3_file, tmp_path, capsys):
+        dot_dir = tmp_path / "dots"
+        assert main(["observers", fig3_file, "--dot", str(dot_dir), "--no-self-loops"]) == 0
+        assert sorted(p.name for p in dot_dir.iterdir()) == [
+            "observer_defender.dot", "observer_intruder.dot", "observer_system.dot"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--ops", "substitute"], ["--ops", "insert", "--max-insert", "0"], ["--max-insert", "2"],
+    ], ids=["ops", "ops-insert-k0", "max-insert"])
+    def test_observers_takes_no_pipeline_flags(self, fig3_file, capsys, flags):
+        # observers plays no game, so neither edit flag is read or accepted
+        with pytest.raises(SystemExit) as exc:
+            main(["observers", fig3_file, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
+
     def test_game_and_trim_and_mechanism(self, fig3_file, capsys):
         assert main(["game", fig3_file, "--ops", "substitute", "--max-insert", "0"]) == 0
         assert main(["trim", fig3_file, "--ops", "substitute", "--max-insert", "0"]) == 0

@@ -1,5 +1,14 @@
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
 import opacedit as oe
+from opacedit.cli import main
 from opacedit.dot import game_dot, mealy_dot, mechanism_dot, observer_dot, trimmed_dot
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestObserverDot:
@@ -56,3 +65,62 @@ class TestMealyDot:
         text = mealy_dot(fig3_fe)
         assert '"b / c"' in text
         assert text == mealy_dot(fig3_fe)
+
+
+def _digests(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
+    """Exit code and the sha256 of stdout and of every file a command writes,
+    run in an empty directory as the benchmark runs its items."""
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file():
+            out[str(path.relative_to(tmp_path))] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return code, out
+
+
+# Outputs of command paths the benchmark does not hash, recorded before the
+# exporters memoized their labels.  gen-12-30-10 has disabled actions.
+PINNED = {
+    ("game", "gen-5-8-5"): {
+        "stdout": "f19d66397dcd6ce445468fec22c2014d08bf2cddebd741bd89ae74b0968e24a1",
+        "dot/game.dot": "ea8af59ce6150aa3bb1015a48fedffd1cc6284ec0f6ee91d984921e460f75a73",
+    },
+    ("trim", "gen-5-8-5"): {
+        "stdout": "607898b2da0c42942635678c1c647955c1014609252f72ea681a1a7f119b0b92",
+        "dot/trimmed.dot": "79f00e4d4fc120dddb0054a55e77695e8b3e6be9bbb025a8a324b42d3e3fed07",
+    },
+    ("trim", "gen-12-30-10"): {
+        "stdout": "bda0985df23e58d079f6e7ab2799fe328558d1c2e41bbbb2261bb9f576e12dec",
+        "dot/trimmed.dot": "8e9a26754cddb85a13b2ce74c4b550d8d7fead734b8adc574db98749a2338318",
+    },
+    ("mechanism", "gen-5-8-5"): {
+        "stdout": "21cfe01c6a3a4a4d6b9230d56ee9b9c2eb9aa6582a6774886a81ab7b203227b8",
+        "dot/mechanism.dot": "f723eb48995562b3d459d613fd51e65ea1ea0edb07cd4c10aa58adc4f9c9577a",
+        "dot/mechanism_raw.dot": "34ecbb84dc53a22a67b072c01057981205835d48716201e325d1dd0ecec1429c",
+    },
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("item, plant", [
+        ("ce/export-5", "gen-5-8-5"), ("mh/export-27", "gen-27-12-5"),
+    ])
+    def test_export_matches_benchmark_digests(self, tmp_path, monkeypatch, capsys, item, plant):
+        want = json.loads((BENCH / "expected.json").read_text())["items"][item]
+        code, got = _digests(
+            ["export-dot", str(BENCH / "instances" / f"{plant}.aut"),
+             "--dot", "dot", "-o", "editor.mealy"],
+            tmp_path, monkeypatch, capsys)
+        assert code == want["exit"]
+        assert got == {"stdout": want["stdout"], **want["files"]}
+
+    @pytest.mark.parametrize("command, plant", sorted(PINNED))
+    def test_stage_commands_match_pinned_digests(self, tmp_path, monkeypatch, capsys,
+                                                 command, plant):
+        flags = ["--show-disabled"] if command == "trim" else []
+        code, got = _digests(
+            [command, str(BENCH / "instances" / f"{plant}.aut"), "--dot", "dot", *flags],
+            tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert got == PINNED[(command, plant)]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import opacedit as oe
@@ -47,6 +52,27 @@ class TestEnumerateActions:
         assert DELETE.label("b") == "b→ε"
         assert substitution("c").label("b") == "b→c"
         assert insertion("d").label("b") == "+d·b"
+
+    def test_equality_and_hash_are_by_value(self):
+        assert substitution("c") == substitution("c") != substitution("d")
+        assert insertion("db") == insertion(("d", "b"))
+        assert {substitution("c"): 1}[substitution("c")] == 1
+        assert substitution("c").sort_key() == (2, "c", 0, ())
+
+    def test_unpickled_action_rehashes(self):
+        # an action keeps its hash, but string hashes differ per process
+        src = str(Path(__file__).resolve().parent.parent / "src")
+
+        def python(code, seed, data=b""):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                                  capture_output=True, check=True, timeout=60).stdout
+
+        data = python("import pickle, sys; from opacedit.game import insertion; "
+                      "sys.stdout.buffer.write(pickle.dumps(insertion('db')))", "1")
+        assert python("import pickle, sys; from opacedit.game import insertion; "
+                      "act = pickle.loads(sys.stdin.buffer.read()); "
+                      "print({insertion('db'): 1}.get(act))", "2", data) == b"1\n"
 
 
 class TestApplyDefenderMove:

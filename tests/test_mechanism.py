@@ -4,6 +4,7 @@ import pytest
 
 import opacedit as oe
 from opacedit.game import PASSTHROUGH
+from opacedit.mechanism import merged_a_key, merged_f_key
 
 from conftest import SUBS_ONLY, info
 from oracles import refine_naive
@@ -75,6 +76,39 @@ class TestBuildUem:
     def test_no_duplicate_member_sets(self, fig3_uem):
         assert len(set(fig3_uem.ua_states)) == len(fig3_uem.ua_states)
         assert len(set(fig3_uem.uf_states)) == len(fig3_uem.uf_states)
+
+
+class TestCanonicalOrder:
+    """Beliefs and observation states are ordered by their sorted members'
+    keys, whether ranked in the observers or keyed from bare rows."""
+
+    @staticmethod
+    def _check(uem):
+        assert uem.ua_states == tuple(sorted(uem.moves_in, key=merged_a_key))
+        assert uem.uf_states == tuple(sorted(uem.moves_out, key=merged_f_key))
+        bare = oe.Mechanism(  # no game behind it, rows in reverse order
+            uem.defender, uem.initial,
+            dict(reversed(uem.moves_in.items())), dict(reversed(uem.moves_out.items())),
+            partial=uem.partial,
+        )
+        assert bare.ua_states == uem.ua_states
+        assert bare.uf_states == uem.uf_states
+        assert bare.partial == uem.partial
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", range(60))
+    def test_canonical_order_is_the_key_order(self, seed, k):
+        aut, profile = oe.random_instance(seed)
+        tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=k))
+        if tgs is None:
+            return
+        self._check(oe.build_uem(tgs).complete())
+
+    def test_canonical_order_on_a_bench_plant(self):
+        aut, profile = oe.parse_model((INSTANCES / "gen-5-8-5.aut").read_text())
+        uem = oe.build_uem(oe.trim_game(oe.build_edit_game(aut, profile, k=1))).complete()
+        assert len(uem.moves_in) == 1293
+        self._check(uem)
 
 
 class TestRefineToEm:
