@@ -2,7 +2,6 @@
 discrete event systems with incomparable intruder/defender observations."""
 
 from .automata import (
-    EPSILON,
     FiniteAutomaton,
     ModelError,
     ObservationProfile,
@@ -10,15 +9,12 @@ from .automata import (
     Trace,
     fmt_state_set,
     format_model,
-    generated_language,
-    inverse_projection_members,
     parse_model,
     project,
 )
 from .observers import (
     ObserverAutomaton,
     build_observer,
-    reach_set,
     standard_observers,
 )
 from .game import (
@@ -50,8 +46,8 @@ from .mechanism import (
 from .opacity import (
     OpacityVerdict,
     default_depth,
+    edit_step,
     evaluate_editor,
-    nonsecret_explanation_exists,
     verify_cso,
 )
 from .harness import (
@@ -60,7 +56,6 @@ from .harness import (
     OracleVerdict,
     SimulationError,
     SimulationStep,
-    brute_force_cso,
     certifying_depth,
     exact_ic_check,
     find_edit_strategy,

@@ -14,8 +14,6 @@ from typing import Iterable, Mapping, Optional
 
 Trace = tuple[str, ...]
 
-EPSILON: Trace = ()
-
 
 class ModelError(ValueError):
     """A model or observation profile violates a structural constraint."""
@@ -143,55 +141,6 @@ def project(trace: Iterable[str], alphabet: Iterable[str]) -> Trace:
     """Natural projection: erase every event outside ``alphabet``."""
     keep = alphabet if isinstance(alphabet, (set, frozenset)) else frozenset(alphabet)
     return tuple(e for e in trace if e in keep)
-
-
-def generated_language(aut: FiniteAutomaton, depth: int) -> list[Trace]:
-    """All defined traces of length <= depth, in length-then-lex order."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    out: list[Trace] = [EPSILON]
-    level: list[tuple[Trace, int]] = [(EPSILON, aut.initial)]
-    for _ in range(depth):
-        nxt: list[tuple[Trace, int]] = []
-        for trace, state in level:
-            for event, dst in aut.arcs(state).items():
-                nxt.append((trace + (event,), dst))
-        if not nxt:
-            break
-        out.extend(t for t, _ in nxt)
-        level = nxt
-    return out
-
-
-def inverse_projection_members(
-    aut: FiniteAutomaton, observed: Trace, alphabet: Iterable[str], depth: int
-) -> list[Trace]:
-    """Traces of L(G) up to ``depth`` whose projection equals ``observed``.
-
-    Rejects ``depth < len(observed)`` since no trace that short can project
-    onto the full observation.
-    """
-    keep = frozenset(alphabet)
-    if depth < len(observed):
-        raise ValueError("depth must be at least the observed length")
-    found: list[Trace] = []
-    level: list[tuple[Trace, int, int]] = [(EPSILON, aut.initial, 0)]
-    if not observed:
-        found.append(EPSILON)
-    for _ in range(depth):
-        nxt: list[tuple[Trace, int, int]] = []
-        for trace, state, pos in level:
-            for event, dst in aut.arcs(state).items():
-                if event in keep:
-                    if pos < len(observed) and observed[pos] == event:
-                        nxt.append((trace + (event,), dst, pos + 1))
-                else:
-                    nxt.append((trace + (event,), dst, pos))
-        for trace, _, pos in nxt:
-            if pos == len(observed):
-                found.append(trace)
-        level = nxt
-    return found
 
 
 # ---------------------------------------------------------------------------

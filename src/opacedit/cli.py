@@ -48,10 +48,8 @@ class PipelineConfig:
     path: Path
     ops: frozenset[str]
     k: int
-    depth: Optional[int]
     dot_dir: Optional[Path]
     policy: str
-    seed: Optional[int]
 
     def __post_init__(self):
         if self.k < 0:
@@ -60,8 +58,6 @@ class PipelineConfig:
             raise ModelError("insertion requires a max insertion length of at least 1")
         if not self.ops:
             raise ModelError("at least one edit operation must be enabled")
-        if self.policy not in POLICIES:
-            raise ModelError(f"unknown policy {self.policy!r}; choose from {sorted(POLICIES)}")
 
 
 def _load(path: Path) -> tuple[FiniteAutomaton, ObservationProfile]:
@@ -83,10 +79,8 @@ def _config(args) -> PipelineConfig:
         path=Path(args.input),
         ops=ops,
         k=args.max_insert,
-        depth=getattr(args, "depth", None),
-        dot_dir=Path(args.dot) if getattr(args, "dot", None) else None,
+        dot_dir=Path(args.dot) if args.dot else None,
         policy=getattr(args, "policy", "prefer-passthrough"),
-        seed=getattr(args, "seed", None),
     )
 
 
@@ -285,8 +279,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    config = _config(args)
-    if config.dot_dir is None:
+    if not args.dot:
+        _config(args)  # a bad edit flag is reported before the missing --dot
         raise ModelError("export-dot requires --dot DIR")
     return cmd_synthesize(args)
 

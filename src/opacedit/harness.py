@@ -11,19 +11,14 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Any, Iterable, Iterator, Optional
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace, project
 from .game import EditAction, enumerate_actions
 from .mechanism import MealyEditFunction
 from .observers import ObserverAutomaton, StateSet
-from .opacity import (
-    EditorRun,
-    SupportsEdit,
-    editor_observers,
-    evaluate_editor,
-    nonsecret_explanation_exists,
-)
+from .opacity import SupportsEdit, edit_step, editor_observers, evaluate_editor
 
 
 class SimulationError(ValueError):
@@ -62,8 +57,8 @@ def simulate(
     profile.validate(aut)
     if aut.run(aut.initial, trace) is None:
         raise SimulationError(f"trace {' '.join(trace) or 'ε'} is not generated by the plant")
-    o_intr, o_def = editor_observers(aut, profile)
-    run = EditorRun(fe, profile, o_intr, o_def)
+    observers = editor_observers(aut, profile)
+    q, x_intr, x_def = fe.initial, observers[0].initial, observers[1].initial
     steps: list[SimulationStep] = []
     state = aut.initial
     seen: list[str] = []
@@ -72,18 +67,19 @@ def simulate(
         assert state is not None
         seen.append(event)
         if event in profile.observable:
-            word = run.feed(event)
-            if word is None:
+            step = edit_step(fe, profile, observers, q, x_intr, x_def, event)
+            if step is None:
                 raise EditUndefinedError(tuple(project(seen, profile.observable)))
+            word, q, x_intr, x_def = step
         else:
             word = ()
         steps.append(SimulationStep(
             plant_event=event,
             editor_output=word,
-            intruder_estimate=run.x_intr,
-            defender_estimate=run.x_def,
+            intruder_estimate=x_intr,
+            defender_estimate=x_def,
             plant_state=state,
-            leak=run.x_intr <= aut.secret and state in aut.secret,
+            leak=x_intr <= aut.secret and state in aut.secret,
         ))
     return steps
 
@@ -113,41 +109,54 @@ def oracle_ic_enforcing(
     return OracleVerdict(False, failed_property=kind, counterexample=sigma)
 
 
+def _joint_configs(
+    aut: FiniteAutomaton, profile: ObservationProfile, editor: SupportsEdit
+) -> Iterator[Optional[tuple[int, StateSet, StateSet, Any]]]:
+    """Breadth-first walk of the joint configurations (plant state, intruder
+    estimate, defender estimate, editor state) reachable from the start.
+
+    Yields each configuration as it leaves the queue, then, while expanding
+    it in plant event order, None for each undefined editor or observer
+    step.  Editor states must be hashable.
+    """
+    observers = editor_observers(aut, profile)
+    start = (aut.initial, observers[0].initial, observers[1].initial, editor.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        config = queue.popleft()
+        yield config
+        x, xi, xd, q = config
+        for event, dst in aut.arcs(x).items():
+            if event not in profile.observable:
+                nxt = (dst, xi, xd, q)
+            else:
+                step = edit_step(editor, profile, observers, q, xi, xd, event)
+                if step is None:
+                    yield None
+                    continue
+                _, q2, nxi, nxd = step
+                nxt = (dst, nxi, nxd, q2)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+
+
 def certifying_depth(
     aut: FiniteAutomaton,
     profile: ObservationProfile,
     fe: MealyEditFunction,
     cap: int,
 ) -> int:
-    """Joint-configuration count of plant, observers, and transducer, capped.
+    """Joint-configuration count of plant, observers, and transducer, plus
+    one, capped.
 
     Behavior repeats once the joint configuration does, so this depth is
     enough to certify the bounded checks whenever it is below the cap.
+    Undefined steps are skipped, not counted.
     """
-    o_intr, o_def = editor_observers(aut, profile)
-    start = (aut.initial, o_intr.initial, o_def.initial, fe.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue and len(seen) <= cap:
-        x, xi, xd, q = queue.popleft()
-        for event in aut.arcs(x):
-            dst = aut.step(x, event)
-            if event not in profile.observable:
-                nxt = (dst, xi, xd, q)
-            else:
-                step = fe.step(q, event)
-                if step is None:
-                    continue
-                word, q2 = step
-                nxi = o_intr.run(word, xi)
-                nxd = o_def.run(word, xd)
-                if nxi is None or nxd is None:
-                    continue
-                nxt = (dst, nxi, nxd, q2)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return min(len(seen) + 1, cap)
+    configs = (c for c in _joint_configs(aut, profile, fe) if c is not None)
+    return min(sum(1 for _ in islice(configs, max(cap, 0))) + 1, cap)
 
 
 def exact_ic_check(
@@ -155,68 +164,17 @@ def exact_ic_check(
 ) -> bool:
     """Enforceability over all trace lengths, by joint-configuration search.
 
-    Walks the finite product of plant state, both estimates, and editor
-    state.  Undefined editor or observer steps fail availability; a
-    configuration whose plant state is secret while the intruder estimate
-    sits inside the secret set fails confidentiality, since the estimate
-    collects exactly the endpoints of the traces explaining the emitted
-    word.  Only valid for editors whose state depends on defender
-    observations alone (Mealy and history editors); such editors satisfy
-    defender-view consistency by construction.
+    Undefined editor or observer steps fail availability; a configuration
+    whose plant state is secret while the intruder estimate sits inside the
+    secret set fails confidentiality, since the estimate collects exactly
+    the endpoints of the traces explaining the emitted word.  Only valid
+    for editors whose state depends on defender observations alone (Mealy
+    and history editors); such editors satisfy defender-view consistency
+    by construction.
     """
-    o_intr, o_def = editor_observers(aut, profile)
-    start = (aut.initial, o_intr.initial, o_def.initial, editor.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x, xi, xd, q = queue.popleft()
-        if x in aut.secret and xi <= aut.secret:
-            return False
-        for event, dst in aut.arcs(x).items():
-            if event not in profile.observable:
-                nxt = (dst, xi, xd, q)
-            else:
-                step = editor.step(q, event)
-                if step is None:
-                    return False
-                word, q2 = step
-                if event not in profile.defender and word != (event,):
-                    raise ValueError("editor rewrote an event it cannot observe")
-                nxi = o_intr.run(word, xi)
-                nxd = o_def.run(word, xd)
-                if nxi is None or nxd is None:
-                    return False
-                nxt = (dst, nxi, nxd, q2)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
-
-
-def brute_force_cso(aut: FiniteAutomaton, profile: ObservationProfile, depth: int) -> bool:
-    """Literal opacity check over all traces up to depth.
-
-    Each secret-reaching trace must have a non-secret trace with the same
-    intruder view; explanations are sought exactly, with no length bound.
-    """
-    level: list[tuple[Trace, int]] = [((), aut.initial)]
-    checked: set[Trace] = set()
-    for _ in range(depth + 1):
-        for trace, state in level:
-            if state in aut.secret:
-                beta = project(trace, profile.intruder)
-                if beta not in checked:
-                    checked.add(beta)
-                    if not nonsecret_explanation_exists(aut, beta, profile.intruder):
-                        return False
-        level = [
-            (trace + (event,), dst)
-            for trace, state in level
-            for event, dst in aut.arcs(state).items()
-        ]
-        if not level:
-            break
-    return True
+    secret = aut.secret
+    return all(c is not None and not (c[0] in secret and c[1] <= secret)
+               for c in _joint_configs(aut, profile, editor))
 
 
 def random_instance(

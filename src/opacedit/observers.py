@@ -29,26 +29,6 @@ def _silent_closure(aut: FiniteAutomaton, seeds: Iterable[int], silent: frozense
     return frozenset(seen)
 
 
-def reach_set(
-    aut: FiniteAutomaton, source: int, observed: Optional[str], alphabet: Iterable[str]
-) -> StateSet:
-    """States reachable from ``source`` by traces projecting onto ``observed``.
-
-    ``observed`` is either None (the empty observation: unobservable closure,
-    including ``source`` itself) or a single event of ``alphabet``.  May be
-    empty; callers read emptiness as "undefined transition".
-    """
-    keep = frozenset(alphabet)
-    silent = frozenset(aut.events) - keep
-    closure = _silent_closure(aut, (source,), silent)
-    if observed is None:
-        return closure
-    if observed not in keep:
-        raise ValueError(f"observed event {observed!r} not in the projection alphabet")
-    stepped = {dst for s in closure for e, dst in aut.arcs(s).items() if e == observed}
-    return _silent_closure(aut, stepped, silent)
-
-
 @dataclass(frozen=True)
 class ObserverAutomaton:
     """Deterministic estimator over state sets of the plant.

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Protocol
+from typing import Any, Optional, Protocol
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace
-from .observers import ObserverAutomaton, build_observer
+from .observers import ObserverAutomaton, StateSet, build_observer
 
 
 class SupportsEdit(Protocol):
@@ -24,7 +24,8 @@ class SupportsEdit(Protocol):
 
     ``step`` must return the forced single-event word and the unchanged
     state for events outside the defender alphabet, which the editor cannot
-    see; ``evaluate_editor`` raises ``ValueError`` on an editor that does not.
+    see; ``edit_step`` raises ``ValueError`` on a rewritten word, and
+    ``evaluate_editor`` also on a changed state.
     """
 
     initial: Any
@@ -70,81 +71,38 @@ def verify_cso(aut: FiniteAutomaton, profile: ObservationProfile) -> OpacityVerd
     raise AssertionError("solely secret estimate exists but is unreachable")
 
 
-def nonsecret_explanation_exists(
-    aut: FiniteAutomaton, beta: Trace, alphabet: Iterable[str]
-) -> bool:
-    """Is some non-secret plant trace projected onto ``beta``?
-
-    Exact reachability over (plant state, position in beta); no length bound
-    is needed because revisited pairs are skipped.
-    """
-    keep = frozenset(alphabet)
-    queue = deque([(aut.initial, 0)])
-    visited = {(aut.initial, 0)}
-    while queue:
-        x, pos = queue.popleft()
-        if pos == len(beta) and x not in aut.secret:
-            return True
-        for event, dst in aut.arcs(x).items():
-            if event in keep:
-                if pos < len(beta) and beta[pos] == event:
-                    nxt = (dst, pos + 1)
-                else:
-                    continue
-            else:
-                nxt = (dst, pos)
-            if nxt not in visited:
-                visited.add(nxt)
-                queue.append(nxt)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Editor evaluation
 # ---------------------------------------------------------------------------
 
-class EditorRun:
-    """Joint run of an editor with the intruder and defender observers.
+def edit_step(
+    editor: SupportsEdit,
+    profile: ObservationProfile,
+    observers: tuple[ObserverAutomaton, ObserverAutomaton],
+    q: Any,
+    x_intr: StateSet,
+    x_def: StateSet,
+    event: str,
+) -> Optional[tuple[Trace, Any, StateSet, StateSet]]:
+    """One observable plant event through the editor and both observers.
 
-    Tracks the editor state, both estimates, and the emitted word.  ``feed``
-    returns the word emitted for one observable plant event, or None when the
-    editor or either observer run becomes undefined (the run is then stuck).
+    Returns the editor's word, its next state, and the intruder and defender
+    estimates after the word; None when the editor or either observer is
+    undefined.  Raises ``ValueError`` when an event outside the defender
+    alphabet is rewritten.
     """
-
-    def __init__(
-        self,
-        editor: SupportsEdit,
-        profile: ObservationProfile,
-        o_intr: ObserverAutomaton,
-        o_def: ObserverAutomaton,
-    ):
-        self.editor = editor
-        self.profile = profile
-        self.o_intr = o_intr
-        self.o_def = o_def
-        self.q = editor.initial
-        self.x_intr = o_intr.initial
-        self.x_def = o_def.initial
-        self.emitted: list[str] = []
-
-    def feed(self, event: str) -> Optional[Trace]:
-        if event not in self.profile.observable:
-            raise ValueError(f"event {event!r} is not observable")
-        step = self.editor.step(self.q, event)
-        if step is None:
-            return None
-        word, q2 = step
-        if event not in self.profile.defender and word != (event,):
-            raise ValueError("editor rewrote an event it cannot observe")
-        x_intr = self.o_intr.run(word, self.x_intr)
-        if x_intr is None:
-            return None
-        x_def = self.o_def.run(word, self.x_def)
-        if x_def is None:
-            return None
-        self.q, self.x_intr, self.x_def = q2, x_intr, x_def
-        self.emitted.extend(word)
-        return word
+    step = editor.step(q, event)
+    if step is None:
+        return None
+    word, q2 = step
+    if event not in profile.defender and word != (event,):
+        raise ValueError("editor rewrote an event it cannot observe")
+    o_intr, o_def = observers
+    nx_intr = o_intr.run(word, x_intr)
+    nx_def = o_def.run(word, x_def)
+    if nx_intr is None or nx_def is None:
+        return None
+    return word, q2, nx_intr, nx_def
 
 
 def editor_observers(
@@ -205,11 +163,15 @@ def evaluate_editor(
     bounded by the distinct such nodes up to the depth.
 
     The editor must keep its state and pass the event through on events
-    outside the defender alphabet; otherwise ``ValueError`` is raised.  Two
-    defined runs with the same defender view then emit the same defender
-    output, so consistency between defender views needs no check.  Editor
-    states must be hashable.
+    outside the defender alphabet; otherwise ``ValueError`` is raised (a
+    changed state only where the step stays defined, since a stuck run has
+    no further behavior).  Two defined runs with the same defender view then
+    emit the same defender output, so consistency between defender views
+    needs no check.  Editor states must be hashable.  A negative depth
+    raises ``ValueError``.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     profile.validate(aut)
     o_intr, o_def = observers if observers is not None else editor_observers(aut, profile)
     unobs = frozenset(aut.events) - profile.observable
@@ -266,21 +228,13 @@ def evaluate_editor(
             child = len(parent)
             parent.append(node)
             last.append(event)
-            step = editor.step(q, event)
+            step = edit_step(editor, profile, (o_intr, o_def), q, x_i, x_d, event)
             if step is None:
                 found.setdefault("i-availability", child)
                 continue
-            out, q2 = step
-            if event not in profile.defender:
-                if out != (event,):
-                    raise ValueError("editor rewrote an event it cannot observe")
-                if q2 != q:
-                    raise ValueError("editor changed state on an event it cannot observe")
-            nx_i = o_intr.run(out, x_i)
-            nx_d = o_def.run(out, x_d)
-            if nx_i is None or nx_d is None:
-                found.setdefault("i-availability", child)
-                continue
+            _, q2, nx_i, nx_d = step
+            if event not in profile.defender and q2 != q:
+                raise ValueError("editor changed state on an event it cannot observe")
             child_configs = uo_close(stepped)
             if nx_i <= secret and not secret.isdisjoint(child_configs):
                 found.setdefault("confidentiality", child)

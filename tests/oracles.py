@@ -6,21 +6,194 @@ survivors by re-sorting with the canonical keys rather than filtering the
 parent's already sorted tuples.  The naive refinement takes a completed
 mechanism.  The tree walk evaluates an editor on every observable
 projection up to a depth, one node per word, with explicit defender-view
-consistency groups and explanation searches.
+consistency groups and explanation searches.  The language enumerations,
+the reach sets, the literal opacity check and the stand-alone
+joint-configuration count are the definitions the package's observers,
+``verify_cso`` and ``certifying_depth`` are tested against.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, project
 from opacedit.game import EditAction, EditGameStructure, InfoState, aug_key, info_key
-from opacedit.mechanism import Mechanism
-from opacedit.observers import ObserverAutomaton
-from opacedit.opacity import (EditorReport, SupportsEdit, editor_observers,
-                              nonsecret_explanation_exists)
+from opacedit.mechanism import MealyEditFunction, Mechanism
+from opacedit.observers import ObserverAutomaton, StateSet
+from opacedit.opacity import EditorReport, SupportsEdit, editor_observers
 from opacedit.trimming import TrimmedGameStructure
+
+EPSILON: Trace = ()
+
+
+def generated_language(aut: FiniteAutomaton, depth: int) -> list[Trace]:
+    """All defined traces of length <= depth, in length-then-lex order."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    out: list[Trace] = [EPSILON]
+    level: list[tuple[Trace, int]] = [(EPSILON, aut.initial)]
+    for _ in range(depth):
+        nxt: list[tuple[Trace, int]] = []
+        for trace, state in level:
+            for event, dst in aut.arcs(state).items():
+                nxt.append((trace + (event,), dst))
+        if not nxt:
+            break
+        out.extend(t for t, _ in nxt)
+        level = nxt
+    return out
+
+
+def inverse_projection_members(
+    aut: FiniteAutomaton, observed: Trace, alphabet: Iterable[str], depth: int
+) -> list[Trace]:
+    """Traces of L(G) up to ``depth`` whose projection equals ``observed``.
+
+    Rejects ``depth < len(observed)`` since no trace that short can project
+    onto the full observation.
+    """
+    keep = frozenset(alphabet)
+    if depth < len(observed):
+        raise ValueError("depth must be at least the observed length")
+    found: list[Trace] = []
+    level: list[tuple[Trace, int, int]] = [(EPSILON, aut.initial, 0)]
+    if not observed:
+        found.append(EPSILON)
+    for _ in range(depth):
+        nxt: list[tuple[Trace, int, int]] = []
+        for trace, state, pos in level:
+            for event, dst in aut.arcs(state).items():
+                if event in keep:
+                    if pos < len(observed) and observed[pos] == event:
+                        nxt.append((trace + (event,), dst, pos + 1))
+                else:
+                    nxt.append((trace + (event,), dst, pos))
+        for trace, _, pos in nxt:
+            if pos == len(observed):
+                found.append(trace)
+        level = nxt
+    return found
+
+
+def reach_set(
+    aut: FiniteAutomaton, source: int, observed: Optional[str], alphabet: Iterable[str]
+) -> StateSet:
+    """States reachable from ``source`` by traces projecting onto ``observed``.
+
+    ``observed`` is either None (the empty observation: unobservable closure,
+    including ``source`` itself) or a single event of ``alphabet``.  May be
+    empty; callers read emptiness as "undefined transition".
+    """
+    keep = frozenset(alphabet)
+    if observed is not None and observed not in keep:
+        raise ValueError(f"observed event {observed!r} not in the projection alphabet")
+
+    def silent_closure(seeds: Iterable[int]) -> set[int]:
+        seen = set(seeds)
+        stack = list(seen)
+        while stack:
+            for event, dst in aut.arcs(stack.pop()).items():
+                if event not in keep and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        return seen
+
+    closure = silent_closure((source,))
+    if observed is None:
+        return frozenset(closure)
+    stepped = {dst for s in closure for e, dst in aut.arcs(s).items() if e == observed}
+    return frozenset(silent_closure(stepped))
+
+
+def nonsecret_explanation_exists(
+    aut: FiniteAutomaton, beta: Trace, alphabet: Iterable[str]
+) -> bool:
+    """Is some non-secret plant trace projected onto ``beta``?
+
+    Exact reachability over (plant state, position in beta); no length bound
+    is needed because revisited pairs are skipped.
+    """
+    keep = frozenset(alphabet)
+    queue = deque([(aut.initial, 0)])
+    visited = {(aut.initial, 0)}
+    while queue:
+        x, pos = queue.popleft()
+        if pos == len(beta) and x not in aut.secret:
+            return True
+        for event, dst in aut.arcs(x).items():
+            if event in keep:
+                if pos < len(beta) and beta[pos] == event:
+                    nxt = (dst, pos + 1)
+                else:
+                    continue
+            else:
+                nxt = (dst, pos)
+            if nxt not in visited:
+                visited.add(nxt)
+                queue.append(nxt)
+    return False
+
+
+def brute_force_cso(aut: FiniteAutomaton, profile: ObservationProfile, depth: int) -> bool:
+    """Literal opacity check over all traces up to depth.
+
+    Each secret-reaching trace must have a non-secret trace with the same
+    intruder view; explanations are sought exactly, with no length bound.
+    """
+    level: list[tuple[Trace, int]] = [((), aut.initial)]
+    checked: set[Trace] = set()
+    for _ in range(depth + 1):
+        for trace, state in level:
+            if state in aut.secret:
+                beta = project(trace, profile.intruder)
+                if beta not in checked:
+                    checked.add(beta)
+                    if not nonsecret_explanation_exists(aut, beta, profile.intruder):
+                        return False
+        level = [
+            (trace + (event,), dst)
+            for trace, state in level
+            for event, dst in aut.arcs(state).items()
+        ]
+        if not level:
+            break
+    return True
+
+
+def certifying_depth_reference(
+    aut: FiniteAutomaton,
+    profile: ObservationProfile,
+    fe: MealyEditFunction,
+    cap: int,
+) -> int:
+    """Joint-configuration count of plant, observers, and transducer, capped,
+    by its own breadth-first search.  Skips undefined steps and, unlike the
+    package's count, does not check the transducer's unseen events."""
+    o_intr, o_def = editor_observers(aut, profile)
+    start = (aut.initial, o_intr.initial, o_def.initial, fe.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue and len(seen) <= cap:
+        x, xi, xd, q = queue.popleft()
+        for event in aut.arcs(x):
+            dst = aut.step(x, event)
+            if event not in profile.observable:
+                nxt = (dst, xi, xd, q)
+            else:
+                step = fe.step(q, event)
+                if step is None:
+                    continue
+                word, q2 = step
+                nxi = o_intr.run(word, xi)
+                nxd = o_def.run(word, xd)
+                if nxi is None or nxd is None:
+                    continue
+                nxt = (dst, nxi, nxd, q2)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return min(len(seen) + 1, cap)
 
 
 def sweep_dead(unctrl, ctrl, seeds, cut=frozenset()) -> set:

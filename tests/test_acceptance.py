@@ -12,7 +12,7 @@ from opacedit.cli import main
 from opacedit.game import PASSTHROUGH
 
 from conftest import FIG3_TEXT, SUBS_ONLY, info, sset
-from oracles import trim_game_naive
+from oracles import generated_language, trim_game_naive
 
 
 @contextmanager
@@ -176,7 +176,7 @@ def test_criterion_8_definition_level_properties():
             for obs, alphabet in zip(observers, (
                 profile.observable, profile.intruder, profile.defender
             )):
-                for trace in oe.generated_language(aut, 4):
+                for trace in generated_language(aut, 4):
                     estimate = obs.run(oe.project(trace, alphabet))
                     assert estimate is not None
                     assert aut.run(aut.initial, trace) in estimate

@@ -6,6 +6,7 @@ import opacedit as oe
 from opacedit.automata import ParseError
 
 from conftest import FIG3_TEXT, sset
+from oracles import generated_language, inverse_projection_members
 
 
 def T(s):
@@ -100,50 +101,50 @@ class TestProjection:
 
 class TestGeneratedLanguage:
     def test_depth_zero(self, fig3_aut):
-        assert oe.generated_language(fig3_aut, 0) == [()]
+        assert generated_language(fig3_aut, 0) == [()]
 
     def test_depth_three_contains_examples(self, fig3_aut):
-        lang = oe.generated_language(fig3_aut, 3)
+        lang = generated_language(fig3_aut, 3)
         assert T("abc") in lang
         assert T("acd") in lang
 
     def test_no_transitions(self):
         aut, _ = oe.parse_model("states s\nevents a\ninitial s\n")
-        assert oe.generated_language(aut, 4) == [()]
+        assert generated_language(aut, 4) == [()]
 
     def test_ordering_and_prefix_closure(self, fig3_aut):
-        lang = oe.generated_language(fig3_aut, 4)
+        lang = generated_language(fig3_aut, 4)
         assert lang == sorted(set(lang), key=lambda t: (len(t), t))
         as_set = set(lang)
         for trace in lang:
             assert trace[:-1] in as_set or trace == ()
 
     def test_monotone_in_depth(self, fig3_aut):
-        assert set(oe.generated_language(fig3_aut, 3)) <= set(
-            oe.generated_language(fig3_aut, 4)
+        assert set(generated_language(fig3_aut, 3)) <= set(
+            generated_language(fig3_aut, 4)
         )
 
 
 class TestInverseProjection:
     def test_contains_abc(self, fig3_aut):
-        members = oe.inverse_projection_members(fig3_aut, T("ab"), set("abd"), 3)
+        members = inverse_projection_members(fig3_aut, T("ab"), set("abd"), 3)
         assert T("abc") in members
 
     def test_epsilon(self, fig3_aut):
-        assert oe.inverse_projection_members(fig3_aut, (), set("abcd"), 0) == [()]
+        assert inverse_projection_members(fig3_aut, (), set("abcd"), 0) == [()]
 
     def test_contains_acd(self, fig3_aut):
-        members = oe.inverse_projection_members(fig3_aut, T("ad"), set("abd"), 3)
+        members = inverse_projection_members(fig3_aut, T("ad"), set("abd"), 3)
         assert T("acd") in members
 
     def test_rejects_short_depth(self, fig3_aut):
         with pytest.raises(ValueError):
-            oe.inverse_projection_members(fig3_aut, T("ab"), set("abd"), 1)
+            inverse_projection_members(fig3_aut, T("ab"), set("abd"), 1)
 
     def test_members_project_back_and_run(self, fig3_aut):
         alphabet = set("abd")
         for beta in [T("ab"), T("ad"), T("a")]:
-            for member in oe.inverse_projection_members(fig3_aut, beta, alphabet, 5):
+            for member in inverse_projection_members(fig3_aut, beta, alphabet, 5):
                 assert oe.project(member, alphabet) == beta
                 assert fig3_aut.run(fig3_aut.initial, member) is not None
 

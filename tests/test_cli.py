@@ -145,6 +145,12 @@ class TestSimulateAndCheck:
             assert exc.value.code == 2
             assert "unrecognized arguments: --ops" in capsys.readouterr().err
 
+    def test_check_rejects_a_negative_depth(self, fig3_file, editor_file, capsys):
+        assert main(["check", fig3_file, editor_file, "--depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: depth must be nonnegative\n"
+
     def test_check_at_the_default_depth_finishes(self):
         # the default depth here is 302; a walk over every observable word
         # up to it would not finish

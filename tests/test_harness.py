@@ -3,6 +3,7 @@ import pytest
 import opacedit as oe
 
 from conftest import sset
+from oracles import brute_force_cso, certifying_depth_reference, generated_language
 
 
 def T(s):
@@ -74,7 +75,7 @@ class TestSimulate:
     def test_true_run_consistent_with_a_belief_member(self, fig3, fig3_fe):
         aut, profile = fig3
         assert fig3_fe.beliefs
-        for trace in oe.generated_language(aut, 6):
+        for trace in generated_language(aut, 6):
             steps = oe.simulate(aut, profile, fig3_fe, trace)
             state = fig3_fe.initial
             for step, event in zip(steps, trace):
@@ -115,6 +116,48 @@ class TestOracle:
         assert not oe.exact_ic_check(aut, profile, ident)
 
 
+class TestJointWalk:
+    """``certifying_depth`` and ``exact_ic_check`` read one joint walk, and
+    every editor check enforces the same contract on unseen events."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("max_states", [5, 8])
+    def test_certifying_depth_matches_the_reference(self, max_states, k):
+        ops = oe.OPS_ALL if k else oe.OPS_ALL - {"insert"}
+        for seed in range(80):
+            aut, profile = oe.random_instance(seed, max_states, 4)
+            editors = [oe.MealyEditFunction.identity(profile.defender)]
+            tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=k, ops=ops))
+            em = oe.refine_to_em(oe.build_uem(tgs)) if tgs else None
+            if em is not None:
+                editors += [oe.synthesize(em, policy=p) for p in sorted(oe.POLICIES)]
+            for fe in editors:
+                for cap in (3, 8, 50, 400):
+                    assert oe.certifying_depth(aut, profile, fe, cap) == (
+                        certifying_depth_reference(aut, profile, fe, cap)
+                    ), f"seed {seed} cap {cap}"
+
+    def test_rewriting_an_unseen_event_is_refused_everywhere(self):
+        aut, profile = oe.random_instance(0)
+        assert "c" not in profile.defender
+        # passes a and b through and turns the unseen c into a, which both
+        # observers can parse from the initial estimates
+        fe = oe.MealyEditFunction(
+            alphabet=frozenset("abc"), n_states=1, initial=0,
+            output={(0, "a"): T("a"), (0, "b"): T("b"), (0, "c"): T("a")},
+            next_state={(0, e): 0 for e in "abc"},
+        )
+        checks = [
+            lambda: oe.certifying_depth(aut, profile, fe, 8),
+            lambda: oe.exact_ic_check(aut, profile, fe),
+            lambda: oe.evaluate_editor(aut, profile, fe, 3),
+            lambda: oe.simulate(aut, profile, fe, T("c")),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="^editor rewrote an event it cannot observe$"):
+                check()
+
+
 class TestRandomInstance:
     def test_deterministic(self):
         for seed in (0, 7, 99):
@@ -129,7 +172,7 @@ class TestRandomInstance:
             assert aut.secret
             assert all(
                 aut.run(aut.initial, t) is not None
-                for t in oe.generated_language(aut, 3)
+                for t in generated_language(aut, 3)
             )
 
     def test_incomparable_majority_and_nested_presence(self):
@@ -228,7 +271,7 @@ class TestStrategySearch:
 class TestBruteForceCso:
     def test_fig3(self, fig3):
         aut, profile = fig3
-        assert not oe.brute_force_cso(aut, profile, 3)
+        assert not brute_force_cso(aut, profile, 3)
 
     def test_empty_secret(self, fig3):
         aut, profile = fig3
@@ -236,4 +279,4 @@ class TestBruteForceCso:
             labels=aut.labels, events=aut.events, delta=dict(aut.delta),
             initial=aut.initial, secret=frozenset(),
         )
-        assert oe.brute_force_cso(bare, profile, 6)
+        assert brute_force_cso(bare, profile, 6)

@@ -3,6 +3,7 @@ import pytest
 import opacedit as oe
 
 from conftest import sset
+from oracles import generated_language, inverse_projection_members, reach_set
 
 
 def T(s):
@@ -11,24 +12,24 @@ def T(s):
 
 class TestReachSet:
     def test_defender_silent_closure(self, fig3_aut):
-        got = oe.reach_set(fig3_aut, fig3_aut.initial, None, set("bcd"))
+        got = reach_set(fig3_aut, fig3_aut.initial, None, set("bcd"))
         assert got == sset(fig3_aut, "13")
 
     def test_intruder_silent_closure(self, fig3_aut):
-        got = oe.reach_set(fig3_aut, fig3_aut.initial, None, set("abd"))
+        got = reach_set(fig3_aut, fig3_aut.initial, None, set("abd"))
         assert got == sset(fig3_aut, "14")
 
     def test_fully_observable_closure_is_singleton(self, fig3_aut):
         for state in range(fig3_aut.n_states):
-            assert oe.reach_set(fig3_aut, state, None, set("abcd")) == {state}
+            assert reach_set(fig3_aut, state, None, set("abcd")) == {state}
 
     def test_event_reach(self, fig3_aut):
-        got = oe.reach_set(fig3_aut, fig3_aut.initial, "a", set("abd"))
+        got = reach_set(fig3_aut, fig3_aut.initial, "a", set("abd"))
         assert got == sset(fig3_aut, "36")
 
     def test_event_outside_alphabet_rejected(self, fig3_aut):
         with pytest.raises(ValueError):
-            oe.reach_set(fig3_aut, 0, "c", set("abd"))
+            reach_set(fig3_aut, 0, "c", set("abd"))
 
 
 class TestBuildObserver:
@@ -101,7 +102,7 @@ class TestSoundness:
             aut, profile = oe.random_instance(seed)
             for reactive in (profile.intruder, profile.defender, profile.observable):
                 obs = oe.build_observer(aut, reactive, profile.observable)
-                for trace in oe.generated_language(aut, 5):
+                for trace in generated_language(aut, 5):
                     state = aut.run(aut.initial, trace)
                     estimate = obs.run(oe.project(trace, reactive))
                     assert estimate is not None and state in estimate
@@ -112,13 +113,13 @@ class TestSoundness:
         for seed in range(12):
             aut, profile = oe.random_instance(seed, max_states=4, max_events=3)
             obs = oe.build_observer(aut, profile.intruder, profile.observable)
-            for trace in oe.generated_language(aut, 4):
+            for trace in generated_language(aut, 4):
                 beta = oe.project(trace, profile.intruder)
                 estimate = obs.run(beta)
                 bound = aut.n_states * (len(beta) + 1)
                 endpoints = {
                     aut.run(aut.initial, member)
-                    for member in oe.inverse_projection_members(
+                    for member in inverse_projection_members(
                         aut, beta, profile.intruder, bound
                     )
                 }

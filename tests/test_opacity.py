@@ -5,7 +5,8 @@ import pytest
 import opacedit as oe
 
 from conftest import sset
-from oracles import evaluate_editor_tree
+from oracles import (brute_force_cso, evaluate_editor_tree, generated_language,
+                     inverse_projection_members, nonsecret_explanation_exists)
 
 
 def T(s):
@@ -22,7 +23,7 @@ class TestVerifyCso:
         # trace with the same intruder view
         assert aut.run(aut.initial, verdict.witness) in aut.secret
         bound = len(verdict.witness) + aut.n_states
-        members = oe.inverse_projection_members(
+        members = inverse_projection_members(
             aut, T("ab"), profile.intruder, bound
         )
         assert verdict.witness in members
@@ -50,22 +51,22 @@ class TestVerifyCso:
             aut, profile = oe.random_instance(seed)
             verdict = oe.verify_cso(aut, profile)
             if verdict.opaque:
-                assert oe.brute_force_cso(aut, profile, 8)
+                assert brute_force_cso(aut, profile, 8)
             else:
                 witness = verdict.witness
                 assert aut.run(aut.initial, witness) in aut.secret
-                assert not oe.nonsecret_explanation_exists(
+                assert not nonsecret_explanation_exists(
                     aut, oe.project(witness, profile.intruder), profile.intruder
                 )
-                assert not oe.brute_force_cso(aut, profile, max(8, len(witness)))
+                assert not brute_force_cso(aut, profile, max(8, len(witness)))
 
     def test_witness_is_shortest_lex_least(self, fig3):
         aut, profile = fig3
         witness = oe.verify_cso(aut, profile).witness
         revealing = [
             trace
-            for trace in oe.generated_language(aut, len(witness))
-            if not oe.nonsecret_explanation_exists(
+            for trace in generated_language(aut, len(witness))
+            if not nonsecret_explanation_exists(
                 aut, oe.project(trace, profile.intruder), profile.intruder
             )
             and aut.run(aut.initial, trace) in aut.secret
@@ -76,20 +77,20 @@ class TestVerifyCso:
 class TestExplanations:
     def test_ab_only_explained_by_secret(self, fig3):
         aut, profile = fig3
-        assert not oe.nonsecret_explanation_exists(aut, T("ab"), profile.intruder)
+        assert not nonsecret_explanation_exists(aut, T("ab"), profile.intruder)
 
     def test_ad_has_nonsecret_explanation(self, fig3):
         aut, profile = fig3
-        assert oe.nonsecret_explanation_exists(aut, T("ad"), profile.intruder)
+        assert nonsecret_explanation_exists(aut, T("ad"), profile.intruder)
 
     def test_dd_is_explained_through_the_invisible_c(self, fig3):
         # cdd projects onto dd and ends non-secret
         aut, profile = fig3
-        assert oe.nonsecret_explanation_exists(aut, T("dd"), profile.intruder)
+        assert nonsecret_explanation_exists(aut, T("dd"), profile.intruder)
 
     def test_unparseable_word_has_none(self, fig3):
         aut, profile = fig3
-        assert not oe.nonsecret_explanation_exists(aut, T("ba"), profile.intruder)
+        assert not nonsecret_explanation_exists(aut, T("ba"), profile.intruder)
 
 
 class _SpyEditor:
@@ -198,7 +199,7 @@ class TestStructuralCAvailability:
     def test_equal_defender_views_induce_equal_runs(self, fig3, fig3_fe):
         aut, profile = fig3
         by_view = {}
-        for trace in oe.generated_language(aut, 6):
+        for trace in generated_language(aut, 6):
             sigma = oe.project(trace, profile.observable)
             view = oe.project(sigma, profile.defender)
             state = fig3_fe.initial
