@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -16,7 +15,6 @@ from .automata import (
     FiniteAutomaton,
     ModelError,
     ObservationProfile,
-    ParseError,
     fmt_state_set,
     format_model,
     project,
@@ -42,22 +40,7 @@ EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_UNENFORCEABLE = 3
 
-
-@dataclass
-class PipelineConfig:
-    path: Path
-    ops: frozenset[str]
-    k: int
-    dot_dir: Optional[Path]
-    policy: str
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ModelError("max insertion length must be nonnegative")
-        if "insert" in self.ops and self.k < 1:
-            raise ModelError("insertion requires a max insertion length of at least 1")
-        if not self.ops:
-            raise ModelError("at least one edit operation must be enabled")
+OBSERVER_NAMES = ("system", "intruder", "defender")
 
 
 def _load(path: Path) -> tuple[FiniteAutomaton, ObservationProfile]:
@@ -68,20 +51,34 @@ def _load(path: Path) -> tuple[FiniteAutomaton, ObservationProfile]:
     return automata.parse_model(text)
 
 
-def _config(args) -> PipelineConfig:
+def _max_insert(args) -> int:
+    if args.max_insert < 0:
+        raise ModelError("max insertion length must be nonnegative")
+    return args.max_insert
+
+
+def _edit_flags(args) -> tuple[frozenset[str], int]:
+    """The checked ``--ops`` and ``--max-insert``; --ops defaults to every
+    operation, without insert when the bound is 0."""
     if args.ops is None:
         ops = OPS_ALL if args.max_insert >= 1 else OPS_ALL - {"insert"}
     else:
         ops = frozenset(args.ops.split(","))
     if not ops <= OPS_ALL:
         raise ModelError(f"unknown edit operations: {sorted(ops - OPS_ALL)}")
-    return PipelineConfig(
-        path=Path(args.input),
-        ops=ops,
-        k=args.max_insert,
-        dot_dir=Path(args.dot) if args.dot else None,
-        policy=getattr(args, "policy", "prefer-passthrough"),
-    )
+    k = _max_insert(args)
+    if "insert" in ops and k < 1:
+        raise ModelError("insertion requires a max insertion length of at least 1")
+    return ops, k
+
+
+def _game(args):
+    """The plant, its three observers and its edit game, expanded on demand.
+    The edit flags are checked before the plant is read."""
+    ops, k = _edit_flags(args)
+    aut, profile = _load(Path(args.input))
+    observers = standard_observers(aut, profile)
+    return aut, observers, build_edit_game(aut, profile, k=k, ops=ops, observers=observers)
 
 
 def _load_transducer(path: str, profile: ObservationProfile) -> MealyEditFunction:
@@ -94,9 +91,10 @@ def _load_transducer(path: str, profile: ObservationProfile) -> MealyEditFunctio
     return fe
 
 
-def _write_dot(dot_dir: Path, name: str, text: str) -> None:
-    dot_dir.mkdir(parents=True, exist_ok=True)
-    (dot_dir / f"{name}.dot").write_text(text)
+def _write_dot(dot_dir: str, name: str, text: str) -> None:
+    path = Path(dot_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    (path / f"{name}.dot").write_text(text)
 
 
 def _render_trace(trace) -> str:
@@ -117,44 +115,30 @@ def cmd_verify(args) -> int:
 
 def cmd_observers(args) -> int:
     aut, profile = _load(Path(args.input))
-    o_sys, o_intr, o_def = standard_observers(aut, profile)
-    for name, obs in (("system", o_sys), ("intruder", o_intr), ("defender", o_def)):
+    for name, obs in zip(OBSERVER_NAMES, standard_observers(aut, profile)):
         print(f"{name} observer: {len(obs.states)} states, "
               f"initial {fmt_state_set(aut, obs.initial)}")
         if args.dot:
-            _write_dot(Path(args.dot), f"observer_{name}",
+            _write_dot(args.dot, f"observer_{name}",
                        observer_dot(obs, aut, name=f"observer_{name}",
                                     include_self_loops=not args.no_self_loops))
     return EXIT_OK
 
 
-def _build_stages(aut, profile, config, whole_game=False):
-    observers = standard_observers(aut, profile)
-    game = build_edit_game(aut, profile, k=config.k, ops=config.ops, observers=observers)
-    if whole_game:
-        game.complete()
-    tgs = trim_game(game)
-    uem = build_uem(tgs) if tgs is not None else None
-    return observers, game, tgs, uem
-
-
 def cmd_game(args) -> int:
-    config = _config(args)
-    aut, profile = _load(config.path)
-    game = build_edit_game(aut, profile, k=config.k, ops=config.ops).complete()
+    aut, _, game = _game(args)
+    game.complete()
     zero = sum(1 for v in list(game.a_states) + list(game.f_states) if game.utility[v] == 0)
     print(f"game: {len(game.a_states)} information states, "
           f"{len(game.f_states)} augmented states, {zero} utility-0")
-    if config.dot_dir:
-        _write_dot(config.dot_dir, "game", game_dot(game, aut))
+    if args.dot:
+        _write_dot(args.dot, "game", game_dot(game, aut))
     return EXIT_OK
 
 
 def cmd_trim(args) -> int:
-    config = _config(args)
-    aut, profile = _load(config.path)
-    game = build_edit_game(aut, profile, k=config.k, ops=config.ops).complete()
-    tgs = trim_game(game)
+    aut, _, game = _game(args)
+    tgs = trim_game(game.complete())
     if tgs is None:
         print("not enforceable: initial state pruned")
         return EXIT_UNENFORCEABLE
@@ -162,20 +146,20 @@ def cmd_trim(args) -> int:
     print(f"trimmed game: {len(tgs.game.a_states)} information states, "
           f"{len(tgs.game.f_states)} augmented states, "
           f"{len(tgs.removed_a) + len(tgs.removed_f)} removed, {ndis} actions disabled")
-    if config.dot_dir:
-        _write_dot(config.dot_dir, "trimmed",
+    if args.dot:
+        _write_dot(args.dot, "trimmed",
                    trimmed_dot(tgs, aut, include_disabled=args.show_disabled))
     return EXIT_OK
 
 
 def cmd_mechanism(args) -> int:
-    config = _config(args)
-    aut, profile = _load(config.path)
-    _, _, tgs, uem = _build_stages(aut, profile, config)
+    aut, _, game = _game(args)
+    tgs = trim_game(game)
     if tgs is None:
         print("not enforceable: initial state pruned")
         return EXIT_UNENFORCEABLE
-    em = refine_to_em(uem.complete())
+    uem = build_uem(tgs).complete()
+    em = refine_to_em(uem)
     print(f"merged mechanism: {len(uem.ua_states)} belief states, "
           f"{len(uem.uf_states)} observation states, {len(uem.partial)} partial actions")
     if em is None:
@@ -183,45 +167,42 @@ def cmd_mechanism(args) -> int:
         return EXIT_UNENFORCEABLE
     print(f"edit mechanism: {len(em.ua_states)} belief states, "
           f"{len(em.uf_states)} observation states")
-    if config.dot_dir:
-        _write_dot(config.dot_dir, "mechanism_raw", mechanism_dot(uem, aut, name="raw"))
-        _write_dot(config.dot_dir, "mechanism", mechanism_dot(em, aut))
+    if args.dot:
+        _write_dot(args.dot, "mechanism_raw", mechanism_dot(uem, aut, name="raw"))
+        _write_dot(args.dot, "mechanism", mechanism_dot(em, aut))
     return EXIT_OK
 
 
 def cmd_synthesize(args) -> int:
-    config = _config(args)
-    aut, profile = _load(config.path)
+    aut, observers, game = _game(args)
     # the DOT files show the whole game and the whole mechanism
-    observers, game, tgs, uem = _build_stages(aut, profile, config,
-                                              whole_game=config.dot_dir is not None)
-    if config.dot_dir and uem is not None:
-        uem.complete()
-    em = refine_to_em(uem) if uem is not None else None
-    if config.dot_dir:
-        o_sys, o_intr, o_def = observers
-        _write_dot(config.dot_dir, "observer_system", observer_dot(o_sys, aut, name="observer_system"))
-        _write_dot(config.dot_dir, "observer_intruder", observer_dot(o_intr, aut, name="observer_intruder"))
-        _write_dot(config.dot_dir, "observer_defender", observer_dot(o_def, aut, name="observer_defender"))
-        _write_dot(config.dot_dir, "game", game_dot(game, aut))
-        if tgs is not None:
-            _write_dot(config.dot_dir, "trimmed", trimmed_dot(tgs, aut))
-        if uem is not None:
-            _write_dot(config.dot_dir, "mechanism_raw", mechanism_dot(uem, aut, name="raw"))
-        if em is not None:
-            _write_dot(config.dot_dir, "mechanism", mechanism_dot(em, aut))
-    if tgs is None or em is None:
+    if args.dot:
+        for name, obs in zip(OBSERVER_NAMES, observers):
+            _write_dot(args.dot, f"observer_{name}",
+                       observer_dot(obs, aut, name=f"observer_{name}"))
+        _write_dot(args.dot, "game", game_dot(game.complete(), aut))
+    tgs = trim_game(game)
+    em = None
+    if tgs is not None:
+        uem = build_uem(tgs)
+        if args.dot:
+            _write_dot(args.dot, "trimmed", trimmed_dot(tgs, aut))
+            _write_dot(args.dot, "mechanism_raw", mechanism_dot(uem.complete(), aut, name="raw"))
+        em = refine_to_em(uem)
+    if em is None:
         print("not ic-enforceable at this configuration")
         return EXIT_UNENFORCEABLE
-    fe = synthesize(em, policy=config.policy)
+    if args.dot:
+        _write_dot(args.dot, "mechanism", mechanism_dot(em, aut))
+    fe = synthesize(em, policy=args.policy)
     text = format_mealy(fe)
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote transducer to {args.output}")
     else:
         sys.stdout.write(text)
-    if config.dot_dir:
-        _write_dot(config.dot_dir, "editor", mealy_dot(fe))
+    if args.dot:
+        _write_dot(args.dot, "editor", mealy_dot(fe))
     return EXIT_OK
 
 
@@ -247,13 +228,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.max_insert < 0:
-        raise ModelError("max insertion length must be nonnegative")
+    k = _max_insert(args)
     aut, profile = _load(Path(args.input))
     fe = _load_transducer(args.transducer, profile)
     observers = editor_observers(aut, profile)
     depth = (args.depth if args.depth is not None
-             else default_depth(aut, profile, args.max_insert, observers=observers))
+             else default_depth(aut, profile, k, observers=observers))
     verdict = oracle_ic_enforcing(aut, profile, fe, depth, observers=observers)
     if verdict.ok:
         print(f"PASS: ic-enforcing up to depth {depth}")
@@ -280,7 +260,7 @@ def cmd_gen(args) -> int:
 
 def cmd_export_dot(args) -> int:
     if not args.dot:
-        _config(args)  # a bad edit flag is reported before the missing --dot
+        _edit_flags(args)  # a bad edit flag is reported before the missing --dot
         raise ModelError("export-dot requires --dot DIR")
     return cmd_synthesize(args)
 
@@ -376,9 +356,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

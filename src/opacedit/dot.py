@@ -8,10 +8,10 @@ distinct object, in memos that live only for its call.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .automata import FiniteAutomaton, fmt_state_set
-from .game import EditAction, EditGameStructure, InfoState, info_key
+from .game import AugmentedState, EditAction, EditGameStructure, InfoState, info_key
 from .mechanism import Mechanism, MealyEditFunction
 from .observers import ObserverAutomaton
 from .trimming import TrimmedGameStructure
@@ -81,11 +81,10 @@ def game_dot(
     game: EditGameStructure,
     aut: FiniteAutomaton,
     name: str = "game",
-    trimmed: Optional[TrimmedGameStructure] = None,
-    include_disabled: bool = False,
+    disabled: Optional[Mapping[AugmentedState, Iterable[EditAction]]] = None,
 ) -> str:
     """Information states as ellipses, augmented states as boxes; utility-0
-    states filled red; optionally the disabled actions as dashed gray edges."""
+    states filled red; the ``disabled`` actions, if given, as dashed gray edges."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     a_ids = {v: f"a{i}" for i, v in enumerate(game.a_states)}
     f_ids = {v: f"f{i}" for i, v in enumerate(game.f_states)}
@@ -117,8 +116,8 @@ def game_dot(
             lines.append(
                 f"  {f_ids[vf]} -> {a_ids[target]} [label={edge_label(act, vf.pending)}];"
             )
-        if include_disabled and trimmed is not None:
-            for act in trimmed.disabled.get(vf, ()):
+        if disabled:
+            for act in disabled.get(vf, ()):
                 disabled_edges.append(
                     f"  {f_ids[vf]} -> pruned [label={edge_label(act, vf.pending)}, "
                     "style=dashed, color=gray];"
@@ -136,7 +135,8 @@ def trimmed_dot(
     name: str = "trimmed",
     include_disabled: bool = False,
 ) -> str:
-    return game_dot(tgs.game, aut, name=name, trimmed=tgs, include_disabled=include_disabled)
+    return game_dot(tgs.game, aut, name=name,
+                    disabled=tgs.disabled if include_disabled else None)
 
 
 def mechanism_dot(mech: Mechanism, aut: FiniteAutomaton, name: str = "mechanism") -> str:

@@ -435,6 +435,7 @@ def parse_mealy(text: str) -> MealyEditFunction:
     policy = ""
     output: dict[tuple[int, str], Trace] = {}
     next_state: dict[tuple[int, str], int] = {}
+    declared: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -443,14 +444,21 @@ def parse_mealy(text: str) -> MealyEditFunction:
         if tokens[0] == "policy":
             policy = tokens[1] if len(tokens) > 1 else ""
             continue
+        if tokens[0] in declared:
+            raise ValueError(f"line {lineno}: {tokens[0]} declared twice")
         if tokens[0] == "alphabet":
+            declared.add("alphabet")
             alphabet = frozenset(tokens[1:])
             continue
-        if tokens[0] == "states":
-            n_states = int(tokens[1])
-            continue
-        if tokens[0] == "initial":
-            initial = int(tokens[1])
+        if tokens[0] in ("states", "initial"):
+            if len(tokens) != 2 or not tokens[1].isdecimal():
+                raise ValueError(f"line {lineno}: {tokens[0]} takes exactly one "
+                                 "nonnegative integer")
+            declared.add(tokens[0])
+            if tokens[0] == "states":
+                n_states = int(tokens[1])
+            else:
+                initial = int(tokens[1])
             continue
         m = _EDGE_RE.match(line)
         if not m:

@@ -199,6 +199,25 @@ class TestMalformedTransducer:
         assert main(["check", fig3_file, str(path), "--depth", "4"]) == 2
         assert "on 'a' outside the alphabet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, message", [
+        ("states\n", "line 2: states takes exactly one nonnegative integer"),
+        ("states 1\ninitial\n", "line 3: initial takes exactly one nonnegative integer"),
+        ("states x\n", "line 2: states takes exactly one nonnegative integer"),
+        ("states 1 2\n", "line 2: states takes exactly one nonnegative integer"),
+        ("states 1\nstates 1\n", "line 3: states declared twice"),
+    ], ids=["bare-states", "bare-initial", "word-count", "extra-token", "states-twice"])
+    @pytest.mark.parametrize("command", [
+        ["check", "--depth", "4"], ["simulate", "a", "b", "c"],
+    ], ids=["check", "simulate"])
+    def test_rejects_malformed_header(self, fig3_file, tmp_path, capsys, command, header,
+                                      message):
+        path = tmp_path / "bad.mealy"
+        path.write_text("alphabet b c d\n" + header + IDENTITY_EDGES)
+        assert main([command[0], fig3_file, str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_check_requires_states_line(self, fig3_file, tmp_path, capsys):
         # without it the count would be inferred from the edges, hiding gaps
         path = tmp_path / "stateless.mealy"
@@ -270,3 +289,56 @@ class TestOtherCommands:
 
     def test_export_dot_requires_dir(self, fig3_file, capsys):
         assert main(["export-dot", fig3_file]) == 2
+
+
+PIPELINE_COMMANDS = ["game", "trim", "mechanism", "synthesize", "export-dot"]
+
+FLAG_ERRORS = {
+    "ops-unknown": (["--ops", "bogus"], "unknown edit operations: ['bogus']"),
+    "ops-empty": (["--ops", ""], "unknown edit operations: ['']"),
+    "max-insert-negative": (["--max-insert", "-1"],
+                            "max insertion length must be nonnegative"),
+    "insert-without-budget": (["--ops", "insert", "--max-insert", "0"],
+                              "insertion requires a max insertion length of at least 1"),
+}
+
+
+class TestPipelineFlagErrors:
+    """Every pipeline command reports the same input errors, in the same order:
+    the edit flags first, then the plant file, then a missing export directory."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("with_dot", [False, True], ids=["plain", "dot"])
+    @pytest.mark.parametrize("flag", sorted(FLAG_ERRORS))
+    @pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+    def test_bad_edit_flag(self, fig3_file, tmp_path, capsys, command, flag, with_dot):
+        # export-dot without --dot reports the bad flag, not the missing dir
+        flags, message = FLAG_ERRORS[flag]
+        dot_dir = tmp_path / "dots"
+        dot = ["--dot", str(dot_dir)] if with_dot else []
+        assert self._run([command, fig3_file, *flags, *dot], capsys) == (2, f"error: {message}\n")
+        # a bad flag on a missing plant is still reported as the bad flag
+        missing = str(tmp_path / "nope.aut")
+        assert self._run([command, missing, *flags, *dot], capsys) == (2, f"error: {message}\n")
+        assert not dot_dir.exists()
+
+    @pytest.mark.parametrize("with_dot", [False, True], ids=["plain", "dot"])
+    @pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+    def test_missing_plant(self, tmp_path, capsys, command, with_dot):
+        missing = tmp_path / "nope.aut"
+        dot_dir = tmp_path / "dots"
+        dot = ["--dot", str(dot_dir)] if with_dot else []
+        code, err = self._run([command, str(missing), *dot], capsys)
+        assert code == 2
+        if command == "export-dot" and not with_dot:
+            assert err == "error: export-dot requires --dot DIR\n"
+        else:
+            assert err == (f"error: cannot read {missing}: [Errno 2] "
+                           f"No such file or directory: '{missing}'\n")
+        assert not dot_dir.exists()

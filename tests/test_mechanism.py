@@ -268,6 +268,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="alphabet"):
             oe.parse_mealy("0 a / b 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("alphabet a\nstates\n0 a / a 0\n", "line 2: states takes exactly one nonnegative integer"),
+        ("alphabet a\nstates 1\ninitial\n0 a / a 0\n",
+         "line 3: initial takes exactly one nonnegative integer"),
+        ("alphabet a\nstates one\n0 a / a 0\n", "line 2: states takes exactly one nonnegative integer"),
+        ("alphabet a\nstates 1\ninitial 0.5\n", "line 3: initial takes exactly one nonnegative integer"),
+        ("alphabet a\nstates -1\n", "line 2: states takes exactly one nonnegative integer"),
+        ("alphabet a\nstates 1 2\n0 a / a 0\n", "line 2: states takes exactly one nonnegative integer"),
+        ("alphabet a\nstates 2\ninitial 0 1\n0 a / a 0\n",
+         "line 3: initial takes exactly one nonnegative integer"),
+        ("alphabet a\nstates 1\nalphabet a b\n0 a / a 0\n", "line 3: alphabet declared twice"),
+        ("alphabet a\nstates 2\n0 a / a 0\nstates 1\n", "line 4: states declared twice"),
+        ("alphabet a\nstates 2\ninitial 1\ninitial 0\n0 a / a 0\n",
+         "line 4: initial declared twice"),
+    ], ids=["bare-states", "bare-initial", "word-count", "fraction", "negative", "states-extra",
+            "initial-extra", "alphabet-twice", "states-twice", "initial-twice"])
+    def test_malformed_header_rejected_with_its_line(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            oe.parse_mealy(text)
+        assert str(exc.value) == message
+
 
 class TestMechanismAgreement:
     @pytest.mark.parametrize("seed", range(25))
