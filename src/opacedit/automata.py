@@ -77,6 +77,8 @@ class FiniteAutomaton:
             self, "_arcs", tuple({e: a[e] for e in sorted(a)} for a in arcs)
         )
         object.__setattr__(self, "_index", index)
+        # observers built over this plant, by (reactive, full) alphabets
+        object.__setattr__(self, "_observers", {})
 
     @property
     def n_states(self) -> int:

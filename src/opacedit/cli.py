@@ -32,7 +32,7 @@ from .harness import (
 from .mechanism import (POLICIES, MealyEditFunction, build_uem, format_mealy, parse_mealy,
                         refine_to_em, synthesize)
 from .observers import standard_observers
-from .opacity import default_depth, editor_observers, verify_cso
+from .opacity import default_depth, verify_cso
 from .trimming import trim_game
 
 EXIT_OK = 0
@@ -72,13 +72,18 @@ def _edit_flags(args) -> tuple[frozenset[str], int]:
     return ops, k
 
 
+def _require_dot(args, what: str) -> None:
+    """Report a bad edit flag first, then that ``what`` needs --dot."""
+    _edit_flags(args)
+    raise ModelError(f"{what} requires --dot DIR")
+
+
 def _game(args):
-    """The plant, its three observers and its edit game, expanded on demand.
-    The edit flags are checked before the plant is read."""
+    """The plant and its edit game, expanded on demand.  The edit flags are
+    checked before the plant is read."""
     ops, k = _edit_flags(args)
     aut, profile = _load(Path(args.input))
-    observers = standard_observers(aut, profile)
-    return aut, observers, build_edit_game(aut, profile, k=k, ops=ops, observers=observers)
+    return aut, build_edit_game(aut, profile, k=k, ops=ops)
 
 
 def _load_transducer(path: str, profile: ObservationProfile) -> MealyEditFunction:
@@ -126,7 +131,7 @@ def cmd_observers(args) -> int:
 
 
 def cmd_game(args) -> int:
-    aut, _, game = _game(args)
+    aut, game = _game(args)
     game.complete()
     zero = sum(1 for v in list(game.a_states) + list(game.f_states) if game.utility[v] == 0)
     print(f"game: {len(game.a_states)} information states, "
@@ -137,7 +142,9 @@ def cmd_game(args) -> int:
 
 
 def cmd_trim(args) -> int:
-    aut, _, game = _game(args)
+    if args.show_disabled and not args.dot:
+        _require_dot(args, "--show-disabled")
+    aut, game = _game(args)
     tgs = trim_game(game.complete())
     if tgs is None:
         print("not enforceable: initial state pruned")
@@ -153,7 +160,7 @@ def cmd_trim(args) -> int:
 
 
 def cmd_mechanism(args) -> int:
-    aut, _, game = _game(args)
+    aut, game = _game(args)
     tgs = trim_game(game)
     if tgs is None:
         print("not enforceable: initial state pruned")
@@ -174,10 +181,10 @@ def cmd_mechanism(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    aut, observers, game = _game(args)
+    aut, game = _game(args)
     # the DOT files show the whole game and the whole mechanism
     if args.dot:
-        for name, obs in zip(OBSERVER_NAMES, observers):
+        for name, obs in zip(OBSERVER_NAMES, game.observers):
             _write_dot(args.dot, f"observer_{name}",
                        observer_dot(obs, aut, name=f"observer_{name}"))
         _write_dot(args.dot, "game", game_dot(game.complete(), aut))
@@ -231,10 +238,8 @@ def cmd_check(args) -> int:
     k = _max_insert(args)
     aut, profile = _load(Path(args.input))
     fe = _load_transducer(args.transducer, profile)
-    observers = editor_observers(aut, profile)
-    depth = (args.depth if args.depth is not None
-             else default_depth(aut, profile, k, observers=observers))
-    verdict = oracle_ic_enforcing(aut, profile, fe, depth, observers=observers)
+    depth = args.depth if args.depth is not None else default_depth(aut, profile, k)
+    verdict = oracle_ic_enforcing(aut, profile, fe, depth)
     if verdict.ok:
         print(f"PASS: ic-enforcing up to depth {depth}")
         return EXIT_OK
@@ -260,8 +265,7 @@ def cmd_gen(args) -> int:
 
 def cmd_export_dot(args) -> int:
     if not args.dot:
-        _edit_flags(args)  # a bad edit flag is reported before the missing --dot
-        raise ModelError("export-dot requires --dot DIR")
+        _require_dot(args, "export-dot")
     return cmd_synthesize(args)
 
 
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trim", help="prune the game structure")
     p.add_argument("input")
     p.add_argument("--show-disabled", action="store_true",
-                   help="include disabled actions as dashed gray edges in DOT")
+                   help="include disabled actions as dashed gray edges in DOT (needs --dot)")
     add_pipeline_flags(p)
     p.set_defaults(func=cmd_trim)
 

@@ -1,9 +1,10 @@
 """Graphviz exports for observers, game structures, and mechanisms.
 
 Output is fully deterministic: nodes and edges are emitted in the canonical
-orders of the underlying structures, so repeated runs produce identical
-bytes.  Each exporter renders a label or computes a sort key once per
-distinct object, in memos that live only for its call.
+orders of the underlying structures, and belief members in the
+mechanism's ``rank``, so repeated runs produce identical bytes.  Each
+exporter renders a label once per distinct object, in memos that live only
+for its call.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from functools import cache
 from typing import Callable, Iterable, Mapping, Optional
 
 from .automata import FiniteAutomaton, fmt_state_set
-from .game import AugmentedState, EditAction, EditGameStructure, InfoState, info_key
+from .game import AugmentedState, EditAction, EditGameStructure, InfoState
 from .mechanism import Mechanism, MealyEditFunction
 from .observers import ObserverAutomaton
 from .trimming import TrimmedGameStructure
@@ -145,17 +146,17 @@ def mechanism_dot(mech: Mechanism, aut: FiniteAutomaton, name: str = "mechanism"
     a_ids = {v: f"m{i}" for i, v in enumerate(mech.ua_states)}
     f_ids = {v: f"o{i}" for i, v in enumerate(mech.uf_states)}
     info_label, edge_label = _label_memos(aut)
-    member_key = cache(info_key)
+    rank = mech.rank
     partial = mech.partial
 
     for v in mech.ua_states:
-        label = _quote_lines(info_label(m) for m in sorted(v, key=member_key))
+        label = _quote_lines(info_label(m) for m in sorted(v, key=rank))
         style = ", style=bold" if v == mech.initial else ""
         lines.append(f"  {a_ids[v]} [label={label}{style}];")
     for vf in mech.uf_states:
         label = _quote_lines(
             "[" + info_label(m.info) + "," + m.pending + "]"
-            for m in sorted(vf.members, key=lambda m: (member_key(m.info), m.pending))
+            for m in sorted(vf.members, key=lambda m: (rank(m.info), m.pending))
         )
         lines.append(f"  {f_ids[vf]} [label={label}, shape=box, style=rounded];")
     for v in mech.ua_states:

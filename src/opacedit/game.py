@@ -102,24 +102,12 @@ class AugmentedState(NamedTuple):
     pending: str
 
 
-def _sset_key(s: StateSet) -> tuple[int, ...]:
-    return tuple(sorted(s))
-
-
-def info_key(v: InfoState) -> tuple:
-    return (_sset_key(v.sys), _sset_key(v.intr), _sset_key(v.dfn))
-
-
-def aug_key(v: AugmentedState) -> tuple:
-    return (info_key(v.info), v.pending)
-
-
 def info_rank(
     observers: tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton],
 ) -> Callable[[InfoState], tuple[int, int, int]]:
-    """Sort key in ``info_key`` order for information states over
-    ``observers``: each estimate's rank in its observer's ``states``, which
-    are sorted like their sorted members."""
+    """The canonical order of information states over ``observers``: each
+    estimate's rank in its observer's ``states``, which are sorted like
+    their sorted members."""
     r_sys, r_intr, r_def = ({s: i for i, s in enumerate(obs.states)} for obs in observers)
 
     def rank(v: InfoState) -> tuple[int, int, int]:
@@ -190,7 +178,8 @@ class EditGameStructure:
     states; an information state is labeled when a defender row first
     reaches it and gets its own row when expanded.  ``complete`` expands
     everything reachable.  ``a_states`` and ``f_states`` list the part built
-    so far in canonical order; reading them never expands.  A structure
+    so far in the canonical order, ``rank`` (``info_rank`` over the
+    observers); reading them never expands.  A structure
     made from given rows (a trimmed game) is already whole.
     """
 
@@ -214,6 +203,7 @@ class EditGameStructure:
         self.def_moves = def_moves
         self.utility = utility
         self.observers = observers
+        self.rank = info_rank(observers)
         self._secret = secret  # None for a structure made from given rows
         # information states labeled so far, each mapped to the one instance
         # that every row refers to
@@ -229,7 +219,7 @@ class EditGameStructure:
 
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.sys_moves):
-            rank = info_rank(self.observers)
+            rank = self.rank
             a_states = tuple(sorted(self._info, key=rank))
             f_states = tuple(sorted(self.def_moves, key=lambda vf: (rank(vf.info), vf.pending)))
             self._views = (len(self.sys_moves), (a_states, f_states))
@@ -313,14 +303,13 @@ def build_edit_game(
     profile: ObservationProfile,
     k: int = 1,
     ops: Iterable[str] = OPS_ALL,
-    observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton]] = None,
 ) -> EditGameStructure:
     """Edit game structure with its utility labeling, expanded on demand
     from its initial information state."""
     ops = frozenset(ops)
     if not ops <= OPS_ALL:
         raise ValueError(f"unknown edit operations: {sorted(ops - OPS_ALL)}")
-    observers = observers if observers is not None else standard_observers(aut, profile)
+    observers = standard_observers(aut, profile)
     initial = InfoState(*(obs.initial for obs in observers))
     game = EditGameStructure(
         profile=profile,

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Iterator, Optional
 from .automata import FiniteAutomaton, ObservationProfile, Trace, project
 from .game import EditAction, enumerate_actions
 from .mechanism import MealyEditFunction
-from .observers import ObserverAutomaton, StateSet
+from .observers import StateSet
 from .opacity import SupportsEdit, edit_step, editor_observers, evaluate_editor
 
 
@@ -96,13 +96,9 @@ def oracle_ic_enforcing(
     profile: ObservationProfile,
     fe: SupportsEdit,
     depth: int,
-    observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton]] = None,
 ) -> OracleVerdict:
-    """Exhaustive definitional check; reports the first failing prefix.
-
-    ``observers`` are the intruder and defender observers, when the caller
-    has them already."""
-    report = evaluate_editor(aut, profile, fe, depth, observers=observers)
+    """Exhaustive definitional check; reports the first failing prefix."""
+    report = evaluate_editor(aut, profile, fe, depth)
     if report.first_violation is None:
         return OracleVerdict(True)
     kind, sigma = report.first_violation

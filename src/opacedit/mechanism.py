@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .automata import Trace
-from .game import EditAction, InfoState, aug_key, info_key, info_rank
+from .game import EditAction, InfoState
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
 
 MergedA = frozenset  # frozenset[InfoState]
@@ -34,14 +34,6 @@ MergedA = frozenset  # frozenset[InfoState]
 class MergedF(NamedTuple):
     members: frozenset  # frozenset[AugmentedState]
     observed: str
-
-
-def merged_a_key(v: MergedA) -> tuple:
-    return tuple(sorted(info_key(m) for m in v))
-
-
-def merged_f_key(v: MergedF) -> tuple:
-    return (tuple(sorted(aug_key(m) for m in v.members)), v.observed)
 
 
 # (q, event, action, q') for each transducer edge, in visiting order
@@ -58,9 +50,11 @@ class Mechanism:
     ``build_uem`` gives a mechanism over a trimmed game that holds the rows
     of the beliefs expanded so far: ``expand`` adds one belief's row and
     ``complete`` every reachable one.  ``ua_states`` and ``uf_states`` list
-    the expanded part in canonical order, and ``partial`` its partial
-    pairs; reading them never expands.  A refined mechanism keeps the one
-    it was refined from as ``source``, and synthesis walks that source.
+    the expanded part in canonical order, by their members' sorted ranks in
+    the game's ``rank``, and ``partial`` its partial pairs; reading them
+    never expands.  A refined mechanism keeps the one it was refined from
+    as ``source``, and synthesis walks that source.  Every mechanism is
+    built over a trimmed game ``tgs`` or refined from one.
     """
 
     def __init__(
@@ -80,6 +74,7 @@ class Mechanism:
         self.moves_out = moves_out
         self.guaranteed = guaranteed
         self.source = source
+        self.rank = source.rank if source is not None else tgs.game.rank
         self._tgs = tgs
         self._events = sorted(defender)
         # each observation state's partial actions, the cut of its row
@@ -97,11 +92,8 @@ class Mechanism:
             if self.source is not None:  # filtered from the source, whose rows hold all of ours
                 ua = tuple(v for v in self.source.ua_states if v in self.moves_in)
                 uf = tuple(v for v in self.source.uf_states if v in self.moves_out)
-            elif self._tgs is None:  # made from given rows
-                ua = tuple(sorted(self.moves_in, key=merged_a_key))
-                uf = tuple(sorted(self.moves_out, key=merged_f_key))
-            else:  # members ranked in the observers, in merged_a_key/merged_f_key order
-                rank = info_rank(self._tgs.game.observers)
+            else:
+                rank = self.rank
                 ua = tuple(sorted(self.moves_in, key=lambda v: sorted(map(rank, v))))
                 uf = tuple(sorted(self.moves_out, key=lambda vf: (
                     sorted((rank(m.info), m.pending) for m in vf.members), vf.observed)))
@@ -441,11 +433,14 @@ def parse_mealy(text: str) -> MealyEditFunction:
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "policy":
-            policy = tokens[1] if len(tokens) > 1 else ""
-            continue
         if tokens[0] in declared:
             raise ValueError(f"line {lineno}: {tokens[0]} declared twice")
+        if tokens[0] == "policy":
+            if len(tokens) != 2:
+                raise ValueError(f"line {lineno}: policy takes exactly one name")
+            declared.add("policy")
+            policy = tokens[1]
+            continue
         if tokens[0] == "alphabet":
             declared.add("alphabet")
             alphabet = frozenset(tokens[1:])

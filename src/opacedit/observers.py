@@ -4,7 +4,9 @@ Each observer estimates the plant state from a sub-alphabet of the
 observable events.  Events of the full alphabet that lie outside the
 observer's reactive set self-loop at every state, so an observer can always
 be driven by arbitrary observable words.  Transitions on reactive events are
-partial: an empty reach set encodes "undefined" rather than a sink.
+partial: an empty reach set encodes "undefined" rather than a sink.  The
+stages read a plant's observers through ``observer``, which builds each one
+once and keeps it with the plant.
 """
 from __future__ import annotations
 
@@ -114,12 +116,23 @@ def build_observer(
     )
 
 
+def observer(
+    aut: FiniteAutomaton, reactive: Iterable[str], full: Iterable[str]
+) -> ObserverAutomaton:
+    """``build_observer``'s observer, built on the first request and kept
+    with ``aut`` for every later one."""
+    key = (frozenset(reactive), frozenset(full))
+    got = aut._observers.get(key)  # type: ignore[attr-defined]
+    if got is None:
+        got = aut._observers[key] = build_observer(aut, *key)  # type: ignore[attr-defined]
+    return got
+
+
 def standard_observers(
     aut: FiniteAutomaton, profile: ObservationProfile
 ) -> tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton]:
     """The system, intruder, and defender observers for one profile."""
     profile.validate(aut)
-    o_sys = build_observer(aut, profile.observable, profile.observable)
-    o_intr = build_observer(aut, profile.intruder, profile.observable)
-    o_def = build_observer(aut, profile.defender, profile.observable)
-    return o_sys, o_intr, o_def
+    full = profile.observable
+    return (observer(aut, full, full), observer(aut, profile.intruder, full),
+            observer(aut, profile.defender, full))

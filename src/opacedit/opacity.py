@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Protocol
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace
-from .observers import ObserverAutomaton, StateSet, build_observer
+from .observers import ObserverAutomaton, StateSet, observer
 
 
 class SupportsEdit(Protocol):
@@ -47,7 +47,7 @@ def verify_cso(aut: FiniteAutomaton, profile: ObservationProfile) -> OpacityVerd
     trace driving the intruder estimate inside the secret set.
     """
     profile.validate(aut)
-    o_intr = build_observer(aut, profile.intruder, profile.observable)
+    o_intr = observer(aut, profile.intruder, profile.observable)
     secret = aut.secret
     if not any(s <= secret for s in o_intr.states):
         return OpacityVerdict(True, None)
@@ -109,8 +109,8 @@ def editor_observers(
     aut: FiniteAutomaton, profile: ObservationProfile
 ) -> tuple[ObserverAutomaton, ObserverAutomaton]:
     """The intruder and defender observers an editor's output drives."""
-    return (build_observer(aut, profile.intruder, profile.observable),
-            build_observer(aut, profile.defender, profile.observable))
+    return (observer(aut, profile.intruder, profile.observable),
+            observer(aut, profile.defender, profile.observable))
 
 
 @dataclass
@@ -142,7 +142,6 @@ def evaluate_editor(
     profile: ObservationProfile,
     editor: SupportsEdit,
     depth: int,
-    observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton]] = None,
 ) -> EditorReport:
     """Breadth-first search over the observable projections sigma of the
     plant traces of length <= depth, in length-then-lexicographic order.
@@ -173,7 +172,7 @@ def evaluate_editor(
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     profile.validate(aut)
-    o_intr, o_def = observers if observers is not None else editor_observers(aut, profile)
+    o_intr, o_def = editor_observers(aut, profile)
     unobs = frozenset(aut.events) - profile.observable
     observable = sorted(profile.observable)
     secret = aut.secret
@@ -258,13 +257,8 @@ def default_depth(
     aut: FiniteAutomaton,
     profile: ObservationProfile,
     k: int = 1,
-    *,
-    observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton]] = None,
 ) -> int:
-    """Documented certification bound: product state count plus k plus one.
-
-    ``observers`` are the intruder and defender observers, when the caller
-    has them already."""
+    """Documented certification bound: product state count plus k plus one."""
     profile.validate(aut)
-    o_intr, o_def = observers if observers is not None else editor_observers(aut, profile)
+    o_intr, o_def = editor_observers(aut, profile)
     return aut.n_states * len(o_intr.states) * len(o_def.states) + k + 1

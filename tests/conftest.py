@@ -30,6 +30,15 @@ FIG3_TEXT = textwrap.dedent("""\
 
 SUBS_ONLY = frozenset({"substitute"})
 
+# The defender cannot see a, so on b it cannot tell the leaking step
+# 1 -b-> 2 from the harmless 3 -b-> 1: trimming keeps a response for each,
+# but merging them makes every response to b partial.
+FORCED_LEAK_TEXT = (
+    "states 1 2 3\ninitial 1\nsecret 2\nevents a b c\n"
+    "observable a b c\nintruder a b\ndefender b c\n"
+    "trans 1 a 3\ntrans 1 b 2\ntrans 1 c 1\ntrans 3 b 1\n"
+)
+
 
 @pytest.fixture(scope="session")
 def fig3():
@@ -52,11 +61,10 @@ def fig3_observers(fig3):
 
 
 @pytest.fixture(scope="session")
-def fig3_game(fig3, fig3_observers):
+def fig3_game(fig3):
     aut, profile = fig3
     # the fixtures inspect the whole structure
-    return oe.build_edit_game(
-        aut, profile, k=0, ops=SUBS_ONLY, observers=fig3_observers).complete()
+    return oe.build_edit_game(aut, profile, k=0, ops=SUBS_ONLY).complete()
 
 
 @pytest.fixture(scope="session")

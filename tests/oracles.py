@@ -1,7 +1,10 @@
 """Reference implementations kept only for cross-checking the package.
 
-The restart sweep recomputes the backward safety fixpoint the slow,
-obviously-correct way, and the naive trim and refinement rebuild their
+The sort keys below spell out the canonical order that the package takes
+from its observers' ranks (``game.info_rank``): state sets by their sorted
+members, then information states, augmented states and merged states by
+their parts.  The restart sweep recomputes the backward safety fixpoint the
+slow, obviously-correct way, and the naive trim and refinement rebuild their
 survivors by re-sorting with the canonical keys rather than filtering the
 parent's already sorted tuples.  The naive refinement takes a completed
 mechanism.  The tree walk evaluates an editor on every observable
@@ -18,13 +21,33 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, project
-from opacedit.game import EditAction, EditGameStructure, InfoState, aug_key, info_key
-from opacedit.mechanism import MealyEditFunction, Mechanism
-from opacedit.observers import ObserverAutomaton, StateSet
+from opacedit.game import AugmentedState, EditAction, EditGameStructure, InfoState
+from opacedit.mechanism import MealyEditFunction, MergedA, MergedF, Mechanism
+from opacedit.observers import StateSet
 from opacedit.opacity import EditorReport, SupportsEdit, editor_observers
 from opacedit.trimming import TrimmedGameStructure
 
 EPSILON: Trace = ()
+
+
+def _sset_key(s: StateSet) -> tuple[int, ...]:
+    return tuple(sorted(s))
+
+
+def info_key(v: InfoState) -> tuple:
+    return (_sset_key(v.sys), _sset_key(v.intr), _sset_key(v.dfn))
+
+
+def aug_key(v: AugmentedState) -> tuple:
+    return (info_key(v.info), v.pending)
+
+
+def merged_a_key(v: MergedA) -> tuple:
+    return tuple(sorted(info_key(m) for m in v))
+
+
+def merged_f_key(v: MergedF) -> tuple:
+    return (tuple(sorted(aug_key(m) for m in v.members)), v.observed)
 
 
 def generated_language(aut: FiniteAutomaton, depth: int) -> list[Trace]:
@@ -287,6 +310,7 @@ def refine_naive(uem: Mechanism) -> Optional[Mechanism]:
         moves_out=moves_out,
         partial=frozenset(),
         guaranteed=True,
+        tgs=uem._tgs,
     )
 
 
@@ -313,7 +337,6 @@ def evaluate_editor_tree(
     profile: ObservationProfile,
     editor: SupportsEdit,
     depth: int,
-    observers: Optional[tuple[ObserverAutomaton, ObserverAutomaton]] = None,
 ) -> TreeReport:
     """Single pass over the tree of observable projections of L(G).
 
@@ -325,7 +348,7 @@ def evaluate_editor_tree(
     lexicographically least.
     """
     profile.validate(aut)
-    o_intr, o_def = observers if observers is not None else editor_observers(aut, profile)
+    o_intr, o_def = editor_observers(aut, profile)
     unobs = frozenset(aut.events) - profile.observable
     observable = sorted(profile.observable)
 

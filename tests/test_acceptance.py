@@ -213,7 +213,7 @@ def test_criterion_9_scale_sanity():
         for seed, aut, profile in sized:
             start = time.monotonic()
             observers = oe.standard_observers(aut, profile)
-            game = oe.build_edit_game(aut, profile, k=1, observers=observers)
+            game = oe.build_edit_game(aut, profile, k=1)
             tgs = oe.trim_game(game)
             uem = oe.build_uem(tgs) if tgs else None
             em = oe.refine_to_em(uem) if uem else None

@@ -7,13 +7,15 @@ from pathlib import Path
 import pytest
 
 import opacedit as oe
+from opacedit import observers
 from opacedit.cli import main
 
-from conftest import FIG3_TEXT
+from conftest import FIG3_TEXT, FORCED_LEAK_TEXT
 
 EMPTY_SECRET = FIG3_TEXT.replace("secret 5\n", "")
 
 ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "bench" / "instances"
 
 UNENFORCEABLE = (
     "states s t\ninitial s\nsecret s\nevents a\nobservable a\n"
@@ -46,6 +48,30 @@ class TestVerify:
         path.write_text("states s\nbogus x\n")
         assert main(["verify", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (FIG3_TEXT.replace("states 1 2 3 4 5 6", "states 1 2 3 4 5 6 2"),
+         "line 2: state '2' declared twice"),
+        (FIG3_TEXT.replace("events a b c d", "events a b c d a"),
+         "line 5: event 'a' declared twice"),
+        (FIG3_TEXT.replace("initial 1", "initial"), "line 3: initial takes exactly one state"),
+        (FIG3_TEXT.replace("initial 1", "initial 1 2"),
+         "line 3: initial takes exactly one state"),
+        (FIG3_TEXT + "initial 2\n", "line 19: initial declared twice"),
+        (FIG3_TEXT.replace("trans 1 a 3", "trans 1 a"), "line 9: trans takes: source event target"),
+        (FIG3_TEXT.replace("trans 1 b 2", "trans 1 b 2 c"),
+         "line 10: trans takes: source event target"),
+        (FIG3_TEXT.replace("states 1 2 3 4 5 6\n", ""), "line 0: no states declared"),
+        (FIG3_TEXT.replace("events a b c d\n", ""), "line 0: no events declared"),
+    ], ids=["state-twice", "event-twice", "initial-bare", "initial-two", "initial-twice",
+            "trans-short", "trans-long", "no-states", "no-events"])
+    def test_malformed_model_names_its_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.aut"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.aut")]) == 2
@@ -205,7 +231,11 @@ class TestMalformedTransducer:
         ("states x\n", "line 2: states takes exactly one nonnegative integer"),
         ("states 1 2\n", "line 2: states takes exactly one nonnegative integer"),
         ("states 1\nstates 1\n", "line 3: states declared twice"),
-    ], ids=["bare-states", "bare-initial", "word-count", "extra-token", "states-twice"])
+        ("policy\n", "line 2: policy takes exactly one name"),
+        ("policy a b\npolicy c\n", "line 2: policy takes exactly one name"),
+        ("policy a\nstates 1\npolicy c\n", "line 4: policy declared twice"),
+    ], ids=["bare-states", "bare-initial", "word-count", "extra-token", "states-twice",
+            "bare-policy", "policy-extra", "policy-twice"])
     @pytest.mark.parametrize("command", [
         ["check", "--depth", "4"], ["simulate", "a", "b", "c"],
     ], ids=["check", "simulate"])
@@ -263,6 +293,31 @@ class TestOtherCommands:
         path = tmp_path / "locked.aut"
         path.write_text(UNENFORCEABLE)
         assert main(["trim", str(path)]) == 3
+
+    def test_game_fills_utility_zero_states_red(self, tmp_path, capsys):
+        plant, dot_dir = tmp_path / "gen0.aut", tmp_path / "dots"
+        assert main(["gen", "--seed", "0", "-o", str(plant)]) == 0
+        capsys.readouterr()
+        assert main(["game", str(plant), "--ops", "substitute", "--max-insert", "0",
+                     "--dot", str(dot_dir)]) == 0
+        assert capsys.readouterr().out == (
+            "game: 15 information states, 24 augmented states, 5 utility-0\n")
+        text = (dot_dir / "game.dot").read_text()
+        assert text.count("shape=box, style=filled, fillcolor=red") == 5
+        assert text.count("fillcolor=red") == 5  # no information state leaks here
+
+    def test_mechanism_refuted_by_trimming(self, capsys):
+        assert main(["mechanism", str(INSTANCES / "gen-33-30-10.aut"),
+                     "--max-insert", "2"]) == 3
+        assert capsys.readouterr().out == "not enforceable: initial state pruned\n"
+
+    def test_mechanism_refuted_by_refinement(self, tmp_path, capsys):
+        path = tmp_path / "leak.aut"
+        path.write_text(FORCED_LEAK_TEXT)
+        assert main(["mechanism", str(path)]) == 3
+        assert capsys.readouterr().out == (
+            "merged mechanism: 4 belief states, 4 observation states, 8 partial actions\n"
+            "not ic-enforceable at this configuration\n")
 
     def test_gen_is_seed_deterministic(self, tmp_path, capsys):
         one, two = tmp_path / "a.aut", tmp_path / "b.aut"
@@ -328,6 +383,17 @@ class TestPipelineFlagErrors:
         assert self._run([command, missing, *flags, *dot], capsys) == (2, f"error: {message}\n")
         assert not dot_dir.exists()
 
+    @pytest.mark.parametrize("flag", sorted(FLAG_ERRORS))
+    def test_show_disabled_requires_dot(self, fig3_file, tmp_path, capsys, flag):
+        # reported after a bad edit flag and before the plant is read
+        need = "error: --show-disabled requires --dot DIR\n"
+        missing = str(tmp_path / "nope.aut")
+        assert self._run(["trim", fig3_file, "--show-disabled"], capsys) == (2, need)
+        assert self._run(["trim", missing, "--show-disabled"], capsys) == (2, need)
+        flags, message = FLAG_ERRORS[flag]
+        assert self._run(["trim", missing, "--show-disabled", *flags], capsys) == (
+            2, f"error: {message}\n")
+
     @pytest.mark.parametrize("with_dot", [False, True], ids=["plain", "dot"])
     @pytest.mark.parametrize("command", PIPELINE_COMMANDS)
     def test_missing_plant(self, tmp_path, capsys, command, with_dot):
@@ -342,3 +408,40 @@ class TestPipelineFlagErrors:
             assert err == (f"error: cannot read {missing}: [Errno 2] "
                            f"No such file or directory: '{missing}'\n")
         assert not dot_dir.exists()
+
+
+class TestObserversBuiltOnce:
+    """Each observer is built once per plant, however many stages read it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = observers.build_observer
+
+        def counting(aut, reactive, full):
+            calls.append((frozenset(reactive), frozenset(full)))
+            return build(aut, reactive, full)
+
+        monkeypatch.setattr(observers, "build_observer", counting)
+        return calls
+
+    def test_check_at_the_default_depth(self, fig3_file, tmp_path, capsys, builds):
+        editor = tmp_path / "editor.mealy"
+        assert main(["synthesize", fig3_file, "--ops", "substitute", "--max-insert", "0",
+                     "-o", str(editor)]) == 0
+        builds.clear()
+        capsys.readouterr()
+        # default_depth and the check both read the intruder and defender observers
+        assert main(["check", fig3_file, str(editor), "--max-insert", "0"]) == 0
+        assert capsys.readouterr().out == "PASS: ic-enforcing up to depth 145\n"
+        _, profile = oe.parse_model(FIG3_TEXT)
+        assert builds == [(profile.intruder, profile.observable),
+                          (profile.defender, profile.observable)]
+
+    def test_synthesize_with_defender_seeing_everything(self, capsys, builds):
+        path = INSTANCES / "gen-37-30-10.aut"
+        _, profile = oe.parse_model(path.read_text())
+        assert profile.defender == profile.observable  # system and defender observers agree
+        assert main(["synthesize", str(path)]) == 0
+        assert builds == [(profile.observable, profile.observable),
+                          (profile.intruder, profile.observable)]

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 import opacedit as oe
-from opacedit.game import DELETE, PASSTHROUGH, aug_key, info_key, insertion, substitution
+from opacedit.game import DELETE, PASSTHROUGH, insertion, substitution
 
 from conftest import SUBS_ONLY, info
+from oracles import aug_key, info_key
 
 
 def T(s):

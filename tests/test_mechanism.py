@@ -4,10 +4,9 @@ import pytest
 
 import opacedit as oe
 from opacedit.game import PASSTHROUGH
-from opacedit.mechanism import merged_a_key, merged_f_key
 
-from conftest import SUBS_ONLY, info
-from oracles import refine_naive
+from conftest import FORCED_LEAK_TEXT, SUBS_ONLY, info
+from oracles import merged_a_key, merged_f_key, refine_naive
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
@@ -80,16 +79,16 @@ class TestBuildUem:
 
 class TestCanonicalOrder:
     """Beliefs and observation states are ordered by their sorted members'
-    keys, whether ranked in the observers or keyed from bare rows."""
+    keys, whatever order their rows were added in."""
 
     @staticmethod
     def _check(uem):
         assert uem.ua_states == tuple(sorted(uem.moves_in, key=merged_a_key))
         assert uem.uf_states == tuple(sorted(uem.moves_out, key=merged_f_key))
-        bare = oe.Mechanism(  # no game behind it, rows in reverse order
+        bare = oe.Mechanism(  # given rows, in reverse order
             uem.defender, uem.initial,
             dict(reversed(uem.moves_in.items())), dict(reversed(uem.moves_out.items())),
-            partial=uem.partial,
+            partial=uem.partial, tgs=uem._tgs,
         )
         assert bare.ua_states == uem.ua_states
         assert bare.uf_states == uem.uf_states
@@ -139,14 +138,7 @@ class TestRefineToEm:
         assert set(em.uf_states) == set(uem.uf_states)
 
     def test_forced_leak_refines_to_nothing(self):
-        # the defender cannot see a, so on b it cannot tell the leaking step
-        # 1 -b-> 2 from the harmless 3 -b-> 1; trimming keeps a response for
-        # each, but merging them makes every response to b partial
-        aut, profile = oe.parse_model(
-            "states 1 2 3\ninitial 1\nsecret 2\nevents a b c\n"
-            "observable a b c\nintruder a b\ndefender b c\n"
-            "trans 1 a 3\ntrans 1 b 2\ntrans 1 c 1\ntrans 3 b 1\n"
-        )
+        aut, profile = oe.parse_model(FORCED_LEAK_TEXT)
         tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
         assert tgs is not None  # the refutation is refinement's
         assert oe.refine_to_em(oe.build_uem(tgs)) is None
@@ -196,7 +188,7 @@ class TestSynthesize:
             fe = oe.synthesize(fig3_em, policy=policy)
             assert fe.step(fe.initial, "b")[0] != T("b")
 
-    def test_policy_independent_when_nothing_to_choose(self, fig3_em):
+    def test_policy_independent_when_nothing_to_choose(self, fig3_tgs, fig3_em):
         from opacedit.mechanism import Mechanism
 
         key = oe.POLICIES["prefer-passthrough"]
@@ -210,6 +202,7 @@ class TestSynthesize:
             },
             partial=frozenset(),
             guaranteed=True,
+            tgs=fig3_tgs,
         )
         behaviors = {
             (fe.n_states, fe.initial, tuple(sorted(fe.output.items())),
@@ -282,8 +275,13 @@ class TestSerialization:
         ("alphabet a\nstates 2\n0 a / a 0\nstates 1\n", "line 4: states declared twice"),
         ("alphabet a\nstates 2\ninitial 1\ninitial 0\n0 a / a 0\n",
          "line 4: initial declared twice"),
+        ("policy\nalphabet a\nstates 1\n", "line 1: policy takes exactly one name"),
+        ("policy a b\npolicy c\nalphabet a\nstates 1\n",
+         "line 1: policy takes exactly one name"),
+        ("policy a\nalphabet a\nstates 1\npolicy c\n", "line 4: policy declared twice"),
     ], ids=["bare-states", "bare-initial", "word-count", "fraction", "negative", "states-extra",
-            "initial-extra", "alphabet-twice", "states-twice", "initial-twice"])
+            "initial-extra", "alphabet-twice", "states-twice", "initial-twice", "bare-policy",
+            "policy-extra", "policy-twice"])
     def test_malformed_header_rejected_with_its_line(self, text, message):
         with pytest.raises(ValueError) as exc:
             oe.parse_mealy(text)

@@ -1,8 +1,9 @@
 import pytest
 
 import opacedit as oe
+from opacedit.opacity import editor_observers
 
-from conftest import sset
+from conftest import FIG3_TEXT, sset
 from oracles import generated_language, inverse_projection_members, reach_set
 
 
@@ -124,3 +125,25 @@ class TestSoundness:
                     )
                 }
                 assert estimate == endpoints
+
+
+class TestObserversPerPlant:
+    def test_each_stage_reads_the_plants_observers(self):
+        aut, profile = oe.parse_model(FIG3_TEXT)
+        built = oe.standard_observers(aut, profile)
+        _, o_intr, o_def = built
+        for got, want in ((oe.build_edit_game(aut, profile).observers, built),
+                          (oe.standard_observers(aut, profile), built),
+                          (editor_observers(aut, profile), (o_intr, o_def))):
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+        # another plant, even an equal one, gets observers of its own
+        again, _ = oe.parse_model(FIG3_TEXT)
+        assert again == aut
+        assert oe.standard_observers(again, profile)[1] is not o_intr
+
+    def test_same_alphabets_share_one_observer(self, fig3):
+        aut, profile = fig3
+        everything = oe.ObservationProfile(profile.observable, profile.intruder,
+                                           profile.observable)
+        o_sys, _, o_def = oe.standard_observers(aut, everything)
+        assert o_sys is o_def

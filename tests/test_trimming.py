@@ -176,11 +176,9 @@ class TestOnTheFlyTrim:
     @pytest.mark.parametrize("seed", range(100))
     def test_lazy_game_trims_like_the_complete_one(self, seed, k):
         aut, profile = oe.random_instance(seed)
-        observers = oe.standard_observers(aut, profile)
         for ops in OP_SETS:
-            lazy = oe.build_edit_game(aut, profile, k=k, ops=ops, observers=observers)
-            whole = oe.build_edit_game(
-                aut, profile, k=k, ops=ops, observers=observers).complete()
+            lazy = oe.build_edit_game(aut, profile, k=k, ops=ops)
+            whole = oe.build_edit_game(aut, profile, k=k, ops=ops).complete()
             got, want = oe.trim_game(lazy), oe.trim_game(whole)
             # a utility-0 state is dead from the start and never expanded
             assert all(lazy.utility[v] == 1 for v in lazy.sys_moves)
