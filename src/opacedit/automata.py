@@ -20,10 +20,11 @@ class ModelError(ValueError):
 
 
 class ParseError(ModelError):
-    """Malformed model text; the message carries the offending line number."""
+    """Malformed model text; the message carries the offending line number,
+    if the fault has one (a missing declaration has none)."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -178,52 +179,52 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
         tokens = line.split()
         directive, args = tokens[0], tokens[1:]
         if directive not in _DIRECTIVES:
-            raise ParseError(lineno, f"unknown directive {directive!r}")
+            raise ParseError(f"unknown directive {directive!r}", lineno)
         if directive == "states":
             for tok in args:
                 if tok in states:
-                    raise ParseError(lineno, f"state {tok!r} declared twice")
+                    raise ParseError(f"state {tok!r} declared twice", lineno)
                 states[tok] = len(states)
         elif directive == "events":
             for tok in args:
                 if tok in events:
-                    raise ParseError(lineno, f"event {tok!r} declared twice")
+                    raise ParseError(f"event {tok!r} declared twice", lineno)
                 events[tok] = None
         elif directive == "initial":
             if len(args) != 1:
-                raise ParseError(lineno, "initial takes exactly one state")
+                raise ParseError("initial takes exactly one state", lineno)
             if initial is not None:
-                raise ParseError(lineno, "initial declared twice")
+                raise ParseError("initial declared twice", lineno)
             initial = (lineno, args[0])
         elif directive == "trans":
             if len(args) != 3:
-                raise ParseError(lineno, "trans takes: source event target")
+                raise ParseError("trans takes: source event target", lineno)
             trans.append((lineno, args[0], args[1], args[2]))
         else:
             sets[directive].extend((lineno, tok) for tok in args)
 
     if not states:
-        raise ParseError(0, "no states declared")
+        raise ParseError("no states declared")
     if not events:
-        raise ParseError(0, "no events declared")
+        raise ParseError("no events declared")
     if initial is None:
-        raise ParseError(0, "no initial state declared")
+        raise ParseError("no initial state declared")
 
     def state_ref(lineno: int, tok: str) -> int:
         if tok not in states:
-            raise ParseError(lineno, f"undeclared state {tok!r}")
+            raise ParseError(f"undeclared state {tok!r}", lineno)
         return states[tok]
 
     def event_ref(lineno: int, tok: str) -> str:
         if tok not in events:
-            raise ParseError(lineno, f"undeclared event {tok!r}")
+            raise ParseError(f"undeclared event {tok!r}", lineno)
         return tok
 
     delta: dict[tuple[int, str], int] = {}
     for lineno, src, event, dst in trans:
         key = (state_ref(lineno, src), event_ref(lineno, event))
         if key in delta:
-            raise ParseError(lineno, f"duplicate transition from {src!r} on {event!r}")
+            raise ParseError(f"duplicate transition from {src!r} on {event!r}", lineno)
         delta[key] = state_ref(lineno, dst)
 
     secret = frozenset(state_ref(ln, tok) for ln, tok in sets["secret"])
@@ -232,7 +233,7 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
         for ln, tok in sets[kind]:
             event_ref(ln, tok)
             if tok not in observable:
-                raise ParseError(ln, f"{kind} event {tok!r} is not observable")
+                raise ParseError(f"{kind} event {tok!r} is not observable", ln)
     intruder = frozenset(tok for _, tok in sets["intruder"])
     defender = frozenset(tok for _, tok in sets["defender"])
 
@@ -246,7 +247,7 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
             secret=secret,
         )
     except ModelError as exc:
-        raise ParseError(initial[0], str(exc)) from exc
+        raise ParseError(str(exc), initial[0]) from exc
     profile = ObservationProfile(observable=observable, intruder=intruder, defender=defender)
     profile.validate(aut)
     return aut, profile

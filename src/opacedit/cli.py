@@ -102,6 +102,15 @@ def _write_dot(dot_dir: str, name: str, text: str) -> None:
     (path / f"{name}.dot").write_text(text)
 
 
+def _refined_dot(em, uem, raw_dot: str, aut: FiniteAutomaton) -> str:
+    """``mechanism_dot(em, aut)``.  When the completed ``uem`` has no
+    partial pair and refinement kept every belief, the refined mechanism
+    has ``uem``'s rows, so ``raw_dot`` is renamed instead of rendered again."""
+    if uem.partial or len(em.ua_states) != len(uem.ua_states):
+        return mechanism_dot(em, aut)
+    return raw_dot.replace("digraph raw {", "digraph mechanism {", 1)
+
+
 def _render_trace(trace) -> str:
     return " ".join(trace) if trace else "ε"
 
@@ -175,8 +184,9 @@ def cmd_mechanism(args) -> int:
     print(f"edit mechanism: {len(em.ua_states)} belief states, "
           f"{len(em.uf_states)} observation states")
     if args.dot:
-        _write_dot(args.dot, "mechanism_raw", mechanism_dot(uem, aut, name="raw"))
-        _write_dot(args.dot, "mechanism", mechanism_dot(em, aut))
+        raw_dot = mechanism_dot(uem, aut, name="raw")
+        _write_dot(args.dot, "mechanism_raw", raw_dot)
+        _write_dot(args.dot, "mechanism", _refined_dot(em, uem, raw_dot, aut))
     return EXIT_OK
 
 
@@ -194,13 +204,14 @@ def cmd_synthesize(args) -> int:
         uem = build_uem(tgs)
         if args.dot:
             _write_dot(args.dot, "trimmed", trimmed_dot(tgs, aut))
-            _write_dot(args.dot, "mechanism_raw", mechanism_dot(uem.complete(), aut, name="raw"))
+            raw_dot = mechanism_dot(uem.complete(), aut, name="raw")
+            _write_dot(args.dot, "mechanism_raw", raw_dot)
         em = refine_to_em(uem)
     if em is None:
         print("not ic-enforceable at this configuration")
         return EXIT_UNENFORCEABLE
     if args.dot:
-        _write_dot(args.dot, "mechanism", mechanism_dot(em, aut))
+        _write_dot(args.dot, "mechanism", _refined_dot(em, uem, raw_dot, aut))
     fe = synthesize(em, policy=args.policy)
     text = format_mealy(fe)
     if args.output:

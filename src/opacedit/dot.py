@@ -1,15 +1,15 @@
 """Graphviz exports for observers, game structures, and mechanisms.
 
 Output is fully deterministic: nodes and edges are emitted in the canonical
-orders of the underlying structures, and belief members in the
-mechanism's ``rank``, so repeated runs produce identical bytes.  Each
-exporter renders a label once per distinct object, in memos that live only
-for its call.
+orders of the underlying structures, and belief members in code order, so
+repeated runs produce identical bytes.  States are labeled through their
+game's ``decode``.  Each exporter renders a label once per distinct object,
+in memos that live only for its call.
 """
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .automata import FiniteAutomaton, fmt_state_set
 from .game import AugmentedState, EditAction, EditGameStructure, InfoState
@@ -28,20 +28,28 @@ def _quote_lines(lines) -> str:
 
 
 def _label_memos(
-    aut: FiniteAutomaton,
-) -> tuple[Callable[[InfoState], str], Callable[[EditAction, str], str]]:
-    """Information-state labels and quoted edge labels, memoized."""
+    aut: FiniteAutomaton, game: EditGameStructure,
+) -> tuple[Callable[[Union[InfoState, AugmentedState]], str], Callable[[int], str],
+           Callable[[EditAction, str], str]]:
+    """Labels of decoded states, ``(sys,intr,dfn)`` or
+    ``[(sys,intr,dfn),event]``; the same by code through ``game.decode``,
+    memoized; and quoted edge labels, memoized."""
     state_set = cache(lambda s: fmt_state_set(aut, s))
 
     @cache
     def info_label(v: InfoState) -> str:
         return "(%s,%s,%s)" % (state_set(v.sys), state_set(v.intr), state_set(v.dfn))
 
+    def label(state: Union[InfoState, AugmentedState]) -> str:
+        if isinstance(state, AugmentedState):
+            return "[%s,%s]" % (info_label(state.info), state.pending)
+        return info_label(state)
+
     @cache
     def edge_label(act: EditAction, pending: str) -> str:
         return _quote(act.label(pending))
 
-    return info_label, edge_label
+    return label, cache(lambda code: label(game.decode(code))), edge_label
 
 
 def observer_dot(
@@ -82,47 +90,47 @@ def game_dot(
     game: EditGameStructure,
     aut: FiniteAutomaton,
     name: str = "game",
-    disabled: Optional[Mapping[AugmentedState, Iterable[EditAction]]] = None,
+    disabled: Optional[Mapping[int, Iterable[EditAction]]] = None,
 ) -> str:
     """Information states as ellipses, augmented states as boxes; utility-0
     states filled red; the ``disabled`` actions, if given, as dashed gray edges."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     a_ids = {v: f"a{i}" for i, v in enumerate(game.a_states)}
     f_ids = {v: f"f{i}" for i, v in enumerate(game.f_states)}
-    info_label, edge_label = _label_memos(aut)
+    label, _, edge_label = _label_memos(aut, game)
 
     for v in game.a_states:
-        attrs = [f"label={_quote(info_label(v))}", "shape=ellipse"]
+        attrs = [f"label={_quote(label(game.decode(v)))}", "shape=ellipse"]
         if game.utility[v] == 0:
             attrs.append("style=filled")
             attrs.append("fillcolor=red")
         elif v == game.initial:
             attrs.append("style=bold")
         lines.append(f"  {a_ids[v]} [{', '.join(attrs)}];")
+    def_edges, disabled_edges = [], []
     for vf in game.f_states:
-        label = "[" + info_label(vf.info) + "," + vf.pending + "]"
-        attrs = [f"label={_quote(label)}", "shape=box"]
+        state = game.decode(vf)
+        attrs = [f"label={_quote(label(state))}", "shape=box"]
         if game.utility[vf] == 0:
             attrs.append("style=filled")
             attrs.append("fillcolor=red")
         lines.append(f"  {f_ids[vf]} [{', '.join(attrs)}];")
-    for v in game.a_states:
-        for event in sorted(game.sys_moves[v]):
-            vf = game.sys_moves[v][event]
-            lines.append(f"  {a_ids[v]} -> {f_ids[vf]} [label={_quote(event)}];")
-    disabled_edges = []
-    for vf in game.f_states:
         for act in game.actions_at(vf):
             target = game.def_moves[vf][act]
-            lines.append(
-                f"  {f_ids[vf]} -> {a_ids[target]} [label={edge_label(act, vf.pending)}];"
+            def_edges.append(
+                f"  {f_ids[vf]} -> {a_ids[target]} [label={edge_label(act, state.pending)}];"
             )
         if disabled:
             for act in disabled.get(vf, ()):
                 disabled_edges.append(
-                    f"  {f_ids[vf]} -> pruned [label={edge_label(act, vf.pending)}, "
+                    f"  {f_ids[vf]} -> pruned [label={edge_label(act, state.pending)}, "
                     "style=dashed, color=gray];"
                 )
+    for v in game.a_states:
+        for event in sorted(game.sys_moves[v]):
+            vf = game.sys_moves[v][event]
+            lines.append(f"  {a_ids[v]} -> {f_ids[vf]} [label={_quote(event)}];")
+    lines.extend(def_edges)
     if disabled_edges:
         lines.append("  pruned [label=\"pruned\", shape=plaintext, fontcolor=gray];")
         lines.extend(disabled_edges)
@@ -145,20 +153,15 @@ def mechanism_dot(mech: Mechanism, aut: FiniteAutomaton, name: str = "mechanism"
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box];"]
     a_ids = {v: f"m{i}" for i, v in enumerate(mech.ua_states)}
     f_ids = {v: f"o{i}" for i, v in enumerate(mech.uf_states)}
-    info_label, edge_label = _label_memos(aut)
-    rank = mech.rank
+    _, label, edge_label = _label_memos(aut, mech.game)
     partial = mech.partial
 
     for v in mech.ua_states:
-        label = _quote_lines(info_label(m) for m in sorted(v, key=rank))
         style = ", style=bold" if v == mech.initial else ""
-        lines.append(f"  {a_ids[v]} [label={label}{style}];")
+        lines.append(f"  {a_ids[v]} [label={_quote_lines(map(label, sorted(v)))}{style}];")
     for vf in mech.uf_states:
-        label = _quote_lines(
-            "[" + info_label(m.info) + "," + m.pending + "]"
-            for m in sorted(vf.members, key=lambda m: (rank(m.info), m.pending))
-        )
-        lines.append(f"  {f_ids[vf]} [label={label}, shape=box, style=rounded];")
+        members = _quote_lines(map(label, sorted(vf.members)))
+        lines.append(f"  {f_ids[vf]} [label={members}, shape=box, style=rounded];")
     for v in mech.ua_states:
         for event in sorted(mech.moves_in[v]):
             vf = mech.moves_in[v][event]

@@ -7,13 +7,14 @@ whose rendered output word drives the intruder and defender observers
 through their self-loop conventions.  A move exists only when both observer
 runs stay defined.  The structure is built on demand, one information
 state's row at a time, so a trim that refutes the plant early never builds
-the rest.
+the rest.  It names every state by an int code whose order is the canonical
+order; ``EditGameStructure.decode`` gives back the state's tuple.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace
 from .observers import ObserverAutomaton, StateSet, standard_observers
@@ -102,20 +103,6 @@ class AugmentedState(NamedTuple):
     pending: str
 
 
-def info_rank(
-    observers: tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton],
-) -> Callable[[InfoState], tuple[int, int, int]]:
-    """The canonical order of information states over ``observers``: each
-    estimate's rank in its observer's ``states``, which are sorted like
-    their sorted members."""
-    r_sys, r_intr, r_def = ({s: i for i, s in enumerate(obs.states)} for obs in observers)
-
-    def rank(v: InfoState) -> tuple[int, int, int]:
-        return (r_sys[v.sys], r_intr[v.intr], r_def[v.dfn])
-
-    return rank
-
-
 def enumerate_actions(
     pending: str, profile: ObservationProfile, k: int, ops: frozenset[str] = OPS_ALL
 ) -> tuple[EditAction, ...]:
@@ -178,9 +165,19 @@ class EditGameStructure:
     states; an information state is labeled when a defender row first
     reaches it and gets its own row when expanded.  ``complete`` expands
     everything reachable.  ``a_states`` and ``f_states`` list the part built
-    so far in the canonical order, ``rank`` (``info_rank`` over the
-    observers); reading them never expands.  A structure
+    so far in the canonical order; reading them never expands.  A structure
     made from given rows (a trimmed game) is already whole.
+
+    Every state is an int code, and only this class knows the encoding.
+    With ``s``, ``i`` and ``d`` the indices of an information state's
+    estimates in their observers' sorted ``states``, its code is
+    ``(s*n_intr + i)*n_def + d``.  An augmented state's code is
+    ``n_info + info*n_events + e``, with ``info`` the code of its
+    information state and ``e`` the index of its pending event among the
+    sorted observable events.  So codes compare in the canonical order
+    (estimates by their sorted members, then the pending event), and every
+    augmented code lies above every information code.  ``decode`` gives a
+    code's ``InfoState`` or ``AugmentedState``.
     """
 
     def __init__(
@@ -188,10 +185,10 @@ class EditGameStructure:
         profile: ObservationProfile,
         k: int,
         ops: frozenset[str],
-        initial: InfoState,
-        sys_moves: dict[InfoState, dict[str, AugmentedState]],
-        def_moves: dict[AugmentedState, dict[EditAction, InfoState]],
-        utility: dict[object, int],
+        initial: int,
+        sys_moves: dict[int, dict[str, int]],
+        def_moves: dict[int, dict[EditAction, int]],
+        utility: dict[int, int],
         observers: tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton],
         secret: Optional[frozenset[int]] = None,
     ):
@@ -203,83 +200,130 @@ class EditGameStructure:
         self.def_moves = def_moves
         self.utility = utility
         self.observers = observers
-        self.rank = info_rank(observers)
         self._secret = secret  # None for a structure made from given rows
-        # information states labeled so far, each mapped to the one instance
-        # that every row refers to
+        # information states labeled so far, each code mapped to the one int
+        # object that every row refers to
         self._info = {v: v for v in utility if v not in def_moves}
         self._events = sorted(profile.observable)
+        n_sys, self._n_intr, self._n_def = (len(obs.states) for obs in observers)
+        self._n_info = n_sys * self._n_intr * self._n_def
         self._menus = ({e: enumerate_actions(e, profile, k, ops) for e in self._events}
                        if secret is not None else {})
-        # (observer, estimate, pending event) -> the estimate after each menu
+        # per observer, the index of each estimate in its ``states``
+        self._index = (tuple({sset: i for i, sset in enumerate(obs.states)} for obs in observers)
+                       if secret is not None else ())
+        # system estimate -> (event, event index, next system estimate) per
+        # defined event
+        self._sys_rows: dict[int, tuple] = {}
+        # (observer, estimate, event index) -> the estimate after each menu
         # action's word, None where the run is undefined
-        self._responses: dict[tuple[int, StateSet, str], tuple] = {}
+        self._runs: dict[tuple[int, int, int], tuple] = {}
+        # (intruder, defender, event index) -> (action, i'*n_def + d') for
+        # each defined response; a response's target adds s'*n_intr*n_def
+        self._responses: dict[tuple[int, int, int], tuple] = {}
         # rows are only ever added, so a row count dates the cached views
         self._views: tuple[int, tuple] = (-1, ())
 
+    def _encode(self, v: InfoState) -> int:
+        s, i, d = (index[x] for index, x in zip(self._index, v))
+        return (s * self._n_intr + i) * self._n_def + d
+
+    def decode(self, code: int) -> Union[InfoState, AugmentedState]:
+        """The information or augmented state that ``code`` stands for."""
+        if code >= self._n_info:
+            info, e = divmod(code - self._n_info, len(self._events))
+            return AugmentedState(self.decode(info), self._events[e])
+        rest, d = divmod(code, self._n_def)
+        s, i = divmod(rest, self._n_intr)
+        o_sys, o_intr, o_def = self.observers
+        return InfoState(o_sys.states[s], o_intr.states[i], o_def.states[d])
+
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.sys_moves):
-            rank = self.rank
-            a_states = tuple(sorted(self._info, key=rank))
-            f_states = tuple(sorted(self.def_moves, key=lambda vf: (rank(vf.info), vf.pending)))
+            a_states = tuple(sorted(self._info))
+            f_states = tuple(sorted(self.def_moves))
             self._views = (len(self.sys_moves), (a_states, f_states))
         return self._views[1]
 
     @property
-    def a_states(self) -> tuple[InfoState, ...]:
+    def a_states(self) -> tuple[int, ...]:
         return self._canonical()[0]
 
     @property
-    def f_states(self) -> tuple[AugmentedState, ...]:
+    def f_states(self) -> tuple[int, ...]:
         return self._canonical()[1]
 
-    def actions_at(self, v: AugmentedState) -> tuple[EditAction, ...]:
+    def actions_at(self, v: int) -> tuple[EditAction, ...]:
         return tuple(sorted(self.def_moves[v], key=EditAction.sort_key))
 
-    def _label(self, v: InfoState) -> InfoState:
+    def _label(self, v: int) -> int:
+        state, secret = self.decode(v), self._secret
         self._info[v] = v
-        self.utility[v] = 0 if (v.sys <= self._secret and v.intr <= self._secret) else 1
+        self.utility[v] = 0 if (state.sys <= secret and state.intr <= secret) else 1
         return v
 
-    def _respond(self, which: int, estimate: StateSet, event: str) -> tuple:
-        """Estimates of observer ``which`` (1 intruder, 2 defender) after
-        each menu action's word for ``event``; None where undefined."""
-        key = (which, estimate, event)
-        got = self._responses.get(key)
+    def _sys_row(self, s: int) -> tuple:
+        got = self._sys_rows.get(s)
         if got is None:
-            obs = self.observers[which]
-            got = self._responses[key] = tuple(
-                obs.run(act.word(event), estimate) for act in self._menus[event])
+            o_sys, index = self.observers[0], self._index[0]
+            got = self._sys_rows[s] = tuple(
+                (event, e, index[nxt]) for e, event in enumerate(self._events)
+                if (nxt := o_sys.step(o_sys.states[s], event)) is not None)
         return got
 
-    def expand(self, v: InfoState) -> dict[str, AugmentedState]:
+    def _run(self, which: int, x: int, e: int) -> tuple:
+        """Estimate indices of observer ``which`` (1 intruder, 2 defender)
+        from estimate ``x`` after each menu action's word for event ``e``;
+        None where undefined."""
+        key = (which, x, e)
+        got = self._runs.get(key)
+        if got is None:
+            obs, index, event = self.observers[which], self._index[which], self._events[e]
+            start = obs.states[x]
+            got = self._runs[key] = tuple(
+                None if (y := obs.run(act.word(event), start)) is None else index[y]
+                for act in self._menus[event])
+        return got
+
+    def _respond(self, i: int, d: int, e: int) -> tuple:
+        """``(action, i'*n_def + d')`` for each menu action for event ``e``
+        whose word both observers can run from ``i`` and ``d``."""
+        key = (i, d, e)
+        got = self._responses.get(key)
+        if got is None:
+            n_def = self._n_def
+            got = self._responses[key] = tuple(
+                (act, ni * n_def + nd)
+                for act, ni, nd in zip(self._menus[self._events[e]],
+                                       self._run(1, i, e), self._run(2, d, e))
+                if ni is not None and nd is not None)
+        return got
+
+    def expand(self, v: int) -> dict[str, int]:
         """System row of ``v``, built on first request together with the
         defender rows and utilities of its new augmented states.  Each
         response is ``apply_defender_move`` with the observer runs shared
-        by all augmented states with the same estimate and pending event."""
+        by all augmented states with the same estimates and pending event."""
         if v in self.sys_moves or self._secret is None:
             return self.sys_moves[v]
-        o_sys = self.observers[0]
-        row: dict[str, AugmentedState] = {}
-        for event in self._events:
-            nxt_sys = o_sys.step(v.sys, event)
-            if nxt_sys is None:
-                continue
-            vf = AugmentedState(InfoState(nxt_sys, v.intr, v.dfn), event)
+        n_id = self._n_intr * self._n_def
+        n_info, n_events = self._n_info, len(self._events)
+        s, rest = divmod(v, n_id)
+        i, d = divmod(rest, self._n_def)
+        info, def_moves = self._info, self.def_moves
+        row: dict[str, int] = {}
+        for event, e, nxt_sys in self._sys_row(s):
+            base = nxt_sys * n_id
+            vf = n_info + (base + rest) * n_events + e
             row[event] = vf
-            if vf in self.def_moves:
+            if vf in def_moves:
                 continue
-            responses: dict[EditAction, InfoState] = {}
-            for act, new_intr, new_def in zip(
-                self._menus[event],
-                self._respond(1, v.intr, event),
-                self._respond(2, v.dfn, event),
-            ):
-                if new_intr is None or new_def is None:
-                    continue
-                target = InfoState(nxt_sys, new_intr, new_def)
-                responses[act] = self._info.get(target) or self._label(target)
-            self.def_moves[vf] = responses
+            responses: dict[EditAction, int] = {}
+            for act, offset in self._respond(i, d, e):
+                target = base + offset
+                shared = info.get(target)
+                responses[act] = self._label(target) if shared is None else shared
+            def_moves[vf] = responses
             self.utility[vf] = 1 if responses else 0
         self.sys_moves[v] = row
         return row
@@ -309,18 +353,17 @@ def build_edit_game(
     ops = frozenset(ops)
     if not ops <= OPS_ALL:
         raise ValueError(f"unknown edit operations: {sorted(ops - OPS_ALL)}")
-    observers = standard_observers(aut, profile)
-    initial = InfoState(*(obs.initial for obs in observers))
     game = EditGameStructure(
         profile=profile,
         k=k,
         ops=ops,
-        initial=initial,
+        initial=0,
         sys_moves={},
         def_moves={},
         utility={},
-        observers=observers,
+        observers=standard_observers(aut, profile),
         secret=aut.secret,
     )
-    game._label(initial)
+    game.initial = game._encode(InfoState(*(obs.initial for obs in game.observers)))
+    game._label(game.initial)
     return game

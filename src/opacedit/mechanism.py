@@ -25,14 +25,14 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .automata import Trace
-from .game import EditAction, InfoState
+from .game import EditAction
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
 
-MergedA = frozenset  # frozenset[InfoState]
+MergedA = frozenset  # frozenset[int]: information-state codes
 
 
 class MergedF(NamedTuple):
-    members: frozenset  # frozenset[AugmentedState]
+    members: frozenset  # frozenset[int]: augmented-state codes
     observed: str
 
 
@@ -50,11 +50,12 @@ class Mechanism:
     ``build_uem`` gives a mechanism over a trimmed game that holds the rows
     of the beliefs expanded so far: ``expand`` adds one belief's row and
     ``complete`` every reachable one.  ``ua_states`` and ``uf_states`` list
-    the expanded part in canonical order, by their members' sorted ranks in
-    the game's ``rank``, and ``partial`` its partial pairs; reading them
-    never expands.  A refined mechanism keeps the one it was refined from
-    as ``source``, and synthesis walks that source.  Every mechanism is
-    built over a trimmed game ``tgs`` or refined from one.
+    the expanded part in canonical order, by their members' sorted codes,
+    and ``partial`` its partial pairs; reading them never expands.  A
+    refined mechanism keeps the one it was refined from as ``source``, and
+    synthesis walks that source.  Every mechanism is built over a trimmed
+    game ``tgs`` or refined from one; ``game`` is that trimmed game, whose
+    ``decode`` reads the members.
     """
 
     def __init__(
@@ -74,14 +75,14 @@ class Mechanism:
         self.moves_out = moves_out
         self.guaranteed = guaranteed
         self.source = source
-        self.rank = source.rank if source is not None else tgs.game.rank
+        self.game = source.game if source is not None else tgs.game
         self._tgs = tgs
         self._events = sorted(defender)
         # each observation state's partial actions, the cut of its row
         self._cut: dict[MergedF, set[EditAction]] = {}
         for vuf, act in partial:
             self._cut.setdefault(vuf, set()).add(act)
-        self._closures: dict[InfoState, frozenset] = {}
+        self._closures: dict[int, frozenset] = {}
         # rows are only ever added, so a row count dates each cached result
         self._views: tuple[int, tuple] = (-1, ())
         self._solver = BackwardSolver()
@@ -92,11 +93,9 @@ class Mechanism:
             if self.source is not None:  # filtered from the source, whose rows hold all of ours
                 ua = tuple(v for v in self.source.ua_states if v in self.moves_in)
                 uf = tuple(v for v in self.source.uf_states if v in self.moves_out)
-            else:
-                rank = self.rank
-                ua = tuple(sorted(self.moves_in, key=lambda v: sorted(map(rank, v))))
-                uf = tuple(sorted(self.moves_out, key=lambda vf: (
-                    sorted((rank(m.info), m.pending) for m in vf.members), vf.observed)))
+            else:  # a member's code fixes the observed event
+                ua = tuple(sorted(self.moves_in, key=sorted))
+                uf = tuple(sorted(self.moves_out, key=lambda vf: sorted(vf.members)))
             self._views = (len(self.moves_in), (ua, uf))
         return self._views[1]
 
@@ -115,7 +114,7 @@ class Mechanism:
     def actions_at(self, v: MergedF) -> tuple[EditAction, ...]:
         return tuple(sorted(self.moves_out[v], key=EditAction.sort_key))
 
-    def _closure(self, hits: Iterable[InfoState]) -> frozenset:
+    def _closure(self, hits: Iterable[int]) -> frozenset:
         """Unobservable closure of ``hits``, as the union of each hit's
         memoized closure."""
         parts = []
@@ -143,7 +142,7 @@ class Mechanism:
             row[event] = vuf
             if vuf in self.moves_out:
                 continue
-            hits_of: dict[EditAction, list[InfoState]] = {}
+            hits_of: dict[EditAction, list[int]] = {}
             for z in members:
                 for act, hit in game.def_moves[z].items():
                     hits_of.setdefault(act, []).append(hit)
@@ -237,7 +236,7 @@ class Mechanism:
         return None if stuck else (order, edges)
 
 
-def unobservable_closure(tgs: TrimmedGameStructure, seeds: Iterable[InfoState]) -> frozenset:
+def unobservable_closure(tgs: TrimmedGameStructure, seeds: Iterable[int]) -> frozenset:
     """Close a set of surviving information states under moves the defender
     cannot see: a system event outside the defender alphabet followed by its
     forced passthrough."""

@@ -15,19 +15,20 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Hashable, Iterable, Mapping, Optional
 
-from .game import AugmentedState, EditAction, EditGameStructure, InfoState
+from .game import EditAction, EditGameStructure
 
 Rows = Mapping[Hashable, Mapping[Hashable, Hashable]]
 
 
 @dataclass(frozen=True)
 class TrimmedGameStructure:
-    """Surviving game plus the per-state edit actions that trimming disabled."""
+    """Surviving game plus the per-state edit actions that trimming disabled;
+    states are the game's codes."""
 
     game: EditGameStructure
-    disabled: dict[AugmentedState, tuple[EditAction, ...]]
-    removed_a: tuple[InfoState, ...]
-    removed_f: tuple[AugmentedState, ...]
+    disabled: dict[int, tuple[EditAction, ...]]
+    removed_a: tuple[int, ...]
+    removed_f: tuple[int, ...]
 
 
 def _cut_by_source(cut: Collection[tuple]) -> dict:
@@ -147,7 +148,7 @@ def _walk_dead(game: EditGameStructure) -> Optional[set]:
     as the initial state dies."""
     solver = BackwardSolver()
     dead = solver.dead
-    fed: set[AugmentedState] = set()
+    fed: set[int] = set()
     seen = {game.initial}
     queue = deque(seen)
     if game.utility[game.initial] == 0:

@@ -99,3 +99,10 @@ def sset(aut, labels):
 
 def info(aut, sys, intr, dfn):
     return oe.InfoState(sset(aut, sys), sset(aut, intr), sset(aut, dfn))
+
+
+def code(game, state):
+    """The code of an information or augmented state labeled in ``game``,
+    found through the game's decoder."""
+    (found,) = [c for c in game.utility if game.decode(c) == state]
+    return found

@@ -1,9 +1,10 @@
 """Reference implementations kept only for cross-checking the package.
 
-The sort keys below spell out the canonical order that the package takes
-from its observers' ranks (``game.info_rank``): state sets by their sorted
+The sort keys below spell out the canonical order that the package's
+state codes encode (``EditGameStructure``): state sets by their sorted
 members, then information states, augmented states and merged states by
-their parts.  The restart sweep recomputes the backward safety fixpoint the
+their parts.  They take decoded states; ``decoded_key`` applies one to
+codes through a game's decoder.  The restart sweep recomputes the backward safety fixpoint the
 slow, obviously-correct way, and the naive trim and refinement rebuild their
 survivors by re-sorting with the canonical keys rather than filtering the
 parent's already sorted tuples.  The naive refinement takes a completed
@@ -48,6 +49,21 @@ def merged_a_key(v: MergedA) -> tuple:
 
 def merged_f_key(v: MergedF) -> tuple:
     return (tuple(sorted(aug_key(m) for m in v.members)), v.observed)
+
+
+def decoded(game: EditGameStructure, x):
+    """A state code, a belief (a set of codes) or an observation state
+    (``MergedF``), with every code read through ``game.decode``."""
+    if isinstance(x, MergedF):
+        return MergedF(frozenset(map(game.decode, x.members)), x.observed)
+    if isinstance(x, frozenset):
+        return frozenset(map(game.decode, x))
+    return game.decode(x)
+
+
+def decoded_key(game: EditGameStructure, key):
+    """``key`` on the decoded form of a code, belief or observation state."""
+    return lambda x: key(decoded(game, x))
 
 
 def generated_language(aut: FiniteAutomaton, depth: int) -> list[Trace]:
@@ -261,7 +277,7 @@ def live_rows(initial, unctrl, ctrl, dead, cut) -> tuple[dict, dict]:
 class NaiveGame:
     """The rows and canonical state tuples of a naively trimmed game."""
 
-    initial: InfoState
+    initial: int
     a_states: tuple
     f_states: tuple
     sys_moves: dict
@@ -283,16 +299,18 @@ def trim_game_naive(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
             disabled[vf] = tuple(sorted(lost, key=EditAction.sort_key))
     trimmed = NaiveGame(
         initial=game.initial,
-        a_states=tuple(sorted(sys_moves, key=info_key)),
-        f_states=tuple(sorted(def_moves, key=aug_key)),
+        a_states=tuple(sorted(sys_moves, key=decoded_key(game, info_key))),
+        f_states=tuple(sorted(def_moves, key=decoded_key(game, aug_key))),
         sys_moves=sys_moves,
         def_moves=def_moves,
     )
     return TrimmedGameStructure(
         game=trimmed,
         disabled=disabled,
-        removed_a=tuple(sorted((v for v in game.a_states if v in dead), key=info_key)),
-        removed_f=tuple(sorted((v for v in game.f_states if v in dead), key=aug_key)),
+        removed_a=tuple(sorted((v for v in game.a_states if v in dead),
+                               key=decoded_key(game, info_key))),
+        removed_f=tuple(sorted((v for v in game.f_states if v in dead),
+                               key=decoded_key(game, aug_key))),
     )
 
 

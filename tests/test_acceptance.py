@@ -11,8 +11,8 @@ import opacedit as oe
 from opacedit.cli import main
 from opacedit.game import PASSTHROUGH
 
-from conftest import FIG3_TEXT, SUBS_ONLY, info, sset
-from oracles import generated_language, trim_game_naive
+from conftest import FIG3_TEXT, SUBS_ONLY, code, info, sset
+from oracles import decoded, generated_language, trim_game_naive
 
 
 @contextmanager
@@ -61,22 +61,23 @@ def test_criterion_3_game_states_and_utility(fig3, fig3_game):
         start = time.monotonic()
         game = oe.build_edit_game(aut, fig3[1], k=0, ops=SUBS_ONLY).complete()
         elapsed = time.monotonic() - start
-        states = set(game.a_states)
+        states = set(map(game.decode, game.a_states))
         assert info(aut, "5", "36", "46") in states
         assert info(aut, "6", "2", "25") in states
-        assert game.utility[info(aut, "5", "5", "25")] == 0
-        assert game.utility[info(aut, "6", "5", "25")] == 1
+        assert game.utility[code(game, info(aut, "5", "5", "25"))] == 0
+        assert game.utility[code(game, info(aut, "6", "5", "25"))] == 1
         assert elapsed < 1.0
 
 
 def test_criterion_4_trim_golden(fig3_aut, fig3_tgs):
     with verdict(4, "trimming disables exactly the passthrough of b"):
         leak = info(fig3_aut, "5", "5", "25")
-        assert fig3_tgs.removed_a == (leak,)
-        assert all(vf.info == leak for vf in fig3_tgs.removed_f)
+        decode = fig3_tgs.game.decode
+        assert tuple(map(decode, fig3_tgs.removed_a)) == (leak,)
+        assert all(decode(vf).info == leak for vf in fig3_tgs.removed_f)
         assert len(fig3_tgs.disabled) == 1
         ((vf, acts),) = fig3_tgs.disabled.items()
-        assert vf == oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b")
+        assert decode(vf) == oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b")
         assert acts == (PASSTHROUGH,)
 
 
@@ -84,9 +85,10 @@ def test_criterion_5_mechanism_goldens(fig3_aut, fig3_uem, fig3_em):
     with verdict(5, "merged mechanism states and refinement"):
         v0 = info(fig3_aut, "1", "14", "13")
         v1 = info(fig3_aut, "3", "36", "13")
-        assert fig3_uem.initial == frozenset({v0, v1})
+        game = fig3_uem.game
+        assert decoded(game, fig3_uem.initial) == frozenset({v0, v1})
         on_b = fig3_uem.moves_in[fig3_uem.initial]["b"]
-        assert on_b.members == frozenset({
+        assert decoded(game, on_b.members) == frozenset({
             oe.AugmentedState(info(fig3_aut, "2", "14", "13"), "b"),
             oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b"),
         })

@@ -61,10 +61,11 @@ class TestVerify:
         (FIG3_TEXT.replace("trans 1 a 3", "trans 1 a"), "line 9: trans takes: source event target"),
         (FIG3_TEXT.replace("trans 1 b 2", "trans 1 b 2 c"),
          "line 10: trans takes: source event target"),
-        (FIG3_TEXT.replace("states 1 2 3 4 5 6\n", ""), "line 0: no states declared"),
-        (FIG3_TEXT.replace("events a b c d\n", ""), "line 0: no events declared"),
+        (FIG3_TEXT.replace("states 1 2 3 4 5 6\n", ""), "no states declared"),
+        (FIG3_TEXT.replace("events a b c d\n", ""), "no events declared"),
+        (FIG3_TEXT.replace("initial 1\n", ""), "no initial state declared"),
     ], ids=["state-twice", "event-twice", "initial-bare", "initial-two", "initial-twice",
-            "trans-short", "trans-long", "no-states", "no-events"])
+            "trans-short", "trans-long", "no-states", "no-events", "no-initial"])
     def test_malformed_model_names_its_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.aut"
         path.write_text(text)

@@ -124,3 +124,29 @@ class TestByteIdentity:
             tmp_path, monkeypatch, capsys)
         assert code == 0
         assert got == PINNED[(command, plant)]
+
+
+class TestMechanismRenderedOnce:
+    """``mechanism.dot`` reuses the raw render when refinement removes
+    nothing (gen-27-12-5: no partial pair) and is rendered again otherwise
+    (gen-5-8-5: 339 partial pairs, so the raw render has dashed edges)."""
+
+    @pytest.mark.parametrize("command", ["export-dot", "mechanism"])
+    @pytest.mark.parametrize("plant, renders", [("gen-27-12-5", 1), ("gen-5-8-5", 2)])
+    def test_renders(self, tmp_path, monkeypatch, capsys, command, plant, renders):
+        import opacedit.cli as cli
+
+        names = []
+
+        def counting(mech, aut, name="mechanism"):
+            names.append(name)
+            return mechanism_dot(mech, aut, name=name)
+
+        monkeypatch.setattr(cli, "mechanism_dot", counting)
+        path = BENCH / "instances" / f"{plant}.aut"
+        assert main([command, str(path), "--dot", str(tmp_path)]) == 0
+        assert len(names) == renders
+        aut, profile = oe.parse_model(path.read_text())
+        tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+        em = oe.refine_to_em(oe.build_uem(tgs).complete())
+        assert (tmp_path / "mechanism.dot").read_text() == mechanism_dot(em, aut)

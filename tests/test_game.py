@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -8,8 +9,8 @@ import pytest
 import opacedit as oe
 from opacedit.game import DELETE, PASSTHROUGH, insertion, substitution
 
-from conftest import SUBS_ONLY, info
-from oracles import aug_key, info_key
+from conftest import SUBS_ONLY, code, info
+from oracles import aug_key, decoded_key, info_key, merged_a_key, merged_f_key
 
 
 def T(s):
@@ -80,8 +81,8 @@ class TestApplyDefenderMove:
     def test_substituting_c_for_b_hides_from_intruder(self, fig3, fig3_game, fig3_observers):
         aut, profile = fig3
         _, o_intr, o_def = fig3_observers
-        source = info(aut, "3", "36", "13")
-        vf = fig3_game.sys_moves[source]["b"]
+        source = code(fig3_game, info(aut, "3", "36", "13"))
+        vf = fig3_game.decode(fig3_game.sys_moves[source]["b"])
         assert vf.info == info(aut, "5", "36", "13")
         got = oe.apply_defender_move(vf, substitution("c"), o_intr, o_def, profile)
         assert got == info(aut, "5", "36", "46")
@@ -92,8 +93,8 @@ class TestApplyDefenderMove:
         # {5}), so the correct successor carries {5}
         aut, profile = fig3
         _, o_intr, o_def = fig3_observers
-        source = info(aut, "3", "36", "13")
-        vf = fig3_game.sys_moves[source]["c"]
+        source = code(fig3_game, info(aut, "3", "36", "13"))
+        vf = fig3_game.decode(fig3_game.sys_moves[source]["c"])
         assert vf.info == info(aut, "6", "36", "13")
         got = oe.apply_defender_move(vf, substitution("b"), o_intr, o_def, profile)
         assert got == info(aut, "6", "5", "25")
@@ -104,11 +105,11 @@ class TestApplyDefenderMove:
             "intruder a\ndefender a\ntrans 1 b 2\ntrans 1 a 1\n"
         )
         game = oe.build_edit_game(aut, profile, k=0).complete()
-        vf = game.sys_moves[game.initial]["b"]
+        vf = game.decode(game.sys_moves[game.initial]["b"])
         o_sys, o_intr, o_def = oe.standard_observers(aut, profile)
         got = oe.apply_defender_move(vf, PASSTHROUGH, o_intr, o_def, profile)
-        assert got.intr == game.initial.intr
-        assert got.dfn == game.initial.dfn
+        assert got.intr == game.decode(game.initial).intr
+        assert got.dfn == game.decode(game.initial).dfn
 
     def test_mixed_visibility_insertion_word(self, fig3, fig3_observers):
         # inserting b before c emits a word whose first letter the intruder
@@ -138,16 +139,16 @@ class TestApplyDefenderMove:
 
 class TestBuildEditGame:
     def test_initial_state(self, fig3_aut, fig3_game):
-        assert fig3_game.initial == info(fig3_aut, "1", "14", "13")
+        assert fig3_game.decode(fig3_game.initial) == info(fig3_aut, "1", "14", "13")
 
     def test_contains_the_incomparable_showcase_states(self, fig3_aut, fig3_game):
-        states = set(fig3_game.a_states)
+        states = set(map(fig3_game.decode, fig3_game.a_states))
         assert info(fig3_aut, "5", "36", "46") in states
         assert info(fig3_aut, "6", "2", "25") in states
 
     def test_utility_of_leak_and_bluff(self, fig3_aut, fig3_game):
-        leak = info(fig3_aut, "5", "5", "25")
-        bluff = info(fig3_aut, "6", "5", "25")
+        leak = code(fig3_game, info(fig3_aut, "5", "5", "25"))
+        bluff = code(fig3_game, info(fig3_aut, "6", "5", "25"))
         assert fig3_game.utility[leak] == 0
         assert fig3_game.utility[bluff] == 1
 
@@ -191,8 +192,8 @@ class TestOnDemand:
     def test_canonical_order_is_the_key_order(self, seed):
         aut, profile = oe.random_instance(seed)
         game = oe.build_edit_game(aut, profile, k=1).complete()
-        assert game.a_states == tuple(sorted(game.a_states, key=info_key))
-        assert game.f_states == tuple(sorted(game.f_states, key=aug_key))
+        assert game.a_states == tuple(sorted(game.a_states, key=decoded_key(game, info_key)))
+        assert game.f_states == tuple(sorted(game.f_states, key=decoded_key(game, aug_key)))
 
 
 class TestGameInvariants:
@@ -201,37 +202,42 @@ class TestGameInvariants:
         aut, profile = oe.random_instance(seed)
         game = oe.build_edit_game(aut, profile, k=1).complete()
         _, o_intr, o_def = oe.standard_observers(aut, profile)
+        decode = game.decode
         for v in game.a_states:
             for event, vf in game.sys_moves[v].items():
                 assert vf in set(game.f_states)
-                assert vf.pending == event
-                assert vf.info.intr == v.intr and vf.info.dfn == v.dfn
+                assert decode(vf).pending == event
+                assert decode(vf).info.intr == decode(v).intr
+                assert decode(vf).info.dfn == decode(v).dfn
         for vf in game.f_states:
+            state = decode(vf)
             for act, target in game.def_moves[vf].items():
                 assert target in set(game.a_states)
-                assert target.sys == vf.info.sys
-                word = act.word(vf.pending)
-                if vf.pending in profile.defender:
+                assert decode(target).sys == state.info.sys
+                word = act.word(state.pending)
+                if state.pending in profile.defender:
                     # outputs stay inside the defender alphabet
                     assert oe.project(word, profile.defender) == word
                 else:
                     assert act == PASSTHROUGH
-            for act in oe.enumerate_actions(vf.pending, profile, game.k, game.ops):
-                expected = oe.apply_defender_move(vf, act, o_intr, o_def, profile)
-                assert game.def_moves[vf].get(act) == expected
+            for act in oe.enumerate_actions(state.pending, profile, game.k, game.ops):
+                expected = oe.apply_defender_move(state, act, o_intr, o_def, profile)
+                got = game.def_moves[vf].get(act)
+                assert (None if got is None else decode(got)) == expected
 
     @pytest.mark.parametrize("seed", range(15))
     def test_uneditable_event_semantics(self, seed):
         aut, profile = oe.random_instance(seed)
         game = oe.build_edit_game(aut, profile, k=1).complete()
         o_sys, o_intr, o_def = oe.standard_observers(aut, profile)
-        for vf in game.f_states:
+        for code_f in game.f_states:
+            vf = game.decode(code_f)
             if vf.pending in profile.defender:
                 continue
-            moves = game.def_moves[vf]
+            moves = game.def_moves[code_f]
             assert set(moves) <= {PASSTHROUGH}
             if moves:
-                target = moves[PASSTHROUGH]
+                target = game.decode(moves[PASSTHROUGH])
                 assert target.dfn == vf.info.dfn
                 if vf.pending in profile.intruder:
                     assert target.intr == o_intr.delta[(vf.info.intr, vf.pending)]
@@ -241,8 +247,48 @@ class TestGameInvariants:
     def test_utility_matches_definition(self, fig3_aut, fig3_game):
         secret = fig3_aut.secret
         for v in fig3_game.a_states:
-            expected = 0 if (v.sys <= secret and v.intr <= secret) else 1
+            state = fig3_game.decode(v)
+            expected = 0 if (state.sys <= secret and state.intr <= secret) else 1
             assert fig3_game.utility[v] == expected
         for vf in fig3_game.f_states:
             expected = 0 if not fig3_game.def_moves[vf] else 1
             assert fig3_game.utility[vf] == expected
+
+
+OP_SETS = [frozenset(c) for n in (1, 2, 3)
+           for c in itertools.combinations(sorted(oe.OPS_ALL), n)]
+
+
+class TestPackedCodes:
+    """States are int codes whose order is the canonical order; the
+    decoder is the only way back to the paper's tuples."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_codes_decode_and_order_like_the_keys(self, seed, k):
+        aut, profile = oe.random_instance(seed)
+        _, o_intr, o_def = oe.standard_observers(aut, profile)
+        for ops in OP_SETS:
+            game = oe.build_edit_game(aut, profile, k=k, ops=ops).complete()
+            decode = game.decode
+            states = game.a_states + game.f_states
+            decoded = [decode(c) for c in states]
+            assert len(set(decoded)) == len(states)
+            assert all(isinstance(decode(v), oe.InfoState) for v in game.a_states)
+            assert all(isinstance(decode(vf), oe.AugmentedState) for vf in game.f_states)
+            # augmented codes lie above every information code
+            assert not game.f_states or game.a_states[-1] < game.f_states[0]
+            assert game.a_states == tuple(sorted(game.a_states, key=decoded_key(game, info_key)))
+            assert game.f_states == tuple(sorted(game.f_states, key=decoded_key(game, aug_key)))
+            for vf in game.f_states:
+                for act, target in game.def_moves[vf].items():
+                    assert decode(target) == oe.apply_defender_move(
+                        decode(vf), act, o_intr, o_def, profile)
+            tgs = oe.trim_game(game)
+            if tgs is None:
+                continue
+            uem = oe.build_uem(tgs).complete()
+            assert uem.ua_states == tuple(sorted(uem.ua_states,
+                                                 key=decoded_key(game, merged_a_key)))
+            assert uem.uf_states == tuple(sorted(uem.uf_states,
+                                                 key=decoded_key(game, merged_f_key)))

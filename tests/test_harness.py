@@ -72,7 +72,7 @@ class TestSimulate:
             )
             assert step.leak == expected
 
-    def test_true_run_consistent_with_a_belief_member(self, fig3, fig3_fe):
+    def test_true_run_consistent_with_a_belief_member(self, fig3, fig3_em, fig3_fe):
         aut, profile = fig3
         assert fig3_fe.beliefs
         for trace in generated_language(aut, 6):
@@ -82,7 +82,8 @@ class TestSimulate:
                 if event in profile.defender:
                     state = fig3_fe.next_state[(state, event)]
                 belief = fig3_fe.beliefs[state]
-                assert any(step.plant_state in member.sys for member in belief)
+                assert any(step.plant_state in fig3_em.game.decode(member).sys
+                           for member in belief)
 
 
 class TestOracle:

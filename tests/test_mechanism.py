@@ -5,8 +5,8 @@ import pytest
 import opacedit as oe
 from opacedit.game import PASSTHROUGH
 
-from conftest import FORCED_LEAK_TEXT, SUBS_ONLY, info
-from oracles import merged_a_key, merged_f_key, refine_naive
+from conftest import FORCED_LEAK_TEXT, SUBS_ONLY, code, info
+from oracles import decoded, decoded_key, merged_a_key, merged_f_key, refine_naive
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
@@ -19,13 +19,13 @@ def T(s):
 class TestUnobservableClosure:
     def test_initial_closure_absorbs_the_silent_prefix(self, fig3_aut, fig3_tgs):
         got = oe.unobservable_closure(fig3_tgs, {fig3_tgs.game.initial})
-        assert got == {
+        assert decoded(fig3_tgs.game, got) == {
             info(fig3_aut, "1", "14", "13"),
             info(fig3_aut, "3", "36", "13"),
         }
 
     def test_fixed_point_without_silent_moves(self, fig3_aut, fig3_tgs):
-        still = info(fig3_aut, "5", "36", "46")
+        still = code(fig3_tgs.game, info(fig3_aut, "5", "36", "46"))
         assert oe.unobservable_closure(fig3_tgs, {still}) == {still}
 
     def test_idempotent(self, fig3_tgs):
@@ -35,7 +35,7 @@ class TestUnobservableClosure:
 
 class TestBuildUem:
     def test_initial_member_pair(self, fig3_aut, fig3_uem):
-        assert fig3_uem.initial == frozenset({
+        assert decoded(fig3_uem.game, fig3_uem.initial) == frozenset({
             info(fig3_aut, "1", "14", "13"),
             info(fig3_aut, "3", "36", "13"),
         })
@@ -43,7 +43,7 @@ class TestBuildUem:
     def test_observation_b_merges_the_two_branches(self, fig3_aut, fig3_uem):
         vuf = fig3_uem.moves_in[fig3_uem.initial]["b"]
         assert vuf.observed == "b"
-        assert vuf.members == frozenset({
+        assert decoded(fig3_uem.game, vuf.members) == frozenset({
             oe.AugmentedState(info(fig3_aut, "2", "14", "13"), "b"),
             oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b"),
         })
@@ -51,13 +51,13 @@ class TestBuildUem:
     def test_passthrough_after_b_is_partial(self, fig3_aut, fig3_uem):
         vuf = fig3_uem.moves_in[fig3_uem.initial]["b"]
         assert (vuf, PASSTHROUGH) in fig3_uem.partial
-        assert fig3_uem.moves_out[vuf][PASSTHROUGH] == frozenset({
+        assert decoded(fig3_uem.game, fig3_uem.moves_out[vuf][PASSTHROUGH]) == frozenset({
             info(fig3_aut, "2", "2", "25"),
         })
 
     def test_members_share_the_observation(self, fig3_uem):
         for vuf in fig3_uem.uf_states:
-            assert all(m.pending == vuf.observed for m in vuf.members)
+            assert all(fig3_uem.game.decode(m).pending == vuf.observed for m in vuf.members)
 
     def test_full_defender_alphabet_means_no_merging(self, fig3_aut):
         profile = oe.ObservationProfile(
@@ -83,8 +83,9 @@ class TestCanonicalOrder:
 
     @staticmethod
     def _check(uem):
-        assert uem.ua_states == tuple(sorted(uem.moves_in, key=merged_a_key))
-        assert uem.uf_states == tuple(sorted(uem.moves_out, key=merged_f_key))
+        assert uem.ua_states == tuple(sorted(uem.moves_in, key=decoded_key(uem.game, merged_a_key)))
+        assert uem.uf_states == tuple(sorted(uem.moves_out,
+                                             key=decoded_key(uem.game, merged_f_key)))
         bare = oe.Mechanism(  # given rows, in reverse order
             uem.defender, uem.initial,
             dict(reversed(uem.moves_in.items())), dict(reversed(uem.moves_out.items())),
@@ -114,7 +115,7 @@ class TestRefineToEm:
     def test_partial_passthrough_successor_is_gone(self, fig3_aut, fig3_em):
         vuf = fig3_em.moves_in[fig3_em.initial]["b"]
         assert PASSTHROUGH not in fig3_em.moves_out[vuf]
-        ghost = frozenset({info(fig3_aut, "2", "2", "25")})
+        ghost = frozenset({code(fig3_em.game, info(fig3_aut, "2", "2", "25"))})
         assert ghost not in set(fig3_em.ua_states)
 
     def test_nonempty_and_guaranteed(self, fig3_em):

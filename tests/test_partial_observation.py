@@ -33,7 +33,7 @@ class TestUnobservableEvents:
     def test_game_initial_uses_the_closure(self):
         aut, profile = _model()
         game = oe.build_edit_game(aut, profile, k=0)
-        assert game.initial.sys == sset(aut, "12")
+        assert game.decode(game.initial).sys == sset(aut, "12")
 
     def test_opacity_holds_here(self):
         aut, profile = _model()

@@ -17,14 +17,15 @@ ROOT = Path(__file__).resolve().parent.parent
 class TestTrimFig3:
     def test_only_the_leak_is_removed(self, fig3_aut, fig3_tgs):
         leak = info(fig3_aut, "5", "5", "25")
-        assert fig3_tgs.removed_a == (leak,)
+        decode = fig3_tgs.game.decode
+        assert tuple(map(decode, fig3_tgs.removed_a)) == (leak,)
         assert len(fig3_tgs.removed_f) == 1
-        assert fig3_tgs.removed_f[0].info == leak
+        assert decode(fig3_tgs.removed_f[0]).info == leak
 
     def test_exactly_one_action_disabled(self, fig3_aut, fig3_tgs):
         assert len(fig3_tgs.disabled) == 1
         ((vf, acts),) = fig3_tgs.disabled.items()
-        assert vf == oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b")
+        assert fig3_tgs.game.decode(vf) == oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b")
         assert acts == (PASSTHROUGH,)
         assert PASSTHROUGH not in fig3_tgs.game.actions_at(vf)
         assert substitution("c") in fig3_tgs.game.actions_at(vf)
@@ -234,7 +235,7 @@ def _strategy_space(game, defender):
     """All full-observation strategies of a small game, as choice dicts."""
     import itertools
 
-    slots = [vf for vf in game.f_states if vf.pending in defender]
+    slots = [vf for vf in game.f_states if game.decode(vf).pending in defender]
     menus = [sorted(game.def_moves[vf], key=lambda a: a.sort_key()) for vf in slots]
     if any(not menu for menu in menus):
         return None
