@@ -33,6 +33,7 @@ from .game import (
 )
 from .trimming import TrimmedGameStructure, trim_game
 from .mechanism import (
+    EditMechanism,
     MealyEditFunction,
     Mechanism,
     POLICIES,

@@ -25,6 +25,8 @@ from .game import OPS_ALL, build_edit_game
 from .harness import (
     EditUndefinedError,
     SimulationError,
+    certifying_depth,
+    exact_ic_check,
     oracle_ic_enforcing,
     random_instance,
     simulate,
@@ -251,6 +253,10 @@ def cmd_check(args) -> int:
     fe = _load_transducer(args.transducer, profile)
     depth = args.depth if args.depth is not None else default_depth(aut, profile, k)
     verdict = oracle_ic_enforcing(aut, profile, fe, depth)
+    if verdict.ok and args.depth is None and not exact_ic_check(aut, profile, fe):
+        # the default depth fell short of the editor's joint configurations
+        depth = certifying_depth(aut, profile, fe, cap=sys.maxsize)
+        verdict = oracle_ic_enforcing(aut, profile, fe, depth)
     if verdict.ok:
         print(f"PASS: ic-enforcing up to depth {depth}")
         return EXIT_OK

@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .automata import Trace
-from .game import EditAction
+from .game import EditAction, EditGameStructure
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
 
 MergedA = frozenset  # frozenset[int]: information-state codes
@@ -41,61 +41,38 @@ Walk = tuple[list, list[tuple[int, str, EditAction, int]]]
 
 
 class Mechanism:
-    """Merged game over defender observations.
+    """No-guarantees merged game over defender observations, built on
+    demand over ``game``.
 
-    ``guaranteed`` is False for the no-guarantees stage, where ``partial``
-    lists the (state, action) pairs that are undefined at some member; the
-    refined mechanism has ``guaranteed=True`` and an empty ``partial``.
-
-    ``build_uem`` gives a mechanism over a trimmed game that holds the rows
-    of the beliefs expanded so far: ``expand`` adds one belief's row and
-    ``complete`` every reachable one.  ``ua_states`` and ``uf_states`` list
-    the expanded part in canonical order, by their members' sorted codes,
-    and ``partial`` its partial pairs; reading them never expands.  A
-    refined mechanism keeps the one it was refined from as ``source``, and
-    synthesis walks that source.  Every mechanism is built over a trimmed
-    game ``tgs`` or refined from one; ``game`` is that trimmed game, whose
-    ``decode`` reads the members.
+    It reads the game only through ``game.expand`` and ``game.def_moves``,
+    so ``game`` may be the trimmed game or the on-demand edit game itself;
+    ``game.decode`` reads the members.  ``expand`` adds one belief's row
+    and ``complete`` every reachable one.  ``ua_states`` and ``uf_states``
+    list the expanded part in canonical order, by their members' sorted
+    codes, and ``partial`` its (state, action) pairs that are undefined at
+    some member; reading them never expands.
     """
 
-    def __init__(
-        self,
-        defender: frozenset[str],
-        initial: MergedA,
-        moves_in: dict[MergedA, dict[str, MergedF]],
-        moves_out: dict[MergedF, dict[EditAction, MergedA]],
-        partial: Iterable[tuple[MergedF, EditAction]] = (),
-        guaranteed: bool = False,
-        source: Optional["Mechanism"] = None,
-        tgs: Optional[TrimmedGameStructure] = None,
-    ):
-        self.defender = defender
-        self.initial = initial
-        self.moves_in = moves_in
-        self.moves_out = moves_out
-        self.guaranteed = guaranteed
-        self.source = source
-        self.game = source.game if source is not None else tgs.game
-        self._tgs = tgs
-        self._events = sorted(defender)
+    def __init__(self, game: EditGameStructure):
+        self.game = game
+        self.defender = game.profile.defender
+        self.moves_in: dict[MergedA, dict[str, MergedF]] = {}
+        self.moves_out: dict[MergedF, dict[EditAction, MergedA]] = {}
+        self._events = sorted(self.defender)
         # each observation state's partial actions, the cut of its row
         self._cut: dict[MergedF, set[EditAction]] = {}
-        for vuf, act in partial:
-            self._cut.setdefault(vuf, set()).add(act)
         self._closures: dict[int, frozenset] = {}
         # rows are only ever added, so a row count dates each cached result
         self._views: tuple[int, tuple] = (-1, ())
         self._solver = BackwardSolver()
         self._fed = (0, 0)  # rows of moves_in and moves_out fed to the solver
+        self.initial: MergedA = self._closure((game.initial,))
 
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.moves_in):
-            if self.source is not None:  # filtered from the source, whose rows hold all of ours
-                ua = tuple(v for v in self.source.ua_states if v in self.moves_in)
-                uf = tuple(v for v in self.source.uf_states if v in self.moves_out)
-            else:  # a member's code fixes the observed event
-                ua = tuple(sorted(self.moves_in, key=sorted))
-                uf = tuple(sorted(self.moves_out, key=lambda vf: sorted(vf.members)))
+            # a member's code fixes the observed event
+            ua = tuple(sorted(self.moves_in, key=sorted))
+            uf = tuple(sorted(self.moves_out, key=lambda vf: sorted(vf.members)))
             self._views = (len(self.moves_in), (ua, uf))
         return self._views[1]
 
@@ -121,21 +98,20 @@ class Mechanism:
         for v in hits:
             closed = self._closures.get(v)
             if closed is None:
-                closed = self._closures[v] = unobservable_closure(self._tgs, (v,))
+                closed = self._closures[v] = unobservable_closure(self.game, (v,))
             parts.append(closed)
         return parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
     def expand(self, vua: MergedA) -> dict[str, MergedF]:
         """Row of ``vua``, merged on first request together with the action
         rows and partial pairs of its new observation states."""
-        if vua in self.moves_in or self._tgs is None:
+        if vua in self.moves_in:
             return self.moves_in[vua]
-        game = self._tgs.game
+        def_moves = self.game.def_moves
+        rows = [self.game.expand(v) for v in vua]
         row: dict[str, MergedF] = {}
         for event in self._events:
-            members = frozenset(
-                game.sys_moves[v][event] for v in vua if event in game.sys_moves[v]
-            )
+            members = frozenset(r[event] for r in rows if event in r)
             if not members:
                 continue
             vuf = MergedF(members, event)
@@ -144,7 +120,7 @@ class Mechanism:
                 continue
             hits_of: dict[EditAction, list[int]] = {}
             for z in members:
-                for act, hit in game.def_moves[z].items():
+                for act, hit in def_moves[z].items():
                     hits_of.setdefault(act, []).append(hit)
             out: dict[EditAction, MergedA] = {}
             cut = set()
@@ -236,19 +212,19 @@ class Mechanism:
         return None if stuck else (order, edges)
 
 
-def unobservable_closure(tgs: TrimmedGameStructure, seeds: Iterable[int]) -> frozenset:
-    """Close a set of surviving information states under moves the defender
-    cannot see: a system event outside the defender alphabet followed by its
-    forced passthrough."""
-    defender = tgs.game.profile.defender
+def unobservable_closure(game: EditGameStructure, seeds: Iterable[int]) -> frozenset:
+    """Close a set of information states of ``game`` under moves the
+    defender cannot see: a system event outside the defender alphabet
+    followed by its forced passthrough."""
+    defender = game.profile.defender
     closed = set(seeds)
     stack = list(closed)
     while stack:
         v = stack.pop()
-        for event, vf in tgs.game.sys_moves[v].items():
+        for event, vf in game.expand(v).items():
             if event in defender:
                 continue
-            acts = tgs.game.def_moves[vf]
+            acts = game.def_moves[vf]
             assert len(acts) == 1, "non-defender event admits only the passthrough"
             target = next(iter(acts.values()))
             if target not in closed:
@@ -260,16 +236,34 @@ def unobservable_closure(tgs: TrimmedGameStructure, seeds: Iterable[int]) -> fro
 def build_uem(tgs: TrimmedGameStructure) -> Mechanism:
     """No-guarantees merged mechanism over the surviving game, expanded on
     demand from its initial belief state."""
-    return Mechanism(
-        defender=tgs.game.profile.defender,
-        initial=unobservable_closure(tgs, {tgs.game.initial}),
-        moves_in={},
-        moves_out={},
-        tgs=tgs,
-    )
+    return Mechanism(tgs.game)
 
 
-def refine_to_em(uem: Mechanism) -> Optional[Mechanism]:
+class EditMechanism:
+    """The edit mechanism refined from the no-guarantees ``source``: the
+    rows of its proven-winning part, with no partial action.  Synthesis
+    walks ``source``, which these rows are a view of."""
+
+    partial: frozenset = frozenset()
+
+    def __init__(
+        self,
+        source: Mechanism,
+        moves_in: dict[MergedA, dict[str, MergedF]],
+        moves_out: dict[MergedF, dict[EditAction, MergedA]],
+    ):
+        self.source = source
+        self.moves_in = moves_in
+        self.moves_out = moves_out
+        self.game, self.defender, self.initial = source.game, source.defender, source.initial
+        # the source's rows hold all of ours, in canonical order
+        self.ua_states = tuple(v for v in source.ua_states if v in moves_in)
+        self.uf_states = tuple(v for v in source.uf_states if v in moves_out)
+
+    actions_at = Mechanism.actions_at
+
+
+def refine_to_em(uem: Mechanism) -> Optional[EditMechanism]:
     """Drop actions undefined at some member, then restore controllability.
 
     A partially defined action is removed outright (playing it would let the
@@ -283,30 +277,20 @@ def refine_to_em(uem: Mechanism) -> Optional[Mechanism]:
 
     The walk in canonical action order (prefer-passthrough's) expands what
     it needs to decide the initial belief state.  Over a partial expansion
-    the refined rows keep only proven-winning parts: an action into an
-    unexpanded belief counts as cut.  On a completed mechanism this is the
-    whole refinement, in one round of the solver.
+    the refined rows keep only proven-winning parts: the unexpanded beliefs
+    are seeded as dead, which cuts every action into them, since they have
+    no row.  On a completed mechanism this is the whole refinement, in one
+    round of the solver.
     """
     if uem._walk(EditAction.sort_key) is None:
         return None
-    unexpanded = {
-        (vuf, act) for vuf, row in uem.moves_out.items()
-        for act, target in row.items() if target not in uem.moves_in
-    }
+    unexpanded = {target for row in uem.moves_out.values()
+                  for target in row.values() if target not in uem.moves_in}
     if unexpanded:
-        cut = uem.partial | unexpanded
-        dead = backward_dead(uem.moves_in, uem.moves_out, (), cut=cut)
+        dead = backward_dead(uem.moves_in, uem.moves_out, unexpanded, uem._cut)
     else:
-        cut, dead = uem.partial, uem._dead()
-    moves_in, moves_out = live_part(uem.initial, uem.moves_in, uem.moves_out, dead, cut=cut)
-    return Mechanism(
-        defender=uem.defender,
-        initial=uem.initial,
-        moves_in=moves_in,
-        moves_out=moves_out,
-        guaranteed=True,
-        source=uem,
-    )
+        dead = uem._dead()
+    return EditMechanism(uem, *live_part(uem.initial, uem.moves_in, uem.moves_out, dead, uem._cut))
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +353,13 @@ class MealyEditFunction:
         )
 
 
-def synthesize(em: Mechanism, policy: str = "prefer-passthrough") -> MealyEditFunction:
+def synthesize(em: EditMechanism, policy: str = "prefer-passthrough") -> MealyEditFunction:
     """Extract one deterministic edit function from a refined mechanism.
 
     Each observation state plays its policy-least winning action.  The walk
     runs over the mechanism ``em`` was refined from, expanding what the
     policy's strategy needs beyond what refinement expanded."""
-    if not em.guaranteed:
+    if not isinstance(em, EditMechanism):
         raise ValueError("synthesis requires a refined mechanism")
     if not all(em.moves_out.values()):
         raise ValueError("corrupt mechanism: observation state without actions")
@@ -384,7 +368,7 @@ def synthesize(em: Mechanism, policy: str = "prefer-passthrough") -> MealyEditFu
     except KeyError:
         raise ValueError(f"unknown policy {policy!r}") from None
 
-    walk = (em.source or em)._walk(key)
+    walk = em.source._walk(key)
     assert walk is not None, "a refined mechanism has a winning initial belief state"
     order, edges = walk
     return MealyEditFunction(

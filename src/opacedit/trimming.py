@@ -13,11 +13,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Collection, Hashable, Iterable, Mapping, Optional
 
 from .game import EditAction, EditGameStructure
 
 Rows = Mapping[Hashable, Mapping[Hashable, Hashable]]
+# controllable node -> labels of its cut edges
+Cut = Mapping[Hashable, Collection[Hashable]]
+_NO_CUT: Cut = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -29,13 +33,6 @@ class TrimmedGameStructure:
     disabled: dict[int, tuple[EditAction, ...]]
     removed_a: tuple[int, ...]
     removed_f: tuple[int, ...]
-
-
-def _cut_by_source(cut: Collection[tuple]) -> dict:
-    by_source: dict = {}
-    for node, label in cut:
-        by_source.setdefault(node, set()).add(label)
-    return by_source
 
 
 class BackwardSolver:
@@ -97,30 +94,28 @@ class BackwardSolver:
 
 
 def backward_dead(
-    unctrl: Rows, ctrl: Rows, seeds: Iterable[Hashable], cut: Collection[tuple] = ()
+    unctrl: Rows, ctrl: Rows, seeds: Iterable[Hashable], cut: Cut = _NO_CUT
 ) -> set:
     """Backward attractor of ``seeds`` over whole rows (``BackwardSolver``);
-    ``cut`` holds the ``(node, label)`` pairs of cut controllable edges."""
-    cut_at = _cut_by_source(cut)
+    ``cut`` maps a controllable node to the labels of its cut edges."""
     solver = BackwardSolver()
     for node in seeds:
         solver.seed(node)
     for node, row in ctrl.items():
-        solver.add_ctrl(node, row, cut_at.get(node, ()))
+        solver.add_ctrl(node, row, cut.get(node, ()))
     for node, row in unctrl.items():
         solver.add_unctrl(node, row)
     return solver.dead
 
 
 def live_part(
-    initial: Hashable, unctrl: Rows, ctrl: Rows, dead: set, cut: Collection[tuple] = ()
+    initial: Hashable, unctrl: Rows, ctrl: Rows, dead: set, cut: Cut = _NO_CUT
 ) -> tuple[dict, dict]:
     """Rows reachable from ``initial`` once ``dead`` nodes are gone.
 
     Uncontrollable rows are kept whole, since none of their moves can be
     refused; controllable rows keep only their uncut edges into live nodes.
     """
-    cut_at = _cut_by_source(cut)
     kept_u = {initial: dict(unctrl[initial])}
     kept_c: dict = {}
     queue = deque([initial])
@@ -129,7 +124,7 @@ def live_part(
             assert node not in dead, "uncontrollable move into a pruned state survived"
             if node in kept_c:
                 continue
-            skip = cut_at.get(node, ())
+            skip = cut.get(node, ())
             row = {
                 label: succ for label, succ in ctrl[node].items()
                 if succ not in dead and label not in skip

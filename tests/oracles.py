@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, project
 from opacedit.game import AugmentedState, EditAction, EditGameStructure, InfoState
-from opacedit.mechanism import MealyEditFunction, MergedA, MergedF, Mechanism
+from opacedit.mechanism import EditMechanism, MealyEditFunction, MergedA, MergedF, Mechanism
 from opacedit.observers import StateSet
 from opacedit.opacity import EditorReport, SupportsEdit, editor_observers
 from opacedit.trimming import TrimmedGameStructure
@@ -314,22 +314,12 @@ def trim_game_naive(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
     )
 
 
-def refine_naive(uem: Mechanism) -> Optional[Mechanism]:
+def refine_naive(uem: Mechanism) -> Optional[EditMechanism]:
     dead = sweep_dead(uem.moves_in, uem.moves_out, (), uem.partial)
     if uem.initial in dead:
         return None
-    moves_in, moves_out = live_rows(
-        uem.initial, uem.moves_in, uem.moves_out, dead, uem.partial
-    )
-    return Mechanism(
-        defender=uem.defender,
-        initial=uem.initial,
-        moves_in=moves_in,
-        moves_out=moves_out,
-        partial=frozenset(),
-        guaranteed=True,
-        tgs=uem._tgs,
-    )
+    return EditMechanism(uem, *live_rows(uem.initial, uem.moves_in, uem.moves_out, dead,
+                                         uem.partial))
 
 
 _UNDEFINED = ("<undefined>",)

@@ -190,6 +190,23 @@ class TestSimulateAndCheck:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "PASS: ic-enforcing up to depth 302\n"
 
+    def test_check_without_depth_fails_an_editor_past_the_default_depth(
+            self, tmp_path, capsys):
+        # The default depth here is 4, but the editor's output is undefined
+        # only after 11 events; the exact check catches it, and the search
+        # is run again at the certifying depth to report the failure.
+        plant = tmp_path / "loop.aut"
+        plant.write_text("states 1 2\ninitial 1\nsecret 2\nevents a\nobservable a\n"
+                         "intruder a\ndefender a\ntrans 1 a 1\n")
+        editor = tmp_path / "counter.mealy"
+        editor.write_text("alphabet a\nstates 11\ninitial 0\n"
+                          + "".join(f"{q} a / a {q + 1}\n" for q in range(10)))
+        assert main(["check", str(plant), str(editor)]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record == {"property": "i-availability", "trace": ["a"] * 11, "depth": 12}
+        assert main(["check", str(plant), str(editor), "--depth", "4"]) == 0
+        assert capsys.readouterr().out == "PASS: ic-enforcing up to depth 4\n"
+
 
 
 IDENTITY_EDGES = "0 b / b 0\n0 c / c 0\n0 d / d 0\n"

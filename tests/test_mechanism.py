@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 import opacedit as oe
+from opacedit.dot import mechanism_dot
 from opacedit.game import PASSTHROUGH
 
 from conftest import FORCED_LEAK_TEXT, SUBS_ONLY, code, info
@@ -18,7 +19,7 @@ def T(s):
 
 class TestUnobservableClosure:
     def test_initial_closure_absorbs_the_silent_prefix(self, fig3_aut, fig3_tgs):
-        got = oe.unobservable_closure(fig3_tgs, {fig3_tgs.game.initial})
+        got = oe.unobservable_closure(fig3_tgs.game, {fig3_tgs.game.initial})
         assert decoded(fig3_tgs.game, got) == {
             info(fig3_aut, "1", "14", "13"),
             info(fig3_aut, "3", "36", "13"),
@@ -26,11 +27,11 @@ class TestUnobservableClosure:
 
     def test_fixed_point_without_silent_moves(self, fig3_aut, fig3_tgs):
         still = code(fig3_tgs.game, info(fig3_aut, "5", "36", "46"))
-        assert oe.unobservable_closure(fig3_tgs, {still}) == {still}
+        assert oe.unobservable_closure(fig3_tgs.game, {still}) == {still}
 
     def test_idempotent(self, fig3_tgs):
-        once = oe.unobservable_closure(fig3_tgs, {fig3_tgs.game.initial})
-        assert oe.unobservable_closure(fig3_tgs, once) == once
+        once = oe.unobservable_closure(fig3_tgs.game, {fig3_tgs.game.initial})
+        assert oe.unobservable_closure(fig3_tgs.game, once) == once
 
 
 class TestBuildUem:
@@ -79,21 +80,14 @@ class TestBuildUem:
 
 class TestCanonicalOrder:
     """Beliefs and observation states are ordered by their sorted members'
-    keys, whatever order their rows were added in."""
+    keys; ``test_completion_matches_expanding_everything_first`` checks that
+    the order the rows were added in does not matter."""
 
     @staticmethod
     def _check(uem):
         assert uem.ua_states == tuple(sorted(uem.moves_in, key=decoded_key(uem.game, merged_a_key)))
         assert uem.uf_states == tuple(sorted(uem.moves_out,
                                              key=decoded_key(uem.game, merged_f_key)))
-        bare = oe.Mechanism(  # given rows, in reverse order
-            uem.defender, uem.initial,
-            dict(reversed(uem.moves_in.items())), dict(reversed(uem.moves_out.items())),
-            partial=uem.partial, tgs=uem._tgs,
-        )
-        assert bare.ua_states == uem.ua_states
-        assert bare.uf_states == uem.uf_states
-        assert bare.partial == uem.partial
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", range(60))
@@ -119,7 +113,7 @@ class TestRefineToEm:
         assert ghost not in set(fig3_em.ua_states)
 
     def test_nonempty_and_guaranteed(self, fig3_em):
-        assert fig3_em.guaranteed
+        assert isinstance(fig3_em, oe.EditMechanism)
         assert not fig3_em.partial
         for vuf in fig3_em.uf_states:
             assert fig3_em.moves_out[vuf]
@@ -190,21 +184,13 @@ class TestSynthesize:
             assert fe.step(fe.initial, "b")[0] != T("b")
 
     def test_policy_independent_when_nothing_to_choose(self, fig3_tgs, fig3_em):
-        from opacedit.mechanism import Mechanism
-
         key = oe.POLICIES["prefer-passthrough"]
-        narrowed = Mechanism(
-            defender=fig3_em.defender,
-            initial=fig3_em.initial,
-            moves_in=fig3_em.moves_in,
-            moves_out={
-                vuf: {min(acts, key=key): acts[min(acts, key=key)]}
-                for vuf, acts in fig3_em.moves_out.items()
-            },
-            partial=frozenset(),
-            guaranteed=True,
-            tgs=fig3_tgs,
-        )
+        uem = oe.build_uem(fig3_tgs).complete()
+        for vuf, acts in fig3_em.moves_out.items():  # one winning action each
+            act = min(acts, key=key)
+            uem.moves_out[vuf] = {act: acts[act]}
+        narrowed = oe.refine_to_em(uem)
+        assert all(len(acts) == 1 for acts in narrowed.moves_out.values())
         behaviors = {
             (fe.n_states, fe.initial, tuple(sorted(fe.output.items())),
              tuple(sorted(fe.next_state.items())))
@@ -404,3 +390,40 @@ class TestDemandDriven:
         fe = oe.parse_mealy(capsys.readouterr().out)
         aut, profile = oe.parse_model(path.read_text())
         assert oe.exact_ic_check(aut, profile, fe)
+
+
+class TestOverAnyGame:
+    """``Mechanism`` reads a game only through ``expand`` and ``def_moves``.
+    Where trimming removes nothing, the mechanism over the untrimmed,
+    on-demand game is the one over the trimmed game."""
+
+    @staticmethod
+    def _check(aut, profile, k) -> bool:
+        """Compare the two mechanisms; False when trimming removes something."""
+        tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=k))
+        if tgs is None or tgs.removed_a or tgs.removed_f:
+            return False
+        got = oe.Mechanism(oe.build_edit_game(aut, profile, k=k)).complete()
+        want = oe.build_uem(tgs).complete()
+        assert got.initial == want.initial
+        assert got.moves_in == want.moves_in
+        assert got.moves_out == want.moves_out
+        assert got.ua_states == want.ua_states
+        assert got.uf_states == want.uf_states
+        assert got.partial == want.partial
+        assert mechanism_dot(got, aut) == mechanism_dot(want, aut)
+        em_got, em_want = oe.refine_to_em(got), oe.refine_to_em(want)
+        assert (em_got is None) == (em_want is None)
+        for policy in oe.POLICIES if em_want is not None else ():
+            assert (oe.format_mealy(oe.synthesize(em_got, policy))
+                    == oe.format_mealy(oe.synthesize(em_want, policy)))
+        return True
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_plants(self, k):
+        compared = sum(self._check(*oe.random_instance(seed), k) for seed in range(40))
+        assert compared >= 20
+
+    def test_bench_plant(self):
+        aut, profile = oe.parse_model((INSTANCES / "gen-27-12-5.aut").read_text())
+        assert self._check(aut, profile, 1)

@@ -127,16 +127,39 @@ def _random_safety_game(rng):
     return unctrl, ctrl, seeds, cut
 
 
+def _cut_at(cut):
+    """The ``(node, label)`` pairs of ``cut`` as the solver's mapping."""
+    at = {}
+    for node, label in cut:
+        at.setdefault(node, set()).add(label)
+    return at
+
+
 class TestSafetySolver:
     def test_worklist_equals_naive_sweep_on_random_graphs(self):
         rng = random.Random(20241010)
+        pick = random.Random(11)
         for _ in range(500):
             unctrl, ctrl, seeds, cut = _random_safety_game(rng)
-            dead = backward_dead(unctrl, ctrl, seeds, cut)
+            dead = backward_dead(unctrl, ctrl, seeds, _cut_at(cut))
             assert dead == sweep_dead(unctrl, ctrl, seeds, cut)
             if 0 not in dead:
-                assert live_part(0, unctrl, ctrl, dead, cut) == live_rows(
+                assert live_part(0, unctrl, ctrl, dead, _cut_at(cut)) == live_rows(
                     0, unctrl, ctrl, dead, cut
+                )
+            # Plant nodes without a row appear only as targets of controllable
+            # rows, so seeding them as dead cuts every edge into them.
+            rowless = set(pick.sample(range(1, len(unctrl)), pick.randint(0, len(unctrl) - 1)))
+            rowed = {a: row for a, row in unctrl.items() if a not in rowless}
+            into = cut | {(f, x) for f, row in ctrl.items() for x, a in row.items()
+                          if a in rowless}
+            seeded = backward_dead(rowed, ctrl, list(seeds) + sorted(rowless), _cut_at(cut))
+            cutting = backward_dead(rowed, ctrl, seeds, _cut_at(into))
+            assert cutting == sweep_dead(rowed, ctrl, seeds, into)
+            assert seeded - rowless == cutting - rowless
+            if 0 not in seeded:
+                assert live_part(0, rowed, ctrl, seeded, _cut_at(cut)) == live_part(
+                    0, rowed, ctrl, cutting, _cut_at(into)
                 )
 
 
