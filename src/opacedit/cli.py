@@ -1,7 +1,8 @@
 """Command-line front end for the verification and synthesis pipeline.
 
 Exit code contract: 0 success (or opaque), 1 a checked property fails (or
-not opaque), 2 input error, 3 the configuration is not enforceable.
+not opaque), 2 input error (a plant too large for memory included), 3 the
+configuration is not enforceable.
 """
 from __future__ import annotations
 
@@ -379,6 +380,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT
 
 

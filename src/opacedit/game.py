@@ -254,7 +254,8 @@ class EditGameStructure:
         return self._canonical()[1]
 
     def actions_at(self, v: int) -> tuple[EditAction, ...]:
-        return tuple(sorted(self.def_moves[v], key=EditAction.sort_key))
+        """``v``'s actions in canonical order, the order its row is built in."""
+        return tuple(self.def_moves[v])
 
     def _label(self, v: int) -> int:
         state, secret = self.decode(v), self._secret

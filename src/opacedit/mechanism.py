@@ -89,7 +89,8 @@ class Mechanism:
         return frozenset((vuf, act) for vuf, acts in self._cut.items() for act in acts)
 
     def actions_at(self, v: MergedF) -> tuple[EditAction, ...]:
-        return tuple(sorted(self.moves_out[v], key=EditAction.sort_key))
+        """``v``'s actions in canonical order, the order ``expand`` inserts."""
+        return tuple(self.moves_out[v])
 
     def _closure(self, hits: Iterable[int]) -> frozenset:
         """Unobservable closure of ``hits``, as the union of each hit's
@@ -242,7 +243,8 @@ def build_uem(tgs: TrimmedGameStructure) -> Mechanism:
 class EditMechanism:
     """The edit mechanism refined from the no-guarantees ``source``: the
     rows of its proven-winning part, with no partial action.  Synthesis
-    walks ``source``, which these rows are a view of."""
+    walks ``source``, which these rows are a view of: a row that lost no
+    action is the source's own row object."""
 
     partial: frozenset = frozenset()
 

@@ -8,6 +8,12 @@ The backward safety solver takes rows as they are built, so trimming can
 drive the game's construction and stop once the initial state is lost.
 The same solver and live-part pass also refine the merged mechanism
 (``refine_to_em``), where the cut edges are the partial actions.
+
+Both passes pay for what dies, not for what is fed.  The solver indexes
+predecessors only at its first death, and the live part keeps every row
+that loses nothing as the same object.  That sharing is sound because
+rows are never mutated once ``expand`` (of the game or of the mechanism)
+has built them.
 """
 from __future__ import annotations
 
@@ -44,11 +50,18 @@ class BackwardSolver:
     once, with its cut) and seeds may arrive in any order, and ``dead`` is
     always the attractor of the seeds over the rows fed so far, where a
     node without a row counts as live.
-    Predecessor counters make the total work linear in the edges fed.
+    Until the first death (a seed, or a controllable row whose every edge
+    is cut) the rows are only kept; the first death replays them into
+    predecessor counters, which make the total work linear in the edges
+    fed from then on.  A solve that proves nothing dead costs one append
+    per row.
     """
 
     def __init__(self) -> None:
         self.dead: set = set()
+        # rows fed before the first death, as (node, row, cut) with cut None
+        # for an uncontrollable row; None once the counters are built
+        self._kept: Optional[list] = []
         self._parents: dict[Hashable, list] = {}
         self._live_count: dict[Hashable, int] = {}
 
@@ -57,6 +70,9 @@ class BackwardSolver:
             self._kill(node)
 
     def add_unctrl(self, node: Hashable, row: Mapping) -> None:
+        if self._kept is not None:
+            self._kept.append((node, row, None))
+            return
         if node in self.dead:
             return
         if any(succ in self.dead for succ in row.values()):
@@ -67,6 +83,10 @@ class BackwardSolver:
 
     def add_ctrl(self, node: Hashable, row: Mapping, cut: Collection = ()) -> None:
         """Feed ``node``'s row; edges labeled in ``cut`` do not count."""
+        if self._kept is not None and row and (
+                not cut or any(label not in cut for label in row)):
+            self._kept.append((node, row, cut))
+            return
         if node in self.dead:
             return
         live = [succ for label, succ in row.items()
@@ -77,7 +97,19 @@ class BackwardSolver:
         if not live:
             self._kill(node)
 
+    def _index(self) -> None:
+        """Replay the kept rows into the predecessor counters; nothing is
+        dead yet, so none of them dies."""
+        kept, self._kept = self._kept, None
+        for node, row, cut in kept:
+            if cut is None:
+                self.add_unctrl(node, row)
+            else:
+                self.add_ctrl(node, row, cut)
+
     def _kill(self, node: Hashable) -> None:
+        if self._kept is not None:
+            self._index()
         dead, live_count = self.dead, self._live_count
         dead.add(node)
         stack = [node]
@@ -115,8 +147,9 @@ def live_part(
 
     Uncontrollable rows are kept whole, since none of their moves can be
     refused; controllable rows keep only their uncut edges into live nodes.
+    A row that loses no edge is kept as the same object.
     """
-    kept_u = {initial: dict(unctrl[initial])}
+    kept_u = {initial: unctrl[initial]}
     kept_c: dict = {}
     queue = deque([initial])
     while queue:
@@ -124,23 +157,24 @@ def live_part(
             assert node not in dead, "uncontrollable move into a pruned state survived"
             if node in kept_c:
                 continue
+            row = ctrl[node]
             skip = cut.get(node, ())
-            row = {
-                label: succ for label, succ in ctrl[node].items()
-                if succ not in dead and label not in skip
-            }
+            if skip or not dead.isdisjoint(row.values()):
+                row = {label: succ for label, succ in row.items()
+                       if succ not in dead and label not in skip}
             assert row, "surviving controllable state lost every action"
             kept_c[node] = row
             for succ in row.values():
                 if succ not in kept_u:
-                    kept_u[succ] = dict(unctrl[succ])
+                    kept_u[succ] = unctrl[succ]
                     queue.append(succ)
     return kept_u, kept_c
 
 
-def _walk_dead(game: EditGameStructure) -> Optional[set]:
-    """States proven dead by the walk ``trim_game`` describes; None as soon
-    as the initial state dies."""
+def _walk_dead(game: EditGameStructure) -> Optional[tuple[set, int]]:
+    """States proven dead by the walk ``trim_game`` describes, and the
+    number of information states it reached; None as soon as the initial
+    state dies."""
     solver = BackwardSolver()
     dead = solver.dead
     fed: set[int] = set()
@@ -170,7 +204,7 @@ def _walk_dead(game: EditGameStructure) -> Optional[set]:
                 solver.seed(vf)
             solver.add_ctrl(vf, moves)
         solver.add_unctrl(v, row)
-    return None if game.initial in dead else dead
+    return None if game.initial in dead else (dead, len(seen))
 
 
 def trim_game(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
@@ -183,18 +217,22 @@ def trim_game(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
     reached is either proven dead or expanded, so the live part and the
     disabled actions are those of the whole game.  Rows built before the
     call are fed even where their state is dead, so on a completed game
-    ``removed_a`` and ``removed_f`` list every dead state.
+    ``removed_a`` and ``removed_f`` list every dead state.  When nothing
+    died and the game holds no row the walk did not reach, the walked game
+    is its own live part and is returned as it is.
     """
-    dead = _walk_dead(game)
-    if dead is None:
+    walked = _walk_dead(game)
+    if walked is None:
         return None
+    dead, reached = walked
+    if not dead and reached == len(game.sys_moves):
+        return TrimmedGameStructure(game=game, disabled={}, removed_a=(), removed_f=())
     sys_moves, def_moves = live_part(game.initial, game.sys_moves, game.def_moves, dead)
-    disabled = {}
-    for vf in game.f_states:
-        if vf in def_moves:
-            lost = tuple(act for act, tgt in game.def_moves[vf].items() if tgt in dead)
-            if lost:
-                disabled[vf] = lost
+    rows = game.def_moves
+    # live_part copies exactly the rows that lost an action into a dead state
+    filtered = sorted(vf for vf, row in def_moves.items() if row is not rows[vf])
+    disabled = {vf: tuple(act for act, tgt in rows[vf].items() if tgt in dead)
+                for vf in filtered}
     trimmed = EditGameStructure(
         profile=game.profile,
         k=game.k,
@@ -205,9 +243,10 @@ def trim_game(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
         utility=dict.fromkeys(list(sys_moves) + list(def_moves), 1),
         observers=game.observers,
     )
+    order = sorted(dead)
     return TrimmedGameStructure(
         game=trimmed,
         disabled=disabled,
-        removed_a=tuple(v for v in game.a_states if v in dead),
-        removed_f=tuple(vf for vf in game.f_states if vf in dead),
+        removed_a=tuple(v for v in order if v not in rows),
+        removed_f=tuple(vf for vf in order if vf in rows),
     )

@@ -104,6 +104,15 @@ class TestSynthesize:
         assert main(["synthesize", fig3_file, "--ops", "insert",
                      "--max-insert", "0"]) == 2
 
+    def test_out_of_memory_is_an_input_error(self, fig3_file, capsys, monkeypatch):
+        def exhausted(game):
+            raise MemoryError
+        monkeypatch.setattr("opacedit.cli.trim_game", exhausted)
+        assert main(["synthesize", fig3_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n"
+        assert captured.out == ""
+
     def test_stage_dots_are_reproducible(self, fig3_file, tmp_path):
         dirs = []
         for name in ("one", "two"):

@@ -4,7 +4,7 @@ import pytest
 
 import opacedit as oe
 from opacedit.dot import mechanism_dot
-from opacedit.game import PASSTHROUGH
+from opacedit.game import EditAction, PASSTHROUGH
 
 from conftest import FORCED_LEAK_TEXT, SUBS_ONLY, code, info
 from oracles import decoded, decoded_key, merged_a_key, merged_f_key, refine_naive
@@ -137,6 +137,12 @@ class TestRefineToEm:
         tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
         assert tgs is not None  # the refutation is refinement's
         assert oe.refine_to_em(oe.build_uem(tgs)) is None
+
+    def test_rows_that_lost_nothing_are_shared(self, fig3_uem, fig3_em):
+        assert all(row is fig3_uem.moves_in[v] for v, row in fig3_em.moves_in.items())
+        for vuf, row in fig3_em.moves_out.items():
+            assert (row is fig3_uem.moves_out[vuf]) == (row == fig3_uem.moves_out[vuf])
+        assert any(row is not fig3_uem.moves_out[vuf] for vuf, row in fig3_em.moves_out.items())
 
     def test_member_totality_after_refinement(self, fig3_tgs, fig3_em):
         for vuf in fig3_em.uf_states:
@@ -427,3 +433,29 @@ class TestOverAnyGame:
     def test_bench_plant(self):
         aut, profile = oe.parse_model((INSTANCES / "gen-27-12-5.aut").read_text())
         assert self._check(aut, profile, 1)
+
+
+class TestRowsInCanonicalActionOrder:
+    """Every row is built in ``EditAction.sort_key`` order: the game's from
+    its menus, the mechanism's by a sort, and the live parts keep the order
+    of the rows they filter.  ``actions_at`` reads rows as they are."""
+
+    @staticmethod
+    def _in_order(rows) -> bool:
+        return all(list(row) == sorted(row, key=EditAction.sort_key) for row in rows.values())
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_plants(self, k):
+        for seed in range(40):
+            aut, profile = oe.random_instance(seed)
+            game = oe.build_edit_game(aut, profile, k=k).complete()
+            assert self._in_order(game.def_moves)
+            tgs = oe.trim_game(game)
+            if tgs is None:
+                continue
+            assert self._in_order(tgs.game.def_moves)
+            uem = oe.build_uem(tgs).complete()
+            assert self._in_order(uem.moves_out)
+            em = oe.refine_to_em(uem)
+            if em is not None:
+                assert self._in_order(em.moves_out)

@@ -33,13 +33,22 @@ class TestTrimFig3:
     def test_initial_survives(self, fig3_game, fig3_tgs):
         assert fig3_tgs.game.initial == fig3_game.initial
 
+    def test_rows_that_lost_nothing_are_shared(self, fig3_game, fig3_tgs):
+        kept = fig3_tgs.game
+        assert all(row is fig3_game.sys_moves[v] for v, row in kept.sys_moves.items())
+        for vf, row in kept.def_moves.items():
+            assert (row is fig3_game.def_moves[vf]) == (vf not in fig3_tgs.disabled)
+
+
+NO_SECRET = (
+    "states 1 2\ninitial 1\nevents a b\nobservable a b\n"
+    "intruder a\ndefender b\ntrans 1 a 2\ntrans 2 b 1\n"
+)
+
 
 class TestTrimEdgeCases:
     def test_no_problematic_states_means_no_change(self):
-        aut, profile = oe.parse_model(
-            "states 1 2\ninitial 1\nevents a b\nobservable a b\n"
-            "intruder a\ndefender b\ntrans 1 a 2\ntrans 2 b 1\n"
-        )
+        aut, profile = oe.parse_model(NO_SECRET)
         game = oe.build_edit_game(aut, profile, k=1).complete()
         assert all(game.utility[v] == 1 for v in list(game.a_states) + list(game.f_states))
         tgs = oe.trim_game(game)
@@ -48,6 +57,27 @@ class TestTrimEdgeCases:
         assert not tgs.disabled
         for vf in game.f_states:
             assert tgs.game.actions_at(vf) == game.actions_at(vf)
+
+    def test_nothing_dies_returns_the_walked_game(self):
+        aut, profile = oe.parse_model(
+            (ROOT / "bench" / "instances" / "gen-27-12-5.aut").read_text())
+        game = oe.build_edit_game(aut, profile, k=1)
+        tgs = oe.trim_game(game)
+        assert tgs.game is game
+        assert not tgs.disabled and not tgs.removed_a and not tgs.removed_f
+        assert len(game.sys_moves) == len(game.a_states) == 1500
+
+    def test_rows_the_walk_did_not_reach_are_left_out(self):
+        aut, profile = oe.parse_model(NO_SECRET)
+        whole = oe.build_edit_game(aut, profile, k=1).complete()
+        game = oe.build_edit_game(aut, profile, k=1).complete()
+        stray = next(v for v in range(len(whole.a_states) + 1) if v not in whole.a_states)
+        game.expand(stray)
+        tgs = oe.trim_game(game)
+        assert tgs.game is not game
+        assert tgs.game.a_states == whole.a_states
+        assert tgs.game.sys_moves == whole.sys_moves
+        assert tgs.game.def_moves == whole.def_moves
 
     def test_secret_initial_state_is_unenforceable(self):
         aut, profile = oe.parse_model(
@@ -164,6 +194,22 @@ class TestSafetySolver:
 
 
 class TestIncrementalSolver:
+    @staticmethod
+    def _feed(solver, unctrl, ctrl, cut, steps):
+        """Feed ``steps`` one at a time, checking ``dead`` after each."""
+        fed_u, fed_c, fed_seeds = {}, {}, []
+        for kind, node in steps:
+            if kind == "seed":
+                solver.seed(node)
+                fed_seeds.append(node)
+            elif kind == "ctrl":
+                solver.add_ctrl(node, ctrl[node], {x for f, x in cut if f == node})
+                fed_c[node] = ctrl[node]
+            else:
+                solver.add_unctrl(node, unctrl[node])
+                fed_u[node] = unctrl[node]
+            assert solver.dead == sweep_dead(fed_u, fed_c, fed_seeds, cut)
+
     def test_rows_fed_in_any_order(self):
         # the graphs of the backward_dead cross-check above, rows, seeds and
         # cuts fed one at a time in shuffled order
@@ -176,19 +222,31 @@ class TestIncrementalSolver:
                      + [("unctrl", node) for node in unctrl])
             shuffle.shuffle(steps)
             solver = BackwardSolver()
-            fed_u, fed_c, fed_seeds = {}, {}, []
-            for kind, node in steps:
-                if kind == "seed":
-                    solver.seed(node)
-                    fed_seeds.append(node)
-                elif kind == "ctrl":
-                    solver.add_ctrl(node, ctrl[node], {x for f, x in cut if f == node})
-                    fed_c[node] = ctrl[node]
-                else:
-                    solver.add_unctrl(node, unctrl[node])
-                    fed_u[node] = unctrl[node]
-                assert solver.dead == sweep_dead(fed_u, fed_c, fed_seeds, cut)
+            self._feed(solver, unctrl, ctrl, cut, steps)
             assert solver.dead == sweep_dead(unctrl, ctrl, seeds, cut)
+
+    def test_every_row_before_any_seed(self):
+        rng = random.Random(20241011)
+        shuffle = random.Random(8)
+        for _ in range(500):
+            unctrl, ctrl, seeds, cut = _random_safety_game(rng)
+            rows = [("ctrl", node) for node in ctrl] + [("unctrl", node) for node in unctrl]
+            shuffle.shuffle(rows)
+            solver = BackwardSolver()
+            self._feed(solver, unctrl, ctrl, cut, rows + [("seed", node) for node in seeds])
+
+    def test_first_death_is_a_fully_cut_row(self):
+        rng = random.Random(20241012)
+        shuffle = random.Random(9)
+        for _ in range(500):
+            unctrl, ctrl, _, cut = _random_safety_game(rng)
+            lost = rng.choice(sorted(ctrl))
+            cut |= {(lost, x) for x in ctrl[lost]}
+            steps = [("ctrl", node) for node in ctrl] + [("unctrl", node) for node in unctrl]
+            shuffle.shuffle(steps)
+            solver = BackwardSolver()
+            self._feed(solver, unctrl, ctrl, cut, steps)
+            assert lost in solver.dead
 
 
 OP_SETS = [frozenset(c) for n in (1, 2, 3)
