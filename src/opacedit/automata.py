@@ -28,9 +28,12 @@ class ParseError(ModelError):
         self.line = line
 
 
-def _check_symbol(kind: str, token: str) -> str:
+def _check_symbol(kind: str, token: str, line: Optional[int] = None) -> str:
+    """``token`` if it is a valid id; a ``ParseError`` naming ``line`` if
+    one is given, else a plain ``ModelError``."""
     if not token or not token.isprintable() or any(c.isspace() for c in token):
-        raise ModelError(f"{kind} id {token!r} must be printable, nonempty, whitespace-free")
+        message = f"{kind} id {token!r} must be printable, nonempty, whitespace-free"
+        raise ModelError(message) if line is None else ParseError(message, line)
     return token
 
 
@@ -159,9 +162,9 @@ _DIRECTIVES = (
 def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
     """Parse the one-directive-per-line model format.
 
-    Unknown directives, duplicate transitions from the same (state, event)
-    pair, and references to undeclared symbols are hard errors carrying the
-    line number.
+    Unknown directives, malformed or reserved ids, duplicate transitions
+    from the same (state, event) pair, and references to undeclared symbols
+    are hard errors carrying the line number.
     """
     # insertion-ordered: label -> index, event -> None
     states: dict[str, int] = {}
@@ -182,11 +185,17 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
             raise ParseError(f"unknown directive {directive!r}", lineno)
         if directive == "states":
             for tok in args:
+                _check_symbol("state", tok, lineno)
                 if tok in states:
                     raise ParseError(f"state {tok!r} declared twice", lineno)
                 states[tok] = len(states)
         elif directive == "events":
             for tok in args:
+                _check_symbol("event", tok, lineno)
+                if tok == "-" or "·" in tok:
+                    raise ParseError(f"event id {tok!r} is reserved: the transducer "
+                                     "format writes '-' for the empty word and "
+                                     "joins words with '·'", lineno)
                 if tok in events:
                     raise ParseError(f"event {tok!r} declared twice", lineno)
                 events[tok] = None
@@ -237,17 +246,13 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
     intruder = frozenset(tok for _, tok in sets["intruder"])
     defender = frozenset(tok for _, tok in sets["defender"])
 
-    initial_id = state_ref(*initial)
-    try:
-        aut = FiniteAutomaton(
-            labels=tuple(states),
-            events=tuple(events),
-            delta=delta,
-            initial=initial_id,
-            secret=secret,
-        )
-    except ModelError as exc:
-        raise ParseError(str(exc), initial[0]) from exc
+    aut = FiniteAutomaton(
+        labels=tuple(states),
+        events=tuple(events),
+        delta=delta,
+        initial=state_ref(*initial),
+        secret=secret,
+    )
     profile = ObservationProfile(observable=observable, intruder=intruder, defender=defender)
     profile.validate(aut)
     return aut, profile

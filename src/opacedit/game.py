@@ -12,6 +12,7 @@ order; ``EditGameStructure.decode`` gives back the state's tuple.
 """
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Union
@@ -159,14 +160,15 @@ def apply_defender_move(
 class EditGameStructure:
     """Edit game structure with its utility labeling, built on demand.
 
-    ``build_edit_game`` gives a structure that holds only its initial
-    information state.  ``expand`` adds one information state's system row
-    together with the defender rows and utilities of its new augmented
-    states; an information state is labeled when a defender row first
-    reaches it and gets its own row when expanded.  ``complete`` expands
-    everything reachable.  ``a_states`` and ``f_states`` list the part built
-    so far in the canonical order; reading them never expands.  A structure
-    made from given rows (a trimmed game) is already whole.
+    A new structure holds only its labeled initial information state.
+    ``expand`` adds one information state's system row together with the
+    defender rows and utilities of its new augmented states; an information
+    state is labeled when a defender row first reaches it and gets its own
+    row when expanded.  ``complete`` expands everything reachable.
+    ``a_states`` and ``f_states`` list the part built so far in the
+    canonical order; reading them never expands.  ``restrict`` cuts a game
+    down to given rows of its own, as trimming does; the restricted game is
+    whole.
 
     Every state is an int code, and only this class knows the encoding.
     With ``s``, ``i`` and ``d`` the indices of an information state's
@@ -185,33 +187,26 @@ class EditGameStructure:
         profile: ObservationProfile,
         k: int,
         ops: frozenset[str],
-        initial: int,
-        sys_moves: dict[int, dict[str, int]],
-        def_moves: dict[int, dict[EditAction, int]],
-        utility: dict[int, int],
         observers: tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton],
-        secret: Optional[frozenset[int]] = None,
+        secret: frozenset[int],
     ):
         self.profile = profile
         self.k = k
         self.ops = ops
-        self.initial = initial
-        self.sys_moves = sys_moves
-        self.def_moves = def_moves
-        self.utility = utility
         self.observers = observers
-        self._secret = secret  # None for a structure made from given rows
+        self._secret = secret
+        self.sys_moves: dict[int, dict[str, int]] = {}
+        self.def_moves: dict[int, dict[EditAction, int]] = {}
+        self.utility: dict[int, int] = {}
         # information states labeled so far, each code mapped to the one int
         # object that every row refers to
-        self._info = {v: v for v in utility if v not in def_moves}
+        self._info: dict[int, int] = {}
         self._events = sorted(profile.observable)
         n_sys, self._n_intr, self._n_def = (len(obs.states) for obs in observers)
         self._n_info = n_sys * self._n_intr * self._n_def
-        self._menus = ({e: enumerate_actions(e, profile, k, ops) for e in self._events}
-                       if secret is not None else {})
+        self._menus = {e: enumerate_actions(e, profile, k, ops) for e in self._events}
         # per observer, the index of each estimate in its ``states``
-        self._index = (tuple({sset: i for i, sset in enumerate(obs.states)} for obs in observers)
-                       if secret is not None else ())
+        self._index = tuple({sset: i for i, sset in enumerate(obs.states)} for obs in observers)
         # system estimate -> (event, event index, next system estimate) per
         # defined event
         self._sys_rows: dict[int, tuple] = {}
@@ -223,6 +218,7 @@ class EditGameStructure:
         self._responses: dict[tuple[int, int, int], tuple] = {}
         # rows are only ever added, so a row count dates the cached views
         self._views: tuple[int, tuple] = (-1, ())
+        self.initial = self._label(self._encode(InfoState(*(obs.initial for obs in observers))))
 
     def _encode(self, v: InfoState) -> int:
         s, i, d = (index[x] for index, x in zip(self._index, v))
@@ -305,7 +301,7 @@ class EditGameStructure:
         defender rows and utilities of its new augmented states.  Each
         response is ``apply_defender_move`` with the observer runs shared
         by all augmented states with the same estimates and pending event."""
-        if v in self.sys_moves or self._secret is None:
+        if v in self.sys_moves:
             return self.sys_moves[v]
         n_id = self._n_intr * self._n_def
         n_info, n_events = self._n_info, len(self._events)
@@ -342,6 +338,20 @@ class EditGameStructure:
                         queue.append(target)
         return self
 
+    def restrict(
+        self, sys_moves: dict[int, dict[str, int]], def_moves: dict[int, dict[EditAction, int]]
+    ) -> "EditGameStructure":
+        """This game cut down to ``sys_moves`` and ``def_moves``, rows of
+        its own closed under moves, with utility 1 on every kept state.  The
+        restricted game shares the decoder, the observers and the memos; it
+        is whole, so callers expand it only at its own states."""
+        game = copy.copy(self)
+        game.sys_moves, game.def_moves = sys_moves, def_moves
+        game.utility = dict.fromkeys(list(sys_moves) + list(def_moves), 1)
+        game._info = {v: v for v in sys_moves}
+        game._views = (-1, ())
+        return game
+
 
 def build_edit_game(
     aut: FiniteAutomaton,
@@ -354,17 +364,4 @@ def build_edit_game(
     ops = frozenset(ops)
     if not ops <= OPS_ALL:
         raise ValueError(f"unknown edit operations: {sorted(ops - OPS_ALL)}")
-    game = EditGameStructure(
-        profile=profile,
-        k=k,
-        ops=ops,
-        initial=0,
-        sys_moves={},
-        def_moves={},
-        utility={},
-        observers=standard_observers(aut, profile),
-        secret=aut.secret,
-    )
-    game.initial = game._encode(InfoState(*(obs.initial for obs in game.observers)))
-    game._label(game.initial)
-    return game
+    return EditGameStructure(profile, k, ops, standard_observers(aut, profile), aut.secret)

@@ -173,6 +173,9 @@ def exact_ic_check(
                for c in _joint_configs(aut, profile, editor))
 
 
+_EVENT_IDS = "abcdefghij"
+
+
 def random_instance(
     seed: int, max_states: int = 5, max_events: int = 4
 ) -> tuple[FiniteAutomaton, ObservationProfile]:
@@ -184,11 +187,13 @@ def random_instance(
     """
     if max_states < 2 or max_events < 2:
         raise ValueError("need at least two states and two events")
+    if max_events > len(_EVENT_IDS):
+        raise ValueError(f"at most {len(_EVENT_IDS)} events")
     rng = random.Random(seed)
     n_states = rng.randint(2, max_states)
     n_events = rng.randint(2, max_events)
     labels = tuple(str(i + 1) for i in range(n_states))
-    events = tuple("abcdefghij"[i] for i in range(n_events))
+    events = tuple(_EVENT_IDS[:n_events])
 
     delta: dict[tuple[int, str], int] = {}
     for state in range(1, n_states):

@@ -10,9 +10,9 @@ action-selection policy.
 
 The merged mechanism is built on demand.  Refinement and synthesis walk the
 strategy their action order prefers and expand a belief state only when the
-walk reaches it; the backward safety solver runs over the expanded part,
-where unexpanded beliefs count as live, and the walk is repeated until it
-meets no dead observation state (a local fixpoint in the style of
+walk reaches it; the backward safety solver is fed each row as it is
+expanded, with unexpanded beliefs counted as live, and the walk is repeated
+until it meets no dead observation state (a local fixpoint in the style of
 on-the-fly game solving).  ``Mechanism.complete`` expands everything, for
 callers that show the whole structure.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .automata import Trace
@@ -64,8 +63,11 @@ class Mechanism:
         self._closures: dict[int, frozenset] = {}
         # rows are only ever added, so a row count dates each cached result
         self._views: tuple[int, tuple] = (-1, ())
+        # fed each row as ``expand`` builds it, each observation state's with
+        # its partial actions as the cut, so its ``dead`` is always the
+        # attractor over the expanded rows, where unexpanded beliefs count
+        # as live
         self._solver = BackwardSolver()
-        self._fed = (0, 0)  # rows of moves_in and moves_out fed to the solver
         self.initial: MergedA = self._closure((game.initial,))
 
     def _canonical(self) -> tuple:
@@ -133,7 +135,9 @@ class Mechanism:
             self.moves_out[vuf] = out
             if cut:
                 self._cut[vuf] = cut
+            self._solver.add_ctrl(vuf, out, self._cut.get(vuf, ()))
         self.moves_in[vua] = row
+        self._solver.add_unctrl(vua, row)
         return row
 
     def complete(self) -> "Mechanism":
@@ -148,40 +152,29 @@ class Mechanism:
                         queue.append(target)
         return self
 
-    def _dead(self) -> set:
-        """Nodes proven dead over the expanded rows; an unexpanded belief
-        has no row, so it counts as live.  The solver is fed only the rows
-        added since the last call, each observation state's with its
-        partial actions as the cut."""
-        n_in, n_out = self._fed
-        for vuf, row in islice(self.moves_out.items(), n_out, None):
-            self._solver.add_ctrl(vuf, row, self._cut.get(vuf, ()))
-        for vua, row in islice(self.moves_in.items(), n_in, None):
-            self._solver.add_unctrl(vua, row)
-        self._fed = (len(self.moves_in), len(self.moves_out))
-        return self._solver.dead
-
     def _walk(self, key: Callable[[EditAction], tuple]) -> Optional[Walk]:
         """Breadth-first walk of the strategy that plays, at each observation
         state, the ``key``-least uncut action whose target is not proven
         dead, expanding beliefs as it reaches them.  None when the initial
         belief is proven dead.
 
+        ``expand`` feeds the solver, so ``dead`` may grow during a pass.
         A node dies only on complete evidence, so every action the walk
-        skips loses in the whole mechanism too, and a walk that closes is a
-        winning strategy: its actions are the key-least winning ones.
+        skips loses in the whole mechanism too.  A walk that closes is a
+        winning strategy: at each observation state of its beliefs it has an
+        uncut action into them, so no row fed later kills one of them, and
+        its actions are the key-least winning ones.
         """
         ranked: dict[MergedF, list[tuple[EditAction, MergedA]]] = {}
-        while True:
-            dead = self._dead()
-            if self.initial in dead:
-                return None
+        dead = self._solver.dead
+        while self.initial not in dead:
             walk = self._walk_once(key, dead, ranked)
             if walk is not None:
                 return walk
             # The walk met observation states whose actions all lead into
-            # proven-dead beliefs.  It expanded rows the last solve had not
-            # seen, and solving again proves those states dead.
+            # proven-dead beliefs, so the belief it stood in, live when the
+            # walk reached it, is dead now, and the next pass avoids it.
+        return None
 
     def _walk_once(
         self, key: Callable[[EditAction], tuple], dead: set,
@@ -281,8 +274,8 @@ def refine_to_em(uem: Mechanism) -> Optional[EditMechanism]:
     it needs to decide the initial belief state.  Over a partial expansion
     the refined rows keep only proven-winning parts: the unexpanded beliefs
     are seeded as dead, which cuts every action into them, since they have
-    no row.  On a completed mechanism this is the whole refinement, in one
-    round of the solver.
+    no row.  On a completed mechanism the solver, fed every row, has
+    already proven the whole refinement.
     """
     if uem._walk(EditAction.sort_key) is None:
         return None
@@ -291,7 +284,7 @@ def refine_to_em(uem: Mechanism) -> Optional[EditMechanism]:
     if unexpanded:
         dead = backward_dead(uem.moves_in, uem.moves_out, unexpanded, uem._cut)
     else:
-        dead = uem._dead()
+        dead = uem._solver.dead
     return EditMechanism(uem, *live_part(uem.initial, uem.moves_in, uem.moves_out, dead, uem._cut))
 
 

@@ -233,19 +233,9 @@ def trim_game(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
     filtered = sorted(vf for vf, row in def_moves.items() if row is not rows[vf])
     disabled = {vf: tuple(act for act, tgt in rows[vf].items() if tgt in dead)
                 for vf in filtered}
-    trimmed = EditGameStructure(
-        profile=game.profile,
-        k=game.k,
-        ops=game.ops,
-        initial=game.initial,
-        sys_moves=sys_moves,
-        def_moves=def_moves,
-        utility=dict.fromkeys(list(sys_moves) + list(def_moves), 1),
-        observers=game.observers,
-    )
     order = sorted(dead)
     return TrimmedGameStructure(
-        game=trimmed,
+        game=game.restrict(sys_moves, def_moves),
         disabled=disabled,
         removed_a=tuple(v for v in order if v not in rows),
         removed_f=tuple(vf for vf in order if vf in rows),

@@ -17,6 +17,9 @@ EMPTY_SECRET = FIG3_TEXT.replace("secret 5\n", "")
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "bench" / "instances"
 
+RESERVED = ("event id {} is reserved: the transducer format writes '-' for the "
+            "empty word and joins words with '·'")
+
 UNENFORCEABLE = (
     "states s t\ninitial s\nsecret s\nevents a\nobservable a\n"
     "intruder a\ndefender a\ntrans s a t\n"
@@ -64,8 +67,17 @@ class TestVerify:
         (FIG3_TEXT.replace("states 1 2 3 4 5 6\n", ""), "no states declared"),
         (FIG3_TEXT.replace("events a b c d\n", ""), "no events declared"),
         (FIG3_TEXT.replace("initial 1\n", ""), "no initial state declared"),
+        (FIG3_TEXT.replace("states 1 2 3 4 5 6", "states 1 2 3 4 5 6 \x01"),
+         "line 2: state id '\\x01' must be printable, nonempty, whitespace-free"),
+        (FIG3_TEXT.replace("events a b c d", "events a b c d \x02"),
+         "line 5: event id '\\x02' must be printable, nonempty, whitespace-free"),
+        (FIG3_TEXT.replace("events a b c d", "events a b c d -"),
+         "line 5: " + RESERVED.format("'-'")),
+        (FIG3_TEXT.replace("events a b c d", "events a b c d e·f"),
+         "line 5: " + RESERVED.format("'e·f'")),
     ], ids=["state-twice", "event-twice", "initial-bare", "initial-two", "initial-twice",
-            "trans-short", "trans-long", "no-states", "no-events", "no-initial"])
+            "trans-short", "trans-long", "no-states", "no-events", "no-initial",
+            "state-unprintable", "event-unprintable", "event-dash", "event-dot"])
     def test_malformed_model_names_its_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.aut"
         path.write_text(text)
@@ -353,6 +365,19 @@ class TestOtherCommands:
         assert one.read_bytes() == two.read_bytes()
         aut, profile = oe.parse_model(one.read_text())
         assert aut.n_states >= 2
+
+    def test_gen_rejects_more_than_ten_events(self, tmp_path, capsys):
+        plant = tmp_path / "big.aut"
+        assert main(["gen", "--seed", "1", "--max-events", "12", "-o", str(plant)]) == 2
+        assert capsys.readouterr().err == "error: at most 10 events\n"
+        assert not plant.exists()
+
+    def test_reserved_event_id_is_refused_before_synthesis(self, tmp_path, capsys):
+        plant = tmp_path / "dash.aut"
+        plant.write_text("states 1 2\ninitial 1\nsecret 2\nevents - b\nobservable - b\n"
+                         "intruder - b\ndefender - b\ntrans 1 - 2\ntrans 1 b 1\n")
+        assert main(["synthesize", str(plant)]) == 2
+        assert capsys.readouterr().err == f"error: line 4: {RESERVED.format(repr('-'))}\n"
 
     def test_gen_requires_seed(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,7 +7,7 @@ from opacedit.dot import mechanism_dot
 from opacedit.game import EditAction, PASSTHROUGH
 
 from conftest import FORCED_LEAK_TEXT, SUBS_ONLY, code, info
-from oracles import decoded, decoded_key, merged_a_key, merged_f_key, refine_naive
+from oracles import decoded, decoded_key, merged_a_key, merged_f_key, refine_naive, sweep_dead
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
@@ -396,6 +396,34 @@ class TestDemandDriven:
         fe = oe.parse_mealy(capsys.readouterr().out)
         aut, profile = oe.parse_model(path.read_text())
         assert oe.exact_ic_check(aut, profile, fe)
+
+
+class TestSolverFedByExpand:
+    """``expand`` feeds every row it builds to the mechanism's solver, so the
+    solver's dead set is the naive fixpoint over the expanded rows, where
+    unexpanded beliefs count as live, both after completion and after a
+    demand-driven refinement."""
+
+    CASES = [(5, seed) for seed in range(40)] + DEMAND_CASES
+
+    @staticmethod
+    def _naive(uem):
+        return sweep_dead(uem.moves_in, uem.moves_out, (), uem.partial)
+
+    def test_dead_is_the_fixpoint_over_the_rows_built(self):
+        with_dead = 0
+        for max_states, seed in self.CASES:
+            aut, profile = oe.random_instance(seed, max_states=max_states)
+            tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+            if tgs is None:
+                continue
+            whole = oe.build_uem(tgs).complete()
+            assert whole._solver.dead == self._naive(whole)
+            with_dead += bool(whole._solver.dead)
+            lazy = oe.build_uem(tgs)
+            oe.refine_to_em(lazy)
+            assert lazy._solver.dead == self._naive(lazy)
+        assert with_dead
 
 
 class TestOverAnyGame:

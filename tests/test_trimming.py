@@ -8,7 +8,7 @@ import opacedit as oe
 from opacedit.game import PASSTHROUGH, substitution
 from opacedit.trimming import BackwardSolver, backward_dead, live_part
 
-from conftest import info
+from conftest import SUBS_ONLY, info
 from oracles import live_rows, sweep_dead, trim_game_naive
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +38,22 @@ class TestTrimFig3:
         assert all(row is fig3_game.sys_moves[v] for v, row in kept.sys_moves.items())
         for vf, row in kept.def_moves.items():
             assert (row is fig3_game.def_moves[vf]) == (vf not in fig3_tgs.disabled)
+
+    def test_restricted_game_shares_the_source(self, fig3):
+        game = oe.build_edit_game(*fig3, k=0, ops=SUBS_ONLY).complete()
+        rows = tuple({v: dict(row) for v, row in moves.items()}
+                     for moves in (game.sys_moves, game.def_moves))
+        a_states, utility = game.a_states, dict(game.utility)
+        tgs = oe.trim_game(game)
+        kept = tgs.game
+        assert tgs.removed_a and kept is not game
+        assert kept.observers is game.observers
+        codes = list(kept.sys_moves) + list(kept.def_moves)
+        assert all(kept.decode(v) == game.decode(v) for v in codes)
+        assert kept.utility == dict.fromkeys(codes, 1)
+        assert all(kept.expand(v) is kept.sys_moves[v] for v in kept.sys_moves)
+        assert (game.sys_moves, game.def_moves) == rows
+        assert game.a_states == a_states and game.utility == utility
 
 
 NO_SECRET = (
