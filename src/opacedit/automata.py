@@ -30,11 +30,16 @@ class ParseError(ModelError):
 
 def _check_symbol(kind: str, token: str, line: Optional[int] = None) -> str:
     """``token`` if it is a valid id; a ``ParseError`` naming ``line`` if
-    one is given, else a plain ``ModelError``."""
+    one is given, else a plain ``ModelError``.  Event ids may not be ``-``
+    or contain ``·``, which the transducer format reserves."""
     if not token or not token.isprintable() or any(c.isspace() for c in token):
         message = f"{kind} id {token!r} must be printable, nonempty, whitespace-free"
-        raise ModelError(message) if line is None else ParseError(message, line)
-    return token
+    elif kind == "event" and (token == "-" or "·" in token):
+        message = (f"event id {token!r} is reserved: the transducer format writes "
+                   "'-' for the empty word and joins words with '·'")
+    else:
+        return token
+    raise ModelError(message) if line is None else ParseError(message, line)
 
 
 @dataclass(frozen=True)
@@ -192,10 +197,6 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
         elif directive == "events":
             for tok in args:
                 _check_symbol("event", tok, lineno)
-                if tok == "-" or "·" in tok:
-                    raise ParseError(f"event id {tok!r} is reserved: the transducer "
-                                     "format writes '-' for the empty word and "
-                                     "joins words with '·'", lineno)
                 if tok in events:
                     raise ParseError(f"event {tok!r} declared twice", lineno)
                 events[tok] = None

@@ -73,14 +73,11 @@ def observer_dot(
         lines.append(f"  {ids[s]} [{', '.join(attrs)}];")
     for s in obs.states:
         for event in sorted(obs.alphabet):
-            if event in obs.reactive:
-                target = obs.delta.get((s, event))
-                if target is None:
-                    continue
-            else:
-                if not include_self_loops:
-                    continue
-                target = s
+            if not include_self_loops and event not in obs.reactive:
+                continue
+            target = obs.step(s, event)
+            if target is None:
+                continue
             lines.append(f"  {ids[s]} -> {ids[target]} [label={_quote(event)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -4,15 +4,20 @@ Each observer estimates the plant state from a sub-alphabet of the
 observable events.  Events of the full alphabet that lie outside the
 observer's reactive set self-loop at every state, so an observer can always
 be driven by arbitrary observable words.  Transitions on reactive events are
-partial: an empty reach set encodes "undefined" rather than a sink.  The
-stages read a plant's observers through ``observer``, which builds each one
-once and keeps it with the plant.
+partial: an empty reach set encodes "undefined" rather than a sink.
+
+An observer is explored on demand: each transition is computed the first
+time ``step`` asks for it and kept, so a question that reaches a few
+estimates pays for those alone.  Reading ``states`` completes the
+accessible part.  The stages read a plant's observers through
+``observer``, which builds each one on the first request and keeps it with
+the plant.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional
 
 from .automata import FiniteAutomaton, ObservationProfile
 
@@ -31,27 +36,44 @@ def _silent_closure(aut: FiniteAutomaton, seeds: Iterable[int], silent: frozense
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
 class ObserverAutomaton:
     """Deterministic estimator over state sets of the plant.
 
     ``alphabet`` is the full observable alphabet; ``reactive`` is the subset
     on which real powerset updates occur.  Events of ``alphabet - reactive``
-    self-loop and are therefore not stored in ``delta``.
+    self-loop.  Every estimate is closed under the plant's silent events
+    (those outside ``reactive``), so a step is the union, over the
+    estimate's members, of the closed successor sets on the event.
     """
 
-    alphabet: frozenset[str]
-    reactive: frozenset[str]
-    initial: StateSet
-    states: tuple[StateSet, ...]
-    delta: Mapping[tuple[StateSet, str], StateSet]
+    def __init__(self, aut: FiniteAutomaton, reactive: frozenset[str], full: frozenset[str]):
+        self.alphabet = full
+        self.reactive = reactive
+        silent = frozenset(aut.events) - reactive
+        closures = [_silent_closure(aut, (x,), silent) for x in range(aut.n_states)]
+        empty: StateSet = frozenset()
+        self.initial: StateSet = closures[aut.initial]
+        # event -> closed successor set of each plant state, empty where
+        # the plant has no such arc
+        self._rows = {
+            event: tuple(empty if (dst := aut.step(x, event)) is None else closures[dst]
+                         for x in range(aut.n_states))
+            for event in reactive
+        }
+        # event -> estimate -> its successor, None where undefined
+        self._memo: dict[str, dict[StateSet, Optional[StateSet]]] = {e: {} for e in reactive}
 
     def step(self, state: StateSet, event: str) -> Optional[StateSet]:
-        if event not in self.alphabet:
-            raise ValueError(f"event {event!r} outside the observer alphabet")
-        if event in self.reactive:
-            return self.delta.get((state, event))
-        return state
+        memo = self._memo.get(event)
+        if memo is None:
+            if event not in self.alphabet:
+                raise ValueError(f"event {event!r} outside the observer alphabet")
+            return state
+        try:
+            return memo[state]
+        except KeyError:
+            got = memo[state] = frozenset().union(*map(self._rows[event].__getitem__, state)) or None
+            return got
 
     def run(self, word: Iterable[str], start: Optional[StateSet] = None) -> Optional[StateSet]:
         cur: Optional[StateSet] = self.initial if start is None else start
@@ -60,6 +82,25 @@ class ObserverAutomaton:
                 return None
             cur = self.step(cur, event)
         return cur
+
+    def reachable(self) -> Iterator[StateSet]:
+        """The accessible estimates, breadth-first from ``initial``."""
+        seen = {self.initial}
+        queue = deque(seen)
+        events = sorted(self.reactive)
+        while queue:
+            sset = queue.popleft()
+            yield sset
+            for event in events:
+                target = self.step(sset, event)
+                if target is not None and target not in seen:
+                    seen.add(target)
+                    queue.append(target)
+
+    @cached_property
+    def states(self) -> tuple[StateSet, ...]:
+        """Every accessible estimate, ordered by sorted members."""
+        return tuple(sorted(self.reachable(), key=sorted))
 
 
 def build_observer(
@@ -70,50 +111,7 @@ def build_observer(
     full_set = frozenset(full)
     if not reactive_set <= full_set or not full_set <= set(aut.events):
         raise ValueError("need reactive <= full <= plant events")
-    silent = frozenset(aut.events) - reactive_set
-
-    closure_of: dict[int, StateSet] = {}
-
-    def closure(state: int) -> StateSet:
-        got = closure_of.get(state)
-        if got is None:
-            got = _silent_closure(aut, (state,), silent)
-            closure_of[state] = got
-        return got
-
-    step_memo: dict[tuple[int, str], StateSet] = {}
-
-    def single_step(state: int, event: str) -> StateSet:
-        got = step_memo.get((state, event))
-        if got is None:
-            stepped = {dst for s in closure(state) for e, dst in aut.arcs(s).items() if e == event}
-            got = frozenset().union(*(closure(t) for t in stepped)) if stepped else frozenset()
-            step_memo[(state, event)] = got
-        return got
-
-    initial = closure(aut.initial)
-    states: dict[StateSet, None] = {initial: None}
-    delta: dict[tuple[StateSet, str], StateSet] = {}
-    queue = deque([initial])
-    reactive_sorted = sorted(reactive_set)
-    while queue:
-        sset = queue.popleft()
-        for event in reactive_sorted:
-            union: set[int] = set()
-            for member in sorted(sset):
-                union |= single_step(member, event)
-            if not union:
-                continue
-            target = frozenset(union)
-            delta[(sset, event)] = target
-            if target not in states:
-                states[target] = None
-                queue.append(target)
-    ordered = tuple(sorted(states, key=sorted))
-    return ObserverAutomaton(
-        alphabet=full_set, reactive=reactive_set, initial=initial,
-        states=ordered, delta=delta,
-    )
+    return ObserverAutomaton(aut, reactive_set, full_set)
 
 
 def observer(

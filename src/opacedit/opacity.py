@@ -49,7 +49,7 @@ def verify_cso(aut: FiniteAutomaton, profile: ObservationProfile) -> OpacityVerd
     profile.validate(aut)
     o_intr = observer(aut, profile.intruder, profile.observable)
     secret = aut.secret
-    if not any(s <= secret for s in o_intr.states):
+    if not any(s <= secret for s in o_intr.reachable()):
         return OpacityVerdict(True, None)
 
     start = ((), aut.initial, o_intr.initial)
@@ -61,7 +61,7 @@ def verify_cso(aut: FiniteAutomaton, profile: ObservationProfile) -> OpacityVerd
             return OpacityVerdict(False, trace)
         for event, dst in aut.arcs(x).items():
             if event in o_intr.reactive:
-                nxt = o_intr.delta.get((estimate, event))
+                nxt = o_intr.step(estimate, event)
                 assert nxt is not None, "true state escaped its estimate"
             else:
                 nxt = estimate

@@ -13,7 +13,9 @@ projection up to a depth, one node per word, with explicit defender-view
 consistency groups and explanation searches.  The language enumerations,
 the reach sets, the literal opacity check and the stand-alone
 joint-configuration count are the definitions the package's observers,
-``verify_cso`` and ``certifying_depth`` are tested against.
+``verify_cso`` and ``certifying_depth`` are tested against; the eager
+observer builds the whole accessible powerset in one pass, the way the
+package's on-demand observer must end up once ``states`` is read.
 """
 from __future__ import annotations
 
@@ -143,6 +145,60 @@ def reach_set(
         return frozenset(closure)
     stepped = {dst for s in closure for e, dst in aut.arcs(s).items() if e == observed}
     return frozenset(silent_closure(stepped))
+
+
+@dataclass(frozen=True)
+class EagerObserver:
+    """An observer's accessible part, built in full: ``delta`` holds the
+    defined steps on reactive events."""
+
+    initial: StateSet
+    states: tuple[StateSet, ...]
+    delta: dict[tuple[StateSet, str], StateSet]
+
+
+def eager_observer_reference(
+    aut: FiniteAutomaton, reactive: Iterable[str], full: Iterable[str]
+) -> EagerObserver:
+    """The accessible powerset observer, built breadth-first in one pass by
+    stepping each member of each estimate alone."""
+    reactive_set = frozenset(reactive)
+    if not reactive_set <= frozenset(full) <= set(aut.events):
+        raise ValueError("need reactive <= full <= plant events")
+    silent = frozenset(aut.events) - reactive_set
+
+    def closure(seeds: Iterable[int]) -> StateSet:
+        seen = set(seeds)
+        stack = list(seen)
+        while stack:
+            for event, dst in aut.arcs(stack.pop()).items():
+                if event in silent and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        return frozenset(seen)
+
+    def single_step(state: int, event: str) -> StateSet:
+        stepped = {dst for s in closure((state,)) for e, dst in aut.arcs(s).items() if e == event}
+        return closure(stepped)
+
+    initial = closure((aut.initial,))
+    states: dict[StateSet, None] = {initial: None}
+    delta: dict[tuple[StateSet, str], StateSet] = {}
+    queue = deque([initial])
+    while queue:
+        sset = queue.popleft()
+        for event in sorted(reactive_set):
+            union: set[int] = set()
+            for member in sorted(sset):
+                union |= single_step(member, event)
+            if not union:
+                continue
+            target = frozenset(union)
+            delta[(sset, event)] = target
+            if target not in states:
+                states[target] = None
+                queue.append(target)
+    return EagerObserver(initial, tuple(sorted(states, key=sorted)), delta)
 
 
 def nonsecret_explanation_exists(

@@ -49,10 +49,10 @@ def test_criterion_2_observer_goldens(fig3_aut, fig3_observers):
         aut = fig3_aut
         _, o_intr, o_def = fig3_observers
         assert o_def.initial == sset(aut, "13")
-        assert o_def.delta[(o_def.initial, "b")] == sset(aut, "25")
+        assert o_def.step(o_def.initial, "b") == sset(aut, "25")
         assert o_def.run(("d", "b")) is None
         assert o_intr.initial == sset(aut, "14")
-        assert o_intr.delta[(o_intr.initial, "a")] == sset(aut, "36")
+        assert o_intr.step(o_intr.initial, "a") == sset(aut, "36")
 
 
 def test_criterion_3_game_states_and_utility(fig3, fig3_game):

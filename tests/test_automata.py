@@ -165,3 +165,12 @@ class TestModelValidation:
 
     def test_fmt_state_set(self, fig3_aut):
         assert oe.fmt_state_set(fig3_aut, sset(fig3_aut, "13")) == "{1,3}"
+
+    @pytest.mark.parametrize("event", ["-", "a·b"])
+    def test_reserved_event_id_refused_at_construction(self, event):
+        # the transducer format writes '-' for the empty word and joins
+        # words with '·', so such an event would not survive a round trip
+        with pytest.raises(oe.ModelError, match="reserved") as info:
+            oe.FiniteAutomaton(labels=("s",), events=(event,), delta={(0, event): 0},
+                               initial=0, secret=frozenset())
+        assert not isinstance(info.value, ParseError)

@@ -240,7 +240,7 @@ class TestGameInvariants:
                 target = game.decode(moves[PASSTHROUGH])
                 assert target.dfn == vf.info.dfn
                 if vf.pending in profile.intruder:
-                    assert target.intr == o_intr.delta[(vf.info.intr, vf.pending)]
+                    assert target.intr == o_intr.step(vf.info.intr, vf.pending)
                 else:
                     assert target.intr == vf.info.intr
 

@@ -1,10 +1,19 @@
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 import opacedit as oe
+from opacedit.observers import ObserverAutomaton
 from opacedit.opacity import editor_observers
 
 from conftest import FIG3_TEXT, sset
-from oracles import generated_language, inverse_projection_members, reach_set
+from oracles import (eager_observer_reference, generated_language,
+                     inverse_projection_members, reach_set)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def T(s):
@@ -41,7 +50,7 @@ class TestBuildObserver:
         for sset_ in obs.states:
             (state,) = sset_
             for event in fig3_aut.enabled(state):
-                assert obs.delta[(sset_, event)] == {fig3_aut.step(state, event)}
+                assert obs.step(sset_, event) == {fig3_aut.step(state, event)}
 
     def test_intruder_observer_has_solely_secret_state(self, fig3_aut, fig3_observers):
         _, o_intr, _ = fig3_observers
@@ -49,11 +58,11 @@ class TestBuildObserver:
 
     def test_defender_transition_on_b(self, fig3_aut, fig3_observers):
         _, _, o_def = fig3_observers
-        assert o_def.delta[(o_def.initial, "b")] == sset(fig3_aut, "25")
+        assert o_def.step(o_def.initial, "b") == sset(fig3_aut, "25")
 
     def test_intruder_transition_on_a(self, fig3_aut, fig3_observers):
         _, o_intr, _ = fig3_observers
-        assert o_intr.delta[(o_intr.initial, "a")] == sset(fig3_aut, "36")
+        assert o_intr.step(o_intr.initial, "a") == sset(fig3_aut, "36")
 
     def test_initials(self, fig3_aut, fig3_observers):
         _, o_intr, o_def = fig3_observers
@@ -147,3 +156,71 @@ class TestObserversPerPlant:
                                            profile.observable)
         o_sys, _, o_def = oe.standard_observers(aut, everything)
         assert o_sys is o_def
+
+
+class TestOnDemand:
+    def test_matches_the_eager_reference(self):
+        # steps taken in any order before ``states`` is read leave the
+        # completed observer exactly as one built in full
+        for seed in range(40):
+            aut, profile = oe.random_instance(seed)
+            rng = random.Random(seed)
+            for reactive in (profile.observable, profile.intruder, profile.defender):
+                want = eager_observer_reference(aut, reactive, profile.observable)
+                obs = oe.build_observer(aut, reactive, profile.observable)
+                assert obs.initial == want.initial
+                pairs = [(s, e) for s in want.states for e in sorted(reactive)]
+                for s, e in rng.sample(pairs, len(pairs) // 2):
+                    obs.step(s, e)
+                assert obs.states == want.states
+                for s, e in pairs:
+                    assert obs.step(s, e) == want.delta.get((s, e))
+                for e in sorted(profile.observable - reactive):
+                    assert all(obs.step(s, e) is s for s in want.states)
+
+
+def _bench_module(name):
+    key = f"bench_{name}"
+    module = sys.modules.get(key)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
+        # registered before it runs: its dataclasses look their module up
+        module = sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def _sized_plant(name):
+    spec = _bench_module("workloads").SIZED_PLANTS[name]
+    return oe.parse_model(_bench_module("sized").sized_model(**spec))
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """Distinct estimates passed to ``ObserverAutomaton.step``, by the
+    observer's reactive alphabet."""
+    seen: dict[frozenset, set] = {}
+    step = ObserverAutomaton.step
+
+    def counting(self, state, event):
+        seen.setdefault(self.reactive, set()).add(state)
+        return step(self, state, event)
+
+    monkeypatch.setattr(ObserverAutomaton, "step", counting)
+    return seen
+
+
+class TestLaziness:
+    # the full defender observer of sized-obs has 24,287 estimates and the
+    # full intruder observer of sized-leak 7,443
+    def test_check_steps_only_the_estimates_it_reaches(self, stepped):
+        aut, profile = _sized_plant("sized-obs")
+        editor = oe.parse_mealy((BENCH / "editors" / "identity-bcd.mealy").read_text())
+        oe.evaluate_editor(aut, profile, editor, 12)
+        assert 0 < len(stepped[profile.defender]) < 2500
+
+    def test_verify_stops_at_the_leak(self, stepped):
+        aut, profile = _sized_plant("sized-leak")
+        verdict = oe.verify_cso(aut, profile)
+        assert verdict == oe.OpacityVerdict(False, ("b", "c", "a", "d"))
+        assert 0 < len(stepped[profile.intruder]) < 500

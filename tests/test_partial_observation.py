@@ -26,7 +26,7 @@ class TestUnobservableEvents:
         aut, profile = _model()
         o_sys, o_intr, o_def = oe.standard_observers(aut, profile)
         assert o_sys.initial == sset(aut, "12")
-        assert o_sys.delta[(o_sys.initial, "a")] == sset(aut, "34")
+        assert o_sys.step(o_sys.initial, "a") == sset(aut, "34")
         assert o_intr.initial == sset(aut, "12")
         assert o_def.initial == sset(aut, "12")
 
