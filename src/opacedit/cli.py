@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TextIO
 
 from .automata import (
     FiniteAutomaton,
@@ -99,19 +100,35 @@ def _load_transducer(path: str, profile: ObservationProfile) -> MealyEditFunctio
     return fe
 
 
-def _write_dot(dot_dir: str, name: str, text: str) -> None:
+def _write_dot(dot_dir: str, name: str, render: Callable[[TextIO], None]) -> None:
+    """Stream ``render``'s output into ``DIR/<name>.dot``.  A render that
+    raises leaves no file behind, so no DOT file is ever truncated."""
     path = Path(dot_dir)
     path.mkdir(parents=True, exist_ok=True)
-    (path / f"{name}.dot").write_text(text)
+    target = path / f"{name}.dot"
+    try:
+        with target.open("w") as out:
+            render(out)
+    except BaseException:
+        target.unlink(missing_ok=True)
+        raise
 
 
-def _refined_dot(em, uem, raw_dot: str, aut: FiniteAutomaton) -> str:
-    """``mechanism_dot(em, aut)``.  When the completed ``uem`` has no
+def _write_refined_dot(dot_dir: str, em, uem, aut: FiniteAutomaton) -> None:
+    """``mechanism.dot`` for ``em``.  When the completed ``uem`` has no
     partial pair and refinement kept every belief, the refined mechanism
-    has ``uem``'s rows, so ``raw_dot`` is renamed instead of rendered again."""
+    has ``uem``'s rows, so ``mechanism_raw.dot``, written before, is copied
+    under the graph name ``mechanism`` instead of rendered again."""
     if uem.partial or len(em.ua_states) != len(uem.ua_states):
-        return mechanism_dot(em, aut)
-    return raw_dot.replace("digraph raw {", "digraph mechanism {", 1)
+        _write_dot(dot_dir, "mechanism", lambda out: mechanism_dot(em, aut, out))
+        return
+
+    def copy_raw(out: TextIO) -> None:
+        with (Path(dot_dir) / "mechanism_raw.dot").open() as raw:
+            out.write(raw.readline().replace("digraph raw {", "digraph mechanism {", 1))
+            shutil.copyfileobj(raw, out)
+
+    _write_dot(dot_dir, "mechanism", copy_raw)
 
 
 def _render_trace(trace) -> str:
@@ -137,8 +154,8 @@ def cmd_observers(args) -> int:
               f"initial {fmt_state_set(aut, obs.initial)}")
         if args.dot:
             _write_dot(args.dot, f"observer_{name}",
-                       observer_dot(obs, aut, name=f"observer_{name}",
-                                    include_self_loops=not args.no_self_loops))
+                       lambda out: observer_dot(obs, aut, out, name=f"observer_{name}",
+                                                include_self_loops=not args.no_self_loops))
     return EXIT_OK
 
 
@@ -149,7 +166,7 @@ def cmd_game(args) -> int:
     print(f"game: {len(game.a_states)} information states, "
           f"{len(game.f_states)} augmented states, {zero} utility-0")
     if args.dot:
-        _write_dot(args.dot, "game", game_dot(game, aut))
+        _write_dot(args.dot, "game", lambda out: game_dot(game, aut, out))
     return EXIT_OK
 
 
@@ -167,7 +184,7 @@ def cmd_trim(args) -> int:
           f"{len(tgs.removed_a) + len(tgs.removed_f)} removed, {ndis} actions disabled")
     if args.dot:
         _write_dot(args.dot, "trimmed",
-                   trimmed_dot(tgs, aut, include_disabled=args.show_disabled))
+                   lambda out: trimmed_dot(tgs, aut, out, include_disabled=args.show_disabled))
     return EXIT_OK
 
 
@@ -187,9 +204,8 @@ def cmd_mechanism(args) -> int:
     print(f"edit mechanism: {len(em.ua_states)} belief states, "
           f"{len(em.uf_states)} observation states")
     if args.dot:
-        raw_dot = mechanism_dot(uem, aut, name="raw")
-        _write_dot(args.dot, "mechanism_raw", raw_dot)
-        _write_dot(args.dot, "mechanism", _refined_dot(em, uem, raw_dot, aut))
+        _write_dot(args.dot, "mechanism_raw", lambda out: mechanism_dot(uem, aut, out, name="raw"))
+        _write_refined_dot(args.dot, em, uem, aut)
     return EXIT_OK
 
 
@@ -199,22 +215,24 @@ def cmd_synthesize(args) -> int:
     if args.dot:
         for name, obs in zip(OBSERVER_NAMES, game.observers):
             _write_dot(args.dot, f"observer_{name}",
-                       observer_dot(obs, aut, name=f"observer_{name}"))
-        _write_dot(args.dot, "game", game_dot(game.complete(), aut))
+                       lambda out: observer_dot(obs, aut, out, name=f"observer_{name}"))
+        game.complete()
+        _write_dot(args.dot, "game", lambda out: game_dot(game, aut, out))
     tgs = trim_game(game)
     em = None
     if tgs is not None:
         uem = build_uem(tgs)
         if args.dot:
-            _write_dot(args.dot, "trimmed", trimmed_dot(tgs, aut))
-            raw_dot = mechanism_dot(uem.complete(), aut, name="raw")
-            _write_dot(args.dot, "mechanism_raw", raw_dot)
+            _write_dot(args.dot, "trimmed", lambda out: trimmed_dot(tgs, aut, out))
+            uem.complete()
+            _write_dot(args.dot, "mechanism_raw",
+                       lambda out: mechanism_dot(uem, aut, out, name="raw"))
         em = refine_to_em(uem)
     if em is None:
         print("not ic-enforceable at this configuration")
         return EXIT_UNENFORCEABLE
     if args.dot:
-        _write_dot(args.dot, "mechanism", _refined_dot(em, uem, raw_dot, aut))
+        _write_refined_dot(args.dot, em, uem, aut)
     fe = synthesize(em, policy=args.policy)
     text = format_mealy(fe)
     if args.output:
@@ -223,7 +241,7 @@ def cmd_synthesize(args) -> int:
     else:
         sys.stdout.write(text)
     if args.dot:
-        _write_dot(args.dot, "editor", mealy_dot(fe))
+        _write_dot(args.dot, "editor", lambda out: mealy_dot(fe, out))
     return EXIT_OK
 
 

@@ -179,7 +179,8 @@ class EditGameStructure:
     sorted observable events.  So codes compare in the canonical order
     (estimates by their sorted members, then the pending event), and every
     augmented code lies above every information code.  ``decode`` gives a
-    code's ``InfoState`` or ``AugmentedState``.
+    code's ``InfoState`` or ``AugmentedState``, and ``indices`` its
+    estimates' indices and its pending event without building the state.
     """
 
     def __init__(
@@ -194,7 +195,6 @@ class EditGameStructure:
         self.k = k
         self.ops = ops
         self.observers = observers
-        self._secret = secret
         self.sys_moves: dict[int, dict[str, int]] = {}
         self.def_moves: dict[int, dict[EditAction, int]] = {}
         self.utility: dict[int, int] = {}
@@ -207,6 +207,9 @@ class EditGameStructure:
         self._menus = {e: enumerate_actions(e, profile, k, ops) for e in self._events}
         # per observer, the index of each estimate in its ``states``
         self._index = tuple({sset: i for i, sset in enumerate(obs.states)} for obs in observers)
+        # whether each system and each intruder estimate is solely secret
+        self._secret_only = tuple([sset <= secret for sset in obs.states]
+                                  for obs in observers[:2])
         # system estimate -> (event, event index, next system estimate) per
         # defined event
         self._sys_rows: dict[int, tuple] = {}
@@ -224,15 +227,23 @@ class EditGameStructure:
         s, i, d = (index[x] for index, x in zip(self._index, v))
         return (s * self._n_intr + i) * self._n_def + d
 
-    def decode(self, code: int) -> Union[InfoState, AugmentedState]:
-        """The information or augmented state that ``code`` stands for."""
+    def indices(self, code: int) -> tuple[int, int, int, Optional[str]]:
+        """The indices of ``code``'s system, intruder and defender estimates
+        in their observers' ``states``, and its pending event, None for an
+        information state."""
+        pending = None
         if code >= self._n_info:
-            info, e = divmod(code - self._n_info, len(self._events))
-            return AugmentedState(self.decode(info), self._events[e])
+            code, e = divmod(code - self._n_info, len(self._events))
+            pending = self._events[e]
         rest, d = divmod(code, self._n_def)
         s, i = divmod(rest, self._n_intr)
-        o_sys, o_intr, o_def = self.observers
-        return InfoState(o_sys.states[s], o_intr.states[i], o_def.states[d])
+        return s, i, d, pending
+
+    def decode(self, code: int) -> Union[InfoState, AugmentedState]:
+        """The information or augmented state that ``code`` stands for."""
+        *estimates, pending = self.indices(code)
+        info = InfoState(*(obs.states[x] for obs, x in zip(self.observers, estimates)))
+        return info if pending is None else AugmentedState(info, pending)
 
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.sys_moves):
@@ -254,9 +265,9 @@ class EditGameStructure:
         return tuple(self.def_moves[v])
 
     def _label(self, v: int) -> int:
-        state, secret = self.decode(v), self._secret
+        s, i = divmod(v // self._n_def, self._n_intr)
         self._info[v] = v
-        self.utility[v] = 0 if (state.sys <= secret and state.intr <= secret) else 1
+        self.utility[v] = 0 if (self._secret_only[0][s] and self._secret_only[1][i]) else 1
         return v
 
     def _sys_row(self, s: int) -> tuple:

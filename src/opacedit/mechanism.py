@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .automata import Trace
 from .game import EditAction, EditGameStructure
@@ -49,7 +49,8 @@ class Mechanism:
     and ``complete`` every reachable one.  ``ua_states`` and ``uf_states``
     list the expanded part in canonical order, by their members' sorted
     codes, and ``partial`` its (state, action) pairs that are undefined at
-    some member; reading them never expands.
+    some member, ``partial_at`` one observation state's actions of those;
+    reading them never expands.
     """
 
     def __init__(self, game: EditGameStructure):
@@ -93,6 +94,10 @@ class Mechanism:
     def actions_at(self, v: MergedF) -> tuple[EditAction, ...]:
         """``v``'s actions in canonical order, the order ``expand`` inserts."""
         return tuple(self.moves_out[v])
+
+    def partial_at(self, v: MergedF) -> Collection[EditAction]:
+        """``v``'s partial actions: those undefined at some member."""
+        return self._cut.get(v, ())
 
     def _closure(self, hits: Iterable[int]) -> frozenset:
         """Unobservable closure of ``hits``, as the union of each hit's
@@ -256,6 +261,9 @@ class EditMechanism:
         self.uf_states = tuple(v for v in source.uf_states if v in moves_out)
 
     actions_at = Mechanism.actions_at
+
+    def partial_at(self, v: MergedF) -> Collection[EditAction]:
+        return ()
 
 
 def refine_to_em(uem: Mechanism) -> Optional[EditMechanism]:

@@ -15,6 +15,7 @@ the plant.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -24,16 +25,60 @@ from .automata import FiniteAutomaton, ObservationProfile
 StateSet = frozenset[int]
 
 
-def _silent_closure(aut: FiniteAutomaton, seeds: Iterable[int], silent: frozenset[str]) -> StateSet:
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        state = stack.pop()
-        for event, dst in aut.arcs(state).items():
-            if event in silent and dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return frozenset(seen)
+def silent_closures(aut: FiniteAutomaton, silent: frozenset[str]) -> list[StateSet]:
+    """The closure of each plant state under the ``silent`` events, computed
+    once per strongly connected component of the silent arcs.
+
+    Tarjan's algorithm, run with an explicit stack, completes the
+    components in reverse topological order, so when one completes, the
+    closure of every component its arcs leave to is known: its closure is
+    its members together with those.  The members of a component share
+    their closure object.
+    """
+    n = aut.n_states
+    succ = [[dst for event, dst in aut.arcs(x).items() if event in silent] for x in range(n)]
+    order = [-1] * n  # discovery index, -1 while undiscovered
+    low = [0] * n
+    # a discovered state is on the stack until its component completes,
+    # that is while its closure is None
+    closures: list[Optional[StateSet]] = [None] * n
+    stack: list[int] = []
+    # (state, its arcs left to follow, its place on the stack)
+    work: list[tuple[int, Iterator[int], int]] = []
+    ticket = itertools.count()
+
+    def discover(x: int) -> None:
+        order[x] = low[x] = next(ticket)
+        work.append((x, iter(succ[x]), len(stack)))
+        stack.append(x)
+
+    for root in range(n):
+        if order[root] < 0:
+            discover(root)
+        while work:
+            x, arcs, base = work[-1]
+            for y in arcs:
+                if order[y] < 0:
+                    discover(y)
+                    break
+                if closures[y] is None:
+                    low[x] = min(low[x], order[y])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[x])
+                if low[x] == order[x]:
+                    members = stack[base:]
+                    del stack[base:]
+                    # successors outside the component are closed already;
+                    # those inside it are among the members
+                    closed = frozenset(members).union(*(
+                        closures[z] for y in members for z in succ[y]
+                        if closures[z] is not None))
+                    for y in members:
+                        closures[y] = closed
+    return closures  # type: ignore[return-value]
 
 
 class ObserverAutomaton:
@@ -50,7 +95,7 @@ class ObserverAutomaton:
         self.alphabet = full
         self.reactive = reactive
         silent = frozenset(aut.events) - reactive
-        closures = [_silent_closure(aut, (x,), silent) for x in range(aut.n_states)]
+        closures = silent_closures(aut, silent)
         empty: StateSet = frozenset()
         self.initial: StateSet = closures[aut.initial]
         # event -> closed successor set of each plant state, empty where

@@ -125,6 +125,20 @@ class TestSynthesize:
         assert captured.err == "error: out of memory\n"
         assert captured.out == ""
 
+    def test_failed_render_leaves_no_dot_file(self, fig3_file, tmp_path, capsys, monkeypatch):
+        # exporters stream into their file, so one that fails midway would
+        # otherwise leave a truncated file behind
+        def exhausted(game, aut, out, **kwargs):
+            out.write("digraph game {\n")
+            out.flush()
+            raise MemoryError
+        monkeypatch.setattr("opacedit.cli.game_dot", exhausted)
+        dot_dir = tmp_path / "dots"
+        assert main(["synthesize", fig3_file, "--dot", str(dot_dir)]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not (dot_dir / "game.dot").exists()
+        assert (dot_dir / "observer_system.dot").is_file()  # written before
+
     def test_stage_dots_are_reproducible(self, fig3_file, tmp_path):
         dirs = []
         for name in ("one", "two"):

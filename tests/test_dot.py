@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,19 +13,26 @@ from opacedit.dot import game_dot, mealy_dot, mechanism_dot, observer_dot, trimm
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def render(export, *args, **kwargs) -> str:
+    """The text ``export`` writes for ``args``, streamed into a string."""
+    out = io.StringIO()
+    export(*args, out, **kwargs)
+    return out.getvalue()
+
+
 class TestObserverDot:
     def test_secret_only_states_are_marked(self, fig3, fig3_observers):
         aut, _ = fig3
         _, o_intr, _ = fig3_observers
-        text = observer_dot(o_intr, aut, name="intruder")
+        text = render(observer_dot, o_intr, aut, name="intruder")
         assert 'label="{5}", shape=doublecircle, color=red' in text
         assert 'label="{1,4}"' in text
 
     def test_self_loop_suppression(self, fig3, fig3_observers):
         aut, _ = fig3
         _, o_intr, _ = fig3_observers
-        full = observer_dot(o_intr, aut)
-        bare = observer_dot(o_intr, aut, include_self_loops=False)
+        full = render(observer_dot, o_intr, aut)
+        bare = render(observer_dot, o_intr, aut, include_self_loops=False)
         assert len(bare.splitlines()) < len(full.splitlines())
         assert 'label="c"' not in bare  # c only self-loops in this observer
         assert 'label="c"' in full
@@ -31,40 +40,80 @@ class TestObserverDot:
     def test_deterministic(self, fig3, fig3_observers):
         aut, _ = fig3
         for obs in fig3_observers:
-            assert observer_dot(obs, aut) == observer_dot(obs, aut)
+            assert render(observer_dot, obs, aut) == render(observer_dot, obs, aut)
 
 
 class TestGameDot:
     def test_shapes_and_colors(self, fig3_aut, fig3_game):
-        text = game_dot(fig3_game, fig3_aut)
+        text = render(game_dot, fig3_game, fig3_aut)
         assert "shape=ellipse" in text
         assert "shape=box" in text
         assert "fillcolor=red" in text  # the leaking information state
         assert "b→c" in text and "→" in text
 
     def test_disabled_edges_render_dashed(self, fig3_aut, fig3_tgs):
-        text = trimmed_dot(fig3_tgs, fig3_aut, include_disabled=True)
+        text = render(trimmed_dot, fig3_tgs, fig3_aut, include_disabled=True)
         assert "style=dashed, color=gray" in text
         assert '"b→b"' in text
-        plain = trimmed_dot(fig3_tgs, fig3_aut)
+        plain = render(trimmed_dot, fig3_tgs, fig3_aut)
         assert "style=dashed" not in plain
 
 
 class TestMechanismDot:
     def test_members_listed_per_line(self, fig3_aut, fig3_em):
-        text = mechanism_dot(fig3_em, fig3_aut)
+        text = render(mechanism_dot, fig3_em, fig3_aut)
         assert "({1},{1,4},{1,3})\\n({3},{3,6},{1,3})" in text
 
     def test_partial_edges_dashed_in_raw_mechanism(self, fig3_aut, fig3_uem):
-        text = mechanism_dot(fig3_uem, fig3_aut, name="raw")
+        text = render(mechanism_dot, fig3_uem, fig3_aut, name="raw")
         assert "style=dashed" in text
+
+
+class _Sink:
+    """A text stream that counts the characters written and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.fixture(scope="module")
+def gen27():
+    """gen-27-12-5's plant, completed game and completed merged mechanism."""
+    aut, profile = oe.parse_model((BENCH / "instances" / "gen-27-12-5.aut").read_text())
+    game = oe.build_edit_game(aut, profile, k=1).complete()
+    return aut, game, oe.build_uem(oe.trim_game(game)).complete()
+
+
+class TestStreamedMemory:
+    """An export streams its lines, so what it allocates while rendering
+    stays below what it writes: about 1.0 M characters for the game and
+    3.3 M for the merged mechanism."""
+
+    @pytest.mark.parametrize("export", ["game", "mechanism"])
+    def test_traced_peak_below_characters_written(self, gen27, export):
+        aut, game, uem = gen27
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            if export == "game":
+                game_dot(game, aut, sink)
+            else:
+                mechanism_dot(uem, aut, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak < sink.chars
 
 
 class TestMealyDot:
     def test_edges_show_input_and_output(self, fig3_fe):
-        text = mealy_dot(fig3_fe)
+        text = render(mealy_dot, fig3_fe)
         assert '"b / c"' in text
-        assert text == mealy_dot(fig3_fe)
+        assert text == render(mealy_dot, fig3_fe)
 
 
 def _digests(argv, tmp_path, monkeypatch, capsys) -> tuple[int, dict]:
@@ -103,14 +152,17 @@ PINNED = {
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("item, plant", [
-        ("ce/export-5", "gen-5-8-5"), ("mh/export-27", "gen-27-12-5"),
+    # tr/export-33-k2 exits 3 after writing the observers and the game
+    @pytest.mark.parametrize("item, plant, flags", [
+        ("ce/export-5", "gen-5-8-5", []), ("mh/export-27", "gen-27-12-5", []),
+        ("tr/export-33-k2", "gen-33-30-10", ["--max-insert", "2"]),
     ])
-    def test_export_matches_benchmark_digests(self, tmp_path, monkeypatch, capsys, item, plant):
+    def test_export_matches_benchmark_digests(self, tmp_path, monkeypatch, capsys,
+                                              item, plant, flags):
         want = json.loads((BENCH / "expected.json").read_text())["items"][item]
         code, got = _digests(
             ["export-dot", str(BENCH / "instances" / f"{plant}.aut"),
-             "--dot", "dot", "-o", "editor.mealy"],
+             "--dot", "dot", "-o", "editor.mealy", *flags],
             tmp_path, monkeypatch, capsys)
         assert code == want["exit"]
         assert got == {"stdout": want["stdout"], **want["files"]}
@@ -138,9 +190,9 @@ class TestMechanismRenderedOnce:
 
         names = []
 
-        def counting(mech, aut, name="mechanism"):
+        def counting(mech, aut, out, name="mechanism"):
             names.append(name)
-            return mechanism_dot(mech, aut, name=name)
+            mechanism_dot(mech, aut, out, name=name)
 
         monkeypatch.setattr(cli, "mechanism_dot", counting)
         path = BENCH / "instances" / f"{plant}.aut"
@@ -149,4 +201,4 @@ class TestMechanismRenderedOnce:
         aut, profile = oe.parse_model(path.read_text())
         tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
         em = oe.refine_to_em(oe.build_uem(tgs).complete())
-        assert (tmp_path / "mechanism.dot").read_text() == mechanism_dot(em, aut)
+        assert (tmp_path / "mechanism.dot").read_text() == render(mechanism_dot, em, aut)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import opacedit as oe
-from opacedit.observers import ObserverAutomaton
+from opacedit.observers import ObserverAutomaton, silent_closures
 from opacedit.opacity import editor_observers
 
 from conftest import FIG3_TEXT, sset
@@ -224,3 +224,28 @@ class TestLaziness:
         verdict = oe.verify_cso(aut, profile)
         assert verdict == oe.OpacityVerdict(False, ("b", "c", "a", "d"))
         assert 0 < len(stepped[profile.intruder]) < 500
+
+
+class TestSilentClosures:
+    """The closures computed once per strongly connected component of the
+    silent arcs are the per-state searches of the oracle."""
+
+    @staticmethod
+    def _check(aut, profile) -> bool:
+        """Compare for each observer's silent events; True when some
+        component has more than one state."""
+        shared = False
+        for reactive in (profile.observable, profile.intruder, profile.defender):
+            got = silent_closures(aut, frozenset(aut.events) - reactive)
+            assert got == [reach_set(aut, x, None, reactive) for x in range(aut.n_states)]
+            shared |= len({id(c) for c in got}) < aut.n_states
+        return shared
+
+    def test_random_plants(self):
+        shared = [self._check(*oe.random_instance(seed, max_states=10, max_events=5))
+                  for seed in range(100)]
+        assert any(shared)  # silent cycles occur among the seeds
+
+    @pytest.mark.parametrize("name", ["sized-obs", "sized-opaque", "sized-leak"])
+    def test_sized_plants(self, name):
+        self._check(*_sized_plant(name))
