@@ -21,11 +21,8 @@ from .game import (
     DELETE,
     EditAction,
     EditGameStructure,
-    AugmentedState,
-    InfoState,
     OPS_ALL,
     PASSTHROUGH,
-    apply_defender_move,
     build_edit_game,
     enumerate_actions,
     insertion,
@@ -42,7 +39,6 @@ from .mechanism import (
     parse_mealy,
     refine_to_em,
     synthesize,
-    unobservable_closure,
 )
 from .opacity import (
     OpacityVerdict,

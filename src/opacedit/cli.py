@@ -148,6 +148,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_observers(args) -> int:
+    if args.no_self_loops and not args.dot:
+        raise ModelError("--no-self-loops requires --dot DIR")
     aut, profile = _load(Path(args.input))
     for name, obs in zip(OBSERVER_NAMES, standard_observers(aut, profile)):
         print(f"{name} observer: {len(obs.states)} states, "

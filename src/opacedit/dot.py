@@ -20,13 +20,17 @@ from .observers import ObserverAutomaton
 from .trimming import TrimmedGameStructure
 
 
+def _escape(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + _escape(s) + '"'
 
 
 def _quote_lines(lines) -> str:
     # multi-line DOT label: members joined by literal \n escapes
-    return '"' + "\\n".join(line.replace('"', '\\"') for line in lines) + '"'
+    return '"' + "\\n".join(map(_escape, lines)) + '"'
 
 
 def _state_labels(game: EditGameStructure, aut: FiniteAutomaton) -> Callable[[int], str]:
@@ -150,17 +154,17 @@ def mechanism_dot(
         style = ", style=bold" if v == mech.initial else ""
         write(f"  m{i} [label={_quote_lines(map(label, sorted(v)))}{style}];\n")
     for vf, j in f_ids.items():
-        members = _quote_lines(map(label, sorted(vf.members)))
+        members = _quote_lines(map(label, sorted(vf)))
         write(f"  o{j} [label={members}, shape=box, style=rounded];\n")
     for v, i in a_ids.items():
         row = mech.moves_in[v]
         for event in sorted(row):
             write(f"  m{i} -> o{f_ids[row[event]]} [label={_quote(event)}];\n")
     for vf, j in f_ids.items():
-        cut = mech.partial_at(vf)
+        cut, pending = mech.partial_at(vf), mech.game.indices(next(iter(vf)))[3]
         for act, target in mech.moves_out[vf].items():
             style = ", style=dashed" if cut and act in cut else ""
-            write(f"  o{j} -> m{a_ids[target]} [label={edge_label(act, vf.observed)}{style}];\n")
+            write(f"  o{j} -> m{a_ids[target]} [label={edge_label(act, pending)}{style}];\n")
     write("}\n")
 
 

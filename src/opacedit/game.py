@@ -8,17 +8,18 @@ through their self-loop conventions.  A move exists only when both observer
 runs stay defined.  The structure is built on demand, one information
 state's row at a time, so a trim that refutes the plant early never builds
 the rest.  It names every state by an int code whose order is the canonical
-order; ``EditGameStructure.decode`` gives back the state's tuple.
+order, and ``EditGameStructure.indices`` reads a code's estimates and
+pending event.  The paper's state tuples and the one-step move over them are
+reference copies in ``tests/oracles.py``, read through ``indices``.
 """
 from __future__ import annotations
 
 import copy
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace
-from .observers import ObserverAutomaton, StateSet, standard_observers
+from .observers import ObserverAutomaton, standard_observers
 
 OP_SUBSTITUTE = "substitute"
 OP_DELETE = "delete"
@@ -28,30 +29,12 @@ OPS_ALL = frozenset({OP_SUBSTITUTE, OP_DELETE, OP_INSERT})
 _KIND_RANK = {"pass": 0, "delete": 1, "sub": 2, "insert": 3}
 
 
-@dataclass(frozen=True)
-class EditAction:
-    """One defender response: pass the event through, rewrite it, or erase it.
-
-    Actions key every defender row, so the hash and the sort key are
-    computed once, at construction; equality stays by value."""
+class EditAction(NamedTuple):
+    """One defender response: pass the event through, rewrite it, or erase it."""
 
     kind: str
     target: Optional[str] = None
     prefix: Trace = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.target, self.prefix)))
-        object.__setattr__(self, "_key", (
-            _KIND_RANK[self.kind], self.target or "", len(self.prefix), self.prefix))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild on unpickling: string hashes differ between processes
-        return (EditAction, (self.kind, self.target, self.prefix))
 
     def word(self, pending: str) -> Trace:
         """Output word this action emits for the pending event."""
@@ -75,7 +58,7 @@ class EditAction:
         return "+" + "·".join(self.prefix + (pending,))
 
     def sort_key(self) -> tuple:
-        return self._key
+        return (_KIND_RANK[self.kind], self.target or "", len(self.prefix), self.prefix)
 
 
 PASSTHROUGH = EditAction("pass")
@@ -91,17 +74,6 @@ def insertion(prefix: Iterable[str]) -> EditAction:
     if not prefix:
         raise ValueError("insertion prefix must be nonempty")
     return EditAction("insert", prefix=prefix)
-
-
-class InfoState(NamedTuple):
-    sys: StateSet
-    intr: StateSet
-    dfn: StateSet
-
-
-class AugmentedState(NamedTuple):
-    info: InfoState
-    pending: str
 
 
 def enumerate_actions(
@@ -132,31 +104,6 @@ def enumerate_actions(
     return tuple(actions)
 
 
-def apply_defender_move(
-    v: AugmentedState,
-    act: EditAction,
-    o_intr: ObserverAutomaton,
-    o_def: ObserverAutomaton,
-    profile: ObservationProfile,
-) -> Optional[InfoState]:
-    """Successor information state of playing ``act`` at ``v``; None if undefined.
-
-    The rendered output word is run through both observers; letters invisible
-    to an observer self-loop, so the uneditable cases and mixed-visibility
-    insertion words all go through this single rule.
-    """
-    word = act.word(v.pending)
-    if v.pending not in profile.defender and act.kind != "pass":
-        raise ValueError("only the passthrough is playable on non-defender events")
-    new_intr = o_intr.run(word, v.info.intr)
-    if new_intr is None:
-        return None
-    new_def = o_def.run(word, v.info.dfn)
-    if new_def is None:
-        return None
-    return InfoState(v.info.sys, new_intr, new_def)
-
-
 class EditGameStructure:
     """Edit game structure with its utility labeling, built on demand.
 
@@ -178,9 +125,9 @@ class EditGameStructure:
     information state and ``e`` the index of its pending event among the
     sorted observable events.  So codes compare in the canonical order
     (estimates by their sorted members, then the pending event), and every
-    augmented code lies above every information code.  ``decode`` gives a
-    code's ``InfoState`` or ``AugmentedState``, and ``indices`` its
-    estimates' indices and its pending event without building the state.
+    augmented code lies above every information code.  ``indices`` gives a
+    code's estimates' indices and its pending event; the tests decode codes
+    into the paper's tuples through it (``tests/oracles.py``).
     """
 
     def __init__(
@@ -221,11 +168,8 @@ class EditGameStructure:
         self._responses: dict[tuple[int, int, int], tuple] = {}
         # rows are only ever added, so a row count dates the cached views
         self._views: tuple[int, tuple] = (-1, ())
-        self.initial = self._label(self._encode(InfoState(*(obs.initial for obs in observers))))
-
-    def _encode(self, v: InfoState) -> int:
-        s, i, d = (index[x] for index, x in zip(self._index, v))
-        return (s * self._n_intr + i) * self._n_def + d
+        s, i, d = (index[obs.initial] for index, obs in zip(self._index, observers))
+        self.initial = self._label((s * self._n_intr + i) * self._n_def + d)
 
     def indices(self, code: int) -> tuple[int, int, int, Optional[str]]:
         """The indices of ``code``'s system, intruder and defender estimates
@@ -238,12 +182,6 @@ class EditGameStructure:
         rest, d = divmod(code, self._n_def)
         s, i = divmod(rest, self._n_intr)
         return s, i, d, pending
-
-    def decode(self, code: int) -> Union[InfoState, AugmentedState]:
-        """The information or augmented state that ``code`` stands for."""
-        *estimates, pending = self.indices(code)
-        info = InfoState(*(obs.states[x] for obs, x in zip(self.observers, estimates)))
-        return info if pending is None else AugmentedState(info, pending)
 
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.sys_moves):
@@ -259,10 +197,6 @@ class EditGameStructure:
     @property
     def f_states(self) -> tuple[int, ...]:
         return self._canonical()[1]
-
-    def actions_at(self, v: int) -> tuple[EditAction, ...]:
-        """``v``'s actions in canonical order, the order its row is built in."""
-        return tuple(self.def_moves[v])
 
     def _label(self, v: int) -> int:
         s, i = divmod(v // self._n_def, self._n_intr)
@@ -310,8 +244,9 @@ class EditGameStructure:
     def expand(self, v: int) -> dict[str, int]:
         """System row of ``v``, built on first request together with the
         defender rows and utilities of its new augmented states.  Each
-        response is ``apply_defender_move`` with the observer runs shared
-        by all augmented states with the same estimates and pending event."""
+        response runs the action's word through the intruder and defender
+        observers, with the runs shared by all augmented states with the
+        same estimates and pending event."""
         if v in self.sys_moves:
             return self.sys_moves[v]
         n_id = self._n_intr * self._n_def
@@ -354,7 +289,7 @@ class EditGameStructure:
     ) -> "EditGameStructure":
         """This game cut down to ``sys_moves`` and ``def_moves``, rows of
         its own closed under moves, with utility 1 on every kept state.  The
-        restricted game shares the decoder, the observers and the memos; it
+        restricted game shares the encoding, the observers and the memos; it
         is whole, so callers expand it only at its own states."""
         game = copy.copy(self)
         game.sys_moves, game.def_moves = sys_moves, def_moves

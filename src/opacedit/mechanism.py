@@ -21,18 +21,17 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .automata import Trace
 from .game import EditAction, EditGameStructure
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
 
-MergedA = frozenset  # frozenset[int]: information-state codes
-
-
-class MergedF(NamedTuple):
-    members: frozenset  # frozenset[int]: augmented-state codes
-    observed: str
+# A belief is the frozenset of its information-state codes and an
+# observation state the frozenset of its augmented-state codes.  A member's
+# code fixes the observed event, and augmented codes lie above every
+# information code, so no observation state equals a belief.
+MergedA = frozenset
 
 
 # (q, event, action, q') for each transducer edge, in visiting order
@@ -45,22 +44,22 @@ class Mechanism:
 
     It reads the game only through ``game.expand`` and ``game.def_moves``,
     so ``game`` may be the trimmed game or the on-demand edit game itself;
-    ``game.decode`` reads the members.  ``expand`` adds one belief's row
-    and ``complete`` every reachable one.  ``ua_states`` and ``uf_states``
-    list the expanded part in canonical order, by their members' sorted
-    codes, and ``partial`` its (state, action) pairs that are undefined at
-    some member, ``partial_at`` one observation state's actions of those;
-    reading them never expands.
+    ``game.indices`` reads a member's code.  ``expand`` adds one belief's
+    row and ``complete`` every reachable one.  ``ua_states`` and
+    ``uf_states`` list the expanded part in canonical order, by their
+    members' sorted codes, and ``partial`` its (state, action) pairs that
+    are undefined at some member, ``partial_at`` one observation state's
+    actions of those; reading them never expands.
     """
 
     def __init__(self, game: EditGameStructure):
         self.game = game
         self.defender = game.profile.defender
-        self.moves_in: dict[MergedA, dict[str, MergedF]] = {}
-        self.moves_out: dict[MergedF, dict[EditAction, MergedA]] = {}
+        self.moves_in: dict[MergedA, dict[str, frozenset]] = {}
+        self.moves_out: dict[frozenset, dict[EditAction, MergedA]] = {}
         self._events = sorted(self.defender)
         # each observation state's partial actions, the cut of its row
-        self._cut: dict[MergedF, set[EditAction]] = {}
+        self._cut: dict[frozenset, set[EditAction]] = {}
         self._closures: dict[int, frozenset] = {}
         # rows are only ever added, so a row count dates each cached result
         self._views: tuple[int, tuple] = (-1, ())
@@ -73,9 +72,8 @@ class Mechanism:
 
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.moves_in):
-            # a member's code fixes the observed event
             ua = tuple(sorted(self.moves_in, key=sorted))
-            uf = tuple(sorted(self.moves_out, key=lambda vf: sorted(vf.members)))
+            uf = tuple(sorted(self.moves_out, key=sorted))
             self._views = (len(self.moves_in), (ua, uf))
         return self._views[1]
 
@@ -84,18 +82,14 @@ class Mechanism:
         return self._canonical()[0]
 
     @property
-    def uf_states(self) -> tuple[MergedF, ...]:
+    def uf_states(self) -> tuple[frozenset, ...]:
         return self._canonical()[1]
 
     @property
-    def partial(self) -> frozenset[tuple[MergedF, EditAction]]:
+    def partial(self) -> frozenset[tuple[frozenset, EditAction]]:
         return frozenset((vuf, act) for vuf, acts in self._cut.items() for act in acts)
 
-    def actions_at(self, v: MergedF) -> tuple[EditAction, ...]:
-        """``v``'s actions in canonical order, the order ``expand`` inserts."""
-        return tuple(self.moves_out[v])
-
-    def partial_at(self, v: MergedF) -> Collection[EditAction]:
+    def partial_at(self, v: frozenset) -> Collection[EditAction]:
         """``v``'s partial actions: those undefined at some member."""
         return self._cut.get(v, ())
 
@@ -106,28 +100,27 @@ class Mechanism:
         for v in hits:
             closed = self._closures.get(v)
             if closed is None:
-                closed = self._closures[v] = unobservable_closure(self.game, (v,))
+                closed = self._closures[v] = _unobservable_closure(self.game, (v,))
             parts.append(closed)
         return parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
-    def expand(self, vua: MergedA) -> dict[str, MergedF]:
+    def expand(self, vua: MergedA) -> dict[str, frozenset]:
         """Row of ``vua``, merged on first request together with the action
         rows and partial pairs of its new observation states."""
         if vua in self.moves_in:
             return self.moves_in[vua]
         def_moves = self.game.def_moves
         rows = [self.game.expand(v) for v in vua]
-        row: dict[str, MergedF] = {}
+        row: dict[str, frozenset] = {}
         for event in self._events:
-            members = frozenset(r[event] for r in rows if event in r)
-            if not members:
+            vuf = frozenset(r[event] for r in rows if event in r)
+            if not vuf:
                 continue
-            vuf = MergedF(members, event)
             row[event] = vuf
             if vuf in self.moves_out:
                 continue
             hits_of: dict[EditAction, list[int]] = {}
-            for z in members:
+            for z in vuf:
                 for act, hit in def_moves[z].items():
                     hits_of.setdefault(act, []).append(hit)
             out: dict[EditAction, MergedA] = {}
@@ -135,7 +128,7 @@ class Mechanism:
             for act in sorted(hits_of, key=EditAction.sort_key):
                 hits = hits_of[act]
                 out[act] = self._closure(hits)
-                if len(hits) < len(members):
+                if len(hits) < len(vuf):
                     cut.add(act)
             self.moves_out[vuf] = out
             if cut:
@@ -170,7 +163,7 @@ class Mechanism:
         uncut action into them, so no row fed later kills one of them, and
         its actions are the key-least winning ones.
         """
-        ranked: dict[MergedF, list[tuple[EditAction, MergedA]]] = {}
+        ranked: dict[frozenset, list[tuple[EditAction, MergedA]]] = {}
         dead = self._solver.dead
         while self.initial not in dead:
             walk = self._walk_once(key, dead, ranked)
@@ -183,7 +176,7 @@ class Mechanism:
 
     def _walk_once(
         self, key: Callable[[EditAction], tuple], dead: set,
-        ranked: dict[MergedF, list[tuple[EditAction, MergedA]]],
+        ranked: dict[frozenset, list[tuple[EditAction, MergedA]]],
     ) -> Optional[Walk]:
         """One pass of ``_walk``; None when some observation state has no
         uncut action into a belief not proven dead.  ``ranked`` keeps each
@@ -211,7 +204,7 @@ class Mechanism:
         return None if stuck else (order, edges)
 
 
-def unobservable_closure(game: EditGameStructure, seeds: Iterable[int]) -> frozenset:
+def _unobservable_closure(game: EditGameStructure, seeds: Iterable[int]) -> frozenset:
     """Close a set of information states of ``game`` under moves the
     defender cannot see: a system event outside the defender alphabet
     followed by its forced passthrough."""
@@ -249,8 +242,8 @@ class EditMechanism:
     def __init__(
         self,
         source: Mechanism,
-        moves_in: dict[MergedA, dict[str, MergedF]],
-        moves_out: dict[MergedF, dict[EditAction, MergedA]],
+        moves_in: dict[MergedA, dict[str, frozenset]],
+        moves_out: dict[frozenset, dict[EditAction, MergedA]],
     ):
         self.source = source
         self.moves_in = moves_in
@@ -260,9 +253,7 @@ class EditMechanism:
         self.ua_states = tuple(v for v in source.ua_states if v in moves_in)
         self.uf_states = tuple(v for v in source.uf_states if v in moves_out)
 
-    actions_at = Mechanism.actions_at
-
-    def partial_at(self, v: MergedF) -> Collection[EditAction]:
+    def partial_at(self, v: frozenset) -> Collection[EditAction]:
         return ()
 
 

@@ -4,6 +4,8 @@ import pytest
 
 import opacedit as oe
 
+from oracles import InfoState, decode
+
 # Running example: six states, the secret is state 5, the intruder sees
 # {a,b,d}, the defender sees {b,c,d}.  Plant trace abc reaches the secret;
 # the intruder view ab pins the estimate to {5}.
@@ -98,11 +100,11 @@ def sset(aut, labels):
 
 
 def info(aut, sys, intr, dfn):
-    return oe.InfoState(sset(aut, sys), sset(aut, intr), sset(aut, dfn))
+    return InfoState(sset(aut, sys), sset(aut, intr), sset(aut, dfn))
 
 
 def code(game, state):
     """The code of an information or augmented state labeled in ``game``,
-    found through the game's decoder."""
-    (found,) = [c for c in game.utility if game.decode(c) == state]
+    found through ``decode``."""
+    (found,) = [c for c in game.utility if decode(game, c) == state]
     return found

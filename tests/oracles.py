@@ -1,10 +1,14 @@
 """Reference implementations kept only for cross-checking the package.
 
-The sort keys below spell out the canonical order that the package's
-state codes encode (``EditGameStructure``): state sets by their sorted
-members, then information states, augmented states and merged states by
-their parts.  They take decoded states; ``decoded_key`` applies one to
-codes through a game's decoder.  The restart sweep recomputes the backward safety fixpoint the
+``InfoState`` and ``AugmentedState`` are the paper's state tuples, and
+``decode`` reads a game's state code into one through
+``EditGameStructure.indices``.  ``apply_defender_move`` is the one-step
+definition of a defender move over those tuples, the reference for the
+game's shared observer runs.  The sort keys below spell out the canonical
+order that the package's state codes encode (``EditGameStructure``): state
+sets by their sorted members, then information states, augmented states and
+merged states by their parts.  They take decoded states; ``decoded_key``
+applies one to codes through ``decode``.  The restart sweep recomputes the backward safety fixpoint the
 slow, obviously-correct way, and the naive trim and refinement rebuild their
 survivors by re-sorting with the canonical keys rather than filtering the
 parent's already sorted tuples.  The naive refinement takes a completed
@@ -21,16 +25,59 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Union
 
 from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, project
-from opacedit.game import AugmentedState, EditAction, EditGameStructure, InfoState
-from opacedit.mechanism import EditMechanism, MealyEditFunction, MergedA, MergedF, Mechanism
-from opacedit.observers import StateSet
+from opacedit.game import EditAction, EditGameStructure
+from opacedit.mechanism import EditMechanism, MealyEditFunction, MergedA, Mechanism
+from opacedit.observers import ObserverAutomaton, StateSet
 from opacedit.opacity import EditorReport, SupportsEdit, editor_observers
 from opacedit.trimming import TrimmedGameStructure
 
 EPSILON: Trace = ()
+
+
+class InfoState(NamedTuple):
+    sys: StateSet
+    intr: StateSet
+    dfn: StateSet
+
+
+class AugmentedState(NamedTuple):
+    info: InfoState
+    pending: str
+
+
+def decode(game: EditGameStructure, code: int) -> Union[InfoState, AugmentedState]:
+    """The information or augmented state that ``code`` stands for."""
+    *estimates, pending = game.indices(code)
+    info = InfoState(*(obs.states[x] for obs, x in zip(game.observers, estimates)))
+    return info if pending is None else AugmentedState(info, pending)
+
+
+def apply_defender_move(
+    v: AugmentedState,
+    act: EditAction,
+    o_intr: ObserverAutomaton,
+    o_def: ObserverAutomaton,
+    profile: ObservationProfile,
+) -> Optional[InfoState]:
+    """Successor information state of playing ``act`` at ``v``; None if undefined.
+
+    The rendered output word is run through both observers; letters invisible
+    to an observer self-loop, so the uneditable cases and mixed-visibility
+    insertion words all go through this single rule.
+    """
+    word = act.word(v.pending)
+    if v.pending not in profile.defender and act.kind != "pass":
+        raise ValueError("only the passthrough is playable on non-defender events")
+    new_intr = o_intr.run(word, v.info.intr)
+    if new_intr is None:
+        return None
+    new_def = o_def.run(word, v.info.dfn)
+    if new_def is None:
+        return None
+    return InfoState(v.info.sys, new_intr, new_def)
 
 
 def _sset_key(s: StateSet) -> tuple[int, ...]:
@@ -49,18 +96,18 @@ def merged_a_key(v: MergedA) -> tuple:
     return tuple(sorted(info_key(m) for m in v))
 
 
-def merged_f_key(v: MergedF) -> tuple:
-    return (tuple(sorted(aug_key(m) for m in v.members)), v.observed)
+def merged_f_key(v: frozenset) -> tuple:
+    """Key of a decoded observation state: its members' keys, then the
+    event they all carry."""
+    return (tuple(sorted(aug_key(m) for m in v)), next(iter(v)).pending)
 
 
 def decoded(game: EditGameStructure, x):
-    """A state code, a belief (a set of codes) or an observation state
-    (``MergedF``), with every code read through ``game.decode``."""
-    if isinstance(x, MergedF):
-        return MergedF(frozenset(map(game.decode, x.members)), x.observed)
+    """A state code, or a belief or an observation state (a frozenset of
+    codes), with every code read through ``decode``."""
     if isinstance(x, frozenset):
-        return frozenset(map(game.decode, x))
-    return game.decode(x)
+        return frozenset(decode(game, c) for c in x)
+    return decode(game, x)
 
 
 def decoded_key(game: EditGameStructure, key):

@@ -12,7 +12,7 @@ from opacedit.cli import main
 from opacedit.game import PASSTHROUGH
 
 from conftest import FIG3_TEXT, SUBS_ONLY, code, info, sset
-from oracles import decoded, generated_language, trim_game_naive
+from oracles import AugmentedState, decode, decoded, generated_language, trim_game_naive
 
 
 @contextmanager
@@ -61,7 +61,7 @@ def test_criterion_3_game_states_and_utility(fig3, fig3_game):
         start = time.monotonic()
         game = oe.build_edit_game(aut, fig3[1], k=0, ops=SUBS_ONLY).complete()
         elapsed = time.monotonic() - start
-        states = set(map(game.decode, game.a_states))
+        states = {decode(game, v) for v in game.a_states}
         assert info(aut, "5", "36", "46") in states
         assert info(aut, "6", "2", "25") in states
         assert game.utility[code(game, info(aut, "5", "5", "25"))] == 0
@@ -72,12 +72,12 @@ def test_criterion_3_game_states_and_utility(fig3, fig3_game):
 def test_criterion_4_trim_golden(fig3_aut, fig3_tgs):
     with verdict(4, "trimming disables exactly the passthrough of b"):
         leak = info(fig3_aut, "5", "5", "25")
-        decode = fig3_tgs.game.decode
-        assert tuple(map(decode, fig3_tgs.removed_a)) == (leak,)
-        assert all(decode(vf).info == leak for vf in fig3_tgs.removed_f)
+        game = fig3_tgs.game
+        assert tuple(decode(game, v) for v in fig3_tgs.removed_a) == (leak,)
+        assert all(decode(game, vf).info == leak for vf in fig3_tgs.removed_f)
         assert len(fig3_tgs.disabled) == 1
         ((vf, acts),) = fig3_tgs.disabled.items()
-        assert decode(vf) == oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b")
+        assert decode(game, vf) == AugmentedState(info(fig3_aut, "5", "36", "13"), "b")
         assert acts == (PASSTHROUGH,)
 
 
@@ -88,9 +88,9 @@ def test_criterion_5_mechanism_goldens(fig3_aut, fig3_uem, fig3_em):
         game = fig3_uem.game
         assert decoded(game, fig3_uem.initial) == frozenset({v0, v1})
         on_b = fig3_uem.moves_in[fig3_uem.initial]["b"]
-        assert decoded(game, on_b.members) == frozenset({
-            oe.AugmentedState(info(fig3_aut, "2", "14", "13"), "b"),
-            oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b"),
+        assert decoded(game, on_b) == frozenset({
+            AugmentedState(info(fig3_aut, "2", "14", "13"), "b"),
+            AugmentedState(info(fig3_aut, "5", "36", "13"), "b"),
         })
         # the passthrough successor of b dies during refinement
         assert (on_b, PASSTHROUGH) in fig3_uem.partial
@@ -198,7 +198,7 @@ def test_criterion_8_definition_level_properties():
             assert again is not None
             assert set(again.game.a_states) == set(fast.game.a_states)
             assert set(again.game.f_states) == set(fast.game.f_states)
-            assert all(again.game.actions_at(vf) == fast.game.actions_at(vf)
+            assert all(tuple(again.game.def_moves[vf]) == tuple(fast.game.def_moves[vf])
                        for vf in fast.game.f_states)
 
 

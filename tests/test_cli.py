@@ -460,6 +460,13 @@ class TestPipelineFlagErrors:
         assert self._run(["trim", missing, "--show-disabled", *flags], capsys) == (
             2, f"error: {message}\n")
 
+    def test_no_self_loops_requires_dot(self, fig3_file, tmp_path, capsys):
+        # reported before the plant is read
+        need = "error: --no-self-loops requires --dot DIR\n"
+        missing = str(tmp_path / "nope.aut")
+        assert self._run(["observers", fig3_file, "--no-self-loops"], capsys) == (2, need)
+        assert self._run(["observers", missing, "--no-self-loops"], capsys) == (2, need)
+
     @pytest.mark.parametrize("with_dot", [False, True], ids=["plain", "dot"])
     @pytest.mark.parametrize("command", PIPELINE_COMMANDS)
     def test_missing_plant(self, tmp_path, capsys, command, with_dot):

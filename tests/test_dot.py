@@ -10,6 +10,8 @@ import opacedit as oe
 from opacedit.cli import main
 from opacedit.dot import game_dot, mealy_dot, mechanism_dot, observer_dot, trimmed_dot
 
+from conftest import FIG3_TEXT
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -67,6 +69,16 @@ class TestMechanismDot:
     def test_partial_edges_dashed_in_raw_mechanism(self, fig3_aut, fig3_uem):
         text = render(mechanism_dot, fig3_uem, fig3_aut, name="raw")
         assert "style=dashed" in text
+
+    def test_backslash_in_a_state_name_is_escaped(self, tmp_path, capsys):
+        # the running example with state 1 renamed q\x
+        plant = tmp_path / "plant.aut"
+        plant.write_text(FIG3_TEXT.replace(" 1\n", " q\\x\n").replace(" 1 ", " q\\x "))
+        assert main(["export-dot", str(plant), "--dot", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for name in ("game", "mechanism"):
+            text = (tmp_path / f"{name}.dot").read_text()
+            assert r"q\\x" in text and r"q\x" not in text
 
 
 class _Sink:

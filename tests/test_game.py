@@ -10,7 +10,8 @@ import opacedit as oe
 from opacedit.game import DELETE, PASSTHROUGH, insertion, substitution
 
 from conftest import SUBS_ONLY, code, info
-from oracles import aug_key, decoded_key, info_key, merged_a_key, merged_f_key
+from oracles import (AugmentedState, InfoState, apply_defender_move, aug_key, decode, decoded_key,
+                     info_key, merged_a_key, merged_f_key)
 
 
 def T(s):
@@ -82,9 +83,9 @@ class TestApplyDefenderMove:
         aut, profile = fig3
         _, o_intr, o_def = fig3_observers
         source = code(fig3_game, info(aut, "3", "36", "13"))
-        vf = fig3_game.decode(fig3_game.sys_moves[source]["b"])
+        vf = decode(fig3_game, fig3_game.sys_moves[source]["b"])
         assert vf.info == info(aut, "5", "36", "13")
-        got = oe.apply_defender_move(vf, substitution("c"), o_intr, o_def, profile)
+        got = apply_defender_move(vf, substitution("c"), o_intr, o_def, profile)
         assert got == info(aut, "5", "36", "46")
 
     def test_substituting_b_for_c_updates_intruder(self, fig3, fig3_game, fig3_observers):
@@ -94,9 +95,9 @@ class TestApplyDefenderMove:
         aut, profile = fig3
         _, o_intr, o_def = fig3_observers
         source = code(fig3_game, info(aut, "3", "36", "13"))
-        vf = fig3_game.decode(fig3_game.sys_moves[source]["c"])
+        vf = decode(fig3_game, fig3_game.sys_moves[source]["c"])
         assert vf.info == info(aut, "6", "36", "13")
-        got = oe.apply_defender_move(vf, substitution("b"), o_intr, o_def, profile)
+        got = apply_defender_move(vf, substitution("b"), o_intr, o_def, profile)
         assert got == info(aut, "6", "5", "25")
 
     def test_passthrough_of_fully_invisible_event_changes_nothing(self):
@@ -105,44 +106,44 @@ class TestApplyDefenderMove:
             "intruder a\ndefender a\ntrans 1 b 2\ntrans 1 a 1\n"
         )
         game = oe.build_edit_game(aut, profile, k=0).complete()
-        vf = game.decode(game.sys_moves[game.initial]["b"])
+        vf = decode(game, game.sys_moves[game.initial]["b"])
         o_sys, o_intr, o_def = oe.standard_observers(aut, profile)
-        got = oe.apply_defender_move(vf, PASSTHROUGH, o_intr, o_def, profile)
-        assert got.intr == game.decode(game.initial).intr
-        assert got.dfn == game.decode(game.initial).dfn
+        got = apply_defender_move(vf, PASSTHROUGH, o_intr, o_def, profile)
+        assert got.intr == decode(game, game.initial).intr
+        assert got.dfn == decode(game, game.initial).dfn
 
     def test_mixed_visibility_insertion_word(self, fig3, fig3_observers):
         # inserting b before c emits a word whose first letter the intruder
         # sees and whose second it does not; one observer run handles both
         aut, profile = fig3
         _, o_intr, o_def = fig3_observers
-        vf = oe.AugmentedState(info(aut, "4", "14", "13"), "c")
-        got = oe.apply_defender_move(vf, insertion("b"), o_intr, o_def, profile)
+        vf = AugmentedState(info(aut, "4", "14", "13"), "c")
+        got = apply_defender_move(vf, insertion("b"), o_intr, o_def, profile)
         assert got == info(aut, "4", "2", "25")
 
     def test_insertion_undefined_when_either_observer_chokes(self, fig3, fig3_observers):
         aut, profile = fig3
         _, o_intr, o_def = fig3_observers
-        vf = oe.AugmentedState(info(aut, "2", "14", "13"), "b")
+        vf = AugmentedState(info(aut, "2", "14", "13"), "b")
         # neither observer can parse db from its initial estimate
-        assert oe.apply_defender_move(vf, insertion("d"), o_intr, o_def, profile) is None
+        assert apply_defender_move(vf, insertion("d"), o_intr, o_def, profile) is None
         # bb is unparseable for the intruder observer
-        assert oe.apply_defender_move(vf, insertion("b"), o_intr, o_def, profile) is None
+        assert apply_defender_move(vf, insertion("b"), o_intr, o_def, profile) is None
 
     def test_editing_invisible_event_is_rejected(self, fig3, fig3_observers):
         aut, profile = fig3
         _, o_intr, o_def = fig3_observers
-        vf = oe.AugmentedState(info(aut, "3", "14", "13"), "a")
+        vf = AugmentedState(info(aut, "3", "14", "13"), "a")
         with pytest.raises(ValueError):
-            oe.apply_defender_move(vf, substitution("b"), o_intr, o_def, profile)
+            apply_defender_move(vf, substitution("b"), o_intr, o_def, profile)
 
 
 class TestBuildEditGame:
     def test_initial_state(self, fig3_aut, fig3_game):
-        assert fig3_game.decode(fig3_game.initial) == info(fig3_aut, "1", "14", "13")
+        assert decode(fig3_game, fig3_game.initial) == info(fig3_aut, "1", "14", "13")
 
     def test_contains_the_incomparable_showcase_states(self, fig3_aut, fig3_game):
-        states = set(map(fig3_game.decode, fig3_game.a_states))
+        states = {decode(fig3_game, v) for v in fig3_game.a_states}
         assert info(fig3_aut, "5", "36", "46") in states
         assert info(fig3_aut, "6", "2", "25") in states
 
@@ -202,18 +203,17 @@ class TestGameInvariants:
         aut, profile = oe.random_instance(seed)
         game = oe.build_edit_game(aut, profile, k=1).complete()
         _, o_intr, o_def = oe.standard_observers(aut, profile)
-        decode = game.decode
         for v in game.a_states:
             for event, vf in game.sys_moves[v].items():
                 assert vf in set(game.f_states)
-                assert decode(vf).pending == event
-                assert decode(vf).info.intr == decode(v).intr
-                assert decode(vf).info.dfn == decode(v).dfn
+                assert decode(game, vf).pending == event
+                assert decode(game, vf).info.intr == decode(game, v).intr
+                assert decode(game, vf).info.dfn == decode(game, v).dfn
         for vf in game.f_states:
-            state = decode(vf)
+            state = decode(game, vf)
             for act, target in game.def_moves[vf].items():
                 assert target in set(game.a_states)
-                assert decode(target).sys == state.info.sys
+                assert decode(game, target).sys == state.info.sys
                 word = act.word(state.pending)
                 if state.pending in profile.defender:
                     # outputs stay inside the defender alphabet
@@ -221,9 +221,9 @@ class TestGameInvariants:
                 else:
                     assert act == PASSTHROUGH
             for act in oe.enumerate_actions(state.pending, profile, game.k, game.ops):
-                expected = oe.apply_defender_move(state, act, o_intr, o_def, profile)
+                expected = apply_defender_move(state, act, o_intr, o_def, profile)
                 got = game.def_moves[vf].get(act)
-                assert (None if got is None else decode(got)) == expected
+                assert (None if got is None else decode(game, got)) == expected
 
     @pytest.mark.parametrize("seed", range(15))
     def test_uneditable_event_semantics(self, seed):
@@ -231,13 +231,13 @@ class TestGameInvariants:
         game = oe.build_edit_game(aut, profile, k=1).complete()
         o_sys, o_intr, o_def = oe.standard_observers(aut, profile)
         for code_f in game.f_states:
-            vf = game.decode(code_f)
+            vf = decode(game, code_f)
             if vf.pending in profile.defender:
                 continue
             moves = game.def_moves[code_f]
             assert set(moves) <= {PASSTHROUGH}
             if moves:
-                target = game.decode(moves[PASSTHROUGH])
+                target = decode(game, moves[PASSTHROUGH])
                 assert target.dfn == vf.info.dfn
                 if vf.pending in profile.intruder:
                     assert target.intr == o_intr.step(vf.info.intr, vf.pending)
@@ -247,7 +247,7 @@ class TestGameInvariants:
     def test_utility_matches_definition(self, fig3_aut, fig3_game):
         secret = fig3_aut.secret
         for v in fig3_game.a_states:
-            state = fig3_game.decode(v)
+            state = decode(fig3_game, v)
             expected = 0 if (state.sys <= secret and state.intr <= secret) else 1
             assert fig3_game.utility[v] == expected
         for vf in fig3_game.f_states:
@@ -260,8 +260,9 @@ OP_SETS = [frozenset(c) for n in (1, 2, 3)
 
 
 class TestPackedCodes:
-    """States are int codes whose order is the canonical order; the
-    decoder is the only way back to the paper's tuples."""
+    """States are int codes whose order is the canonical order;
+    ``indices``, read by the oracles' ``decode``, is the only way back to
+    the paper's tuples."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", range(40))
@@ -270,20 +271,19 @@ class TestPackedCodes:
         _, o_intr, o_def = oe.standard_observers(aut, profile)
         for ops in OP_SETS:
             game = oe.build_edit_game(aut, profile, k=k, ops=ops).complete()
-            decode = game.decode
             states = game.a_states + game.f_states
-            decoded = [decode(c) for c in states]
+            decoded = [decode(game, c) for c in states]
             assert len(set(decoded)) == len(states)
-            assert all(isinstance(decode(v), oe.InfoState) for v in game.a_states)
-            assert all(isinstance(decode(vf), oe.AugmentedState) for vf in game.f_states)
+            assert all(isinstance(decode(game, v), InfoState) for v in game.a_states)
+            assert all(isinstance(decode(game, vf), AugmentedState) for vf in game.f_states)
             # augmented codes lie above every information code
             assert not game.f_states or game.a_states[-1] < game.f_states[0]
             assert game.a_states == tuple(sorted(game.a_states, key=decoded_key(game, info_key)))
             assert game.f_states == tuple(sorted(game.f_states, key=decoded_key(game, aug_key)))
             for vf in game.f_states:
                 for act, target in game.def_moves[vf].items():
-                    assert decode(target) == oe.apply_defender_move(
-                        decode(vf), act, o_intr, o_def, profile)
+                    assert decode(game, target) == apply_defender_move(
+                        decode(game, vf), act, o_intr, o_def, profile)
             tgs = oe.trim_game(game)
             if tgs is None:
                 continue

@@ -3,7 +3,7 @@ import pytest
 import opacedit as oe
 
 from conftest import sset
-from oracles import brute_force_cso, certifying_depth_reference, generated_language
+from oracles import brute_force_cso, certifying_depth_reference, decode, generated_language
 
 
 def T(s):
@@ -82,7 +82,7 @@ class TestSimulate:
                 if event in profile.defender:
                     state = fig3_fe.next_state[(state, event)]
                 belief = fig3_fe.beliefs[state]
-                assert any(step.plant_state in fig3_em.game.decode(member).sys
+                assert any(step.plant_state in decode(fig3_em.game, member).sys
                            for member in belief)
 
 

@@ -6,9 +6,11 @@ import pytest
 import opacedit as oe
 from opacedit.dot import mechanism_dot
 from opacedit.game import EditAction, PASSTHROUGH
+from opacedit.mechanism import _unobservable_closure
 
 from conftest import FORCED_LEAK_TEXT, SUBS_ONLY, code, info
-from oracles import decoded, decoded_key, merged_a_key, merged_f_key, refine_naive, sweep_dead
+from oracles import (AugmentedState, decode, decoded, decoded_key, merged_a_key, merged_f_key,
+                     refine_naive, sweep_dead)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
@@ -20,7 +22,7 @@ def T(s):
 
 class TestUnobservableClosure:
     def test_initial_closure_absorbs_the_silent_prefix(self, fig3_aut, fig3_tgs):
-        got = oe.unobservable_closure(fig3_tgs.game, {fig3_tgs.game.initial})
+        got = _unobservable_closure(fig3_tgs.game, {fig3_tgs.game.initial})
         assert decoded(fig3_tgs.game, got) == {
             info(fig3_aut, "1", "14", "13"),
             info(fig3_aut, "3", "36", "13"),
@@ -28,11 +30,11 @@ class TestUnobservableClosure:
 
     def test_fixed_point_without_silent_moves(self, fig3_aut, fig3_tgs):
         still = code(fig3_tgs.game, info(fig3_aut, "5", "36", "46"))
-        assert oe.unobservable_closure(fig3_tgs.game, {still}) == {still}
+        assert _unobservable_closure(fig3_tgs.game, {still}) == {still}
 
     def test_idempotent(self, fig3_tgs):
-        once = oe.unobservable_closure(fig3_tgs.game, {fig3_tgs.game.initial})
-        assert oe.unobservable_closure(fig3_tgs.game, once) == once
+        once = _unobservable_closure(fig3_tgs.game, {fig3_tgs.game.initial})
+        assert _unobservable_closure(fig3_tgs.game, once) == once
 
 
 class TestBuildUem:
@@ -44,10 +46,10 @@ class TestBuildUem:
 
     def test_observation_b_merges_the_two_branches(self, fig3_aut, fig3_uem):
         vuf = fig3_uem.moves_in[fig3_uem.initial]["b"]
-        assert vuf.observed == "b"
-        assert decoded(fig3_uem.game, vuf.members) == frozenset({
-            oe.AugmentedState(info(fig3_aut, "2", "14", "13"), "b"),
-            oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b"),
+        assert {decode(fig3_uem.game, m).pending for m in vuf} == {"b"}
+        assert decoded(fig3_uem.game, vuf) == frozenset({
+            AugmentedState(info(fig3_aut, "2", "14", "13"), "b"),
+            AugmentedState(info(fig3_aut, "5", "36", "13"), "b"),
         })
 
     def test_passthrough_after_b_is_partial(self, fig3_aut, fig3_uem):
@@ -58,8 +60,9 @@ class TestBuildUem:
         })
 
     def test_members_share_the_observation(self, fig3_uem):
-        for vuf in fig3_uem.uf_states:
-            assert all(fig3_uem.game.decode(m).pending == vuf.observed for m in vuf.members)
+        for row in fig3_uem.moves_in.values():
+            for event, vuf in row.items():
+                assert all(decode(fig3_uem.game, m).pending == event for m in vuf)
 
     def test_full_defender_alphabet_means_no_merging(self, fig3_aut):
         profile = oe.ObservationProfile(
@@ -71,7 +74,7 @@ class TestBuildUem:
         tgs = oe.trim_game(game)
         uem = oe.build_uem(tgs).complete()
         assert all(len(v) == 1 for v in uem.ua_states)
-        assert all(len(v.members) == 1 for v in uem.uf_states)
+        assert all(len(v) == 1 for v in uem.uf_states)
         assert len(uem.ua_states) == len(tgs.game.a_states)
 
     def test_no_duplicate_member_sets(self, fig3_uem):
@@ -89,6 +92,7 @@ class TestCanonicalOrder:
         assert uem.ua_states == tuple(sorted(uem.moves_in, key=decoded_key(uem.game, merged_a_key)))
         assert uem.uf_states == tuple(sorted(uem.moves_out,
                                              key=decoded_key(uem.game, merged_f_key)))
+        assert not uem.moves_in.keys() & uem.moves_out.keys()
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("seed", range(60))
@@ -148,7 +152,7 @@ class TestRefineToEm:
     def test_member_totality_after_refinement(self, fig3_tgs, fig3_em):
         for vuf in fig3_em.uf_states:
             for act in fig3_em.moves_out[vuf]:
-                for member in vuf.members:
+                for member in vuf:
                     assert act in fig3_tgs.game.def_moves[member]
 
     @pytest.mark.parametrize("seed", range(50))
@@ -470,7 +474,7 @@ class TestOverAnyGame:
 class TestRowsInCanonicalActionOrder:
     """Every row is built in ``EditAction.sort_key`` order: the game's from
     its menus, the mechanism's by a sort, and the live parts keep the order
-    of the rows they filter.  ``actions_at`` reads rows as they are."""
+    of the rows they filter."""
 
     @staticmethod
     def _in_order(rows) -> bool:

@@ -4,6 +4,7 @@ coast through them, and the system observer stops mirroring the plant."""
 import opacedit as oe
 
 from conftest import sset
+from oracles import decode
 
 # u is invisible to everyone; the intruder additionally misses b
 MODEL = (
@@ -33,7 +34,7 @@ class TestUnobservableEvents:
     def test_game_initial_uses_the_closure(self):
         aut, profile = _model()
         game = oe.build_edit_game(aut, profile, k=0)
-        assert game.decode(game.initial).sys == sset(aut, "12")
+        assert decode(game, game.initial).sys == sset(aut, "12")
 
     def test_opacity_holds_here(self):
         aut, profile = _model()

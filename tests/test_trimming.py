@@ -9,7 +9,7 @@ from opacedit.game import PASSTHROUGH, substitution
 from opacedit.trimming import BackwardSolver, backward_dead, live_part
 
 from conftest import SUBS_ONLY, info
-from oracles import live_rows, sweep_dead, trim_game_naive
+from oracles import AugmentedState, decode, live_rows, sweep_dead, trim_game_naive
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,18 +17,18 @@ ROOT = Path(__file__).resolve().parent.parent
 class TestTrimFig3:
     def test_only_the_leak_is_removed(self, fig3_aut, fig3_tgs):
         leak = info(fig3_aut, "5", "5", "25")
-        decode = fig3_tgs.game.decode
-        assert tuple(map(decode, fig3_tgs.removed_a)) == (leak,)
+        game = fig3_tgs.game
+        assert tuple(decode(game, v) for v in fig3_tgs.removed_a) == (leak,)
         assert len(fig3_tgs.removed_f) == 1
-        assert decode(fig3_tgs.removed_f[0]).info == leak
+        assert decode(game, fig3_tgs.removed_f[0]).info == leak
 
     def test_exactly_one_action_disabled(self, fig3_aut, fig3_tgs):
         assert len(fig3_tgs.disabled) == 1
         ((vf, acts),) = fig3_tgs.disabled.items()
-        assert fig3_tgs.game.decode(vf) == oe.AugmentedState(info(fig3_aut, "5", "36", "13"), "b")
+        assert decode(fig3_tgs.game, vf) == AugmentedState(info(fig3_aut, "5", "36", "13"), "b")
         assert acts == (PASSTHROUGH,)
-        assert PASSTHROUGH not in fig3_tgs.game.actions_at(vf)
-        assert substitution("c") in fig3_tgs.game.actions_at(vf)
+        assert PASSTHROUGH not in fig3_tgs.game.def_moves[vf]
+        assert substitution("c") in fig3_tgs.game.def_moves[vf]
 
     def test_initial_survives(self, fig3_game, fig3_tgs):
         assert fig3_tgs.game.initial == fig3_game.initial
@@ -49,7 +49,7 @@ class TestTrimFig3:
         assert tgs.removed_a and kept is not game
         assert kept.observers is game.observers
         codes = list(kept.sys_moves) + list(kept.def_moves)
-        assert all(kept.decode(v) == game.decode(v) for v in codes)
+        assert all(decode(kept, v) == decode(game, v) for v in codes)
         assert kept.utility == dict.fromkeys(codes, 1)
         assert all(kept.expand(v) is kept.sys_moves[v] for v in kept.sys_moves)
         assert (game.sys_moves, game.def_moves) == rows
@@ -72,7 +72,7 @@ class TestTrimEdgeCases:
         assert set(tgs.game.f_states) == set(game.f_states)
         assert not tgs.disabled
         for vf in game.f_states:
-            assert tgs.game.actions_at(vf) == game.actions_at(vf)
+            assert tuple(tgs.game.def_moves[vf]) == tuple(game.def_moves[vf])
 
     def test_nothing_dies_returns_the_walked_game(self):
         aut, profile = oe.parse_model(
@@ -149,7 +149,7 @@ class TestTrimProperties:
         if tgs is None:
             return
         for vf in tgs.game.f_states:
-            assert tgs.game.actions_at(vf)
+            assert tgs.game.def_moves[vf]
         survivors = set(tgs.game.a_states)
         for vf in tgs.game.f_states:
             for target in tgs.game.def_moves[vf].values():
@@ -332,7 +332,7 @@ def _strategy_space(game, defender):
     """All full-observation strategies of a small game, as choice dicts."""
     import itertools
 
-    slots = [vf for vf in game.f_states if game.decode(vf).pending in defender]
+    slots = [vf for vf in game.f_states if decode(game, vf).pending in defender]
     menus = [sorted(game.def_moves[vf], key=lambda a: a.sort_key()) for vf in slots]
     if any(not menu for menu in menus):
         return None
