@@ -2,22 +2,29 @@
 
 Output is fully deterministic: nodes and edges are emitted in the canonical
 orders of the underlying structures, and belief members in code order, so
-repeated runs produce identical bytes.  Each exporter writes its lines into
-the text stream it is given as it renders them, so no export holds its text
-in memory.  A game state is labeled by its code: ``EditGameStructure.indices``
-names its estimates, whose labels are rendered once per observer estimate,
-in tables that live only for the exporter's call.
+repeated runs produce identical bytes.  Each exporter yields its lines into
+``_stream``, which writes them into the text stream it is given joined in
+blocks of at most ``_BLOCK`` lines, so no export holds its text in memory.
+A game state is labeled by its code: ``EditGameStructure.indices_of``
+decodes a run of codes in one pass into the indices of their estimates,
+whose labels are escaped once per observer estimate, in tables that live
+only for the exporter's call.  Each event and each edge label is quoted
+once per call, and ``mechanism_dot`` labels each belief member once.
 """
 from __future__ import annotations
 
-from functools import cache
-from typing import Callable, Iterable, Mapping, Optional, TextIO
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TextIO
 
 from .automata import FiniteAutomaton, fmt_state_set
 from .game import EditAction, EditGameStructure
 from .mechanism import Mechanism, MealyEditFunction
 from .observers import ObserverAutomaton
 from .trimming import TrimmedGameStructure
+
+# lines joined into one write; a mechanism's belief lines run to kilobytes,
+# so a block stays small next to what the export writes
+_BLOCK = 64
 
 
 def _escape(s: str) -> str:
@@ -28,31 +35,44 @@ def _quote(s: str) -> str:
     return '"' + _escape(s) + '"'
 
 
-def _quote_lines(lines) -> str:
-    # multi-line DOT label: members joined by literal \n escapes
-    return '"' + "\\n".join(map(_escape, lines)) + '"'
+def _stream(out: TextIO, lines: Iterable[str]) -> None:
+    """Write ``lines`` into ``out``, at most ``_BLOCK`` lines per write."""
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK)):
+        out.write("".join(block))
 
 
-def _state_labels(game: EditGameStructure, aut: FiniteAutomaton) -> Callable[[int], str]:
-    """The label of a game state by its code, ``(sys,intr,dfn)`` or
-    ``[(sys,intr,dfn),event]``, from one table of estimate labels per
+def _state_labels(game: EditGameStructure, aut: FiniteAutomaton,
+                  ) -> Callable[[Iterable[int]], Iterator[tuple[str, Optional[str]]]]:
+    """The escaped label, ``(sys,intr,dfn)`` or ``[(sys,intr,dfn),event]``,
+    and the pending event, None for an information state, of each of a run
+    of game-state codes, from one table of escaped estimate labels per
     observer."""
-    o_sys, o_intr, o_def = ([fmt_state_set(aut, x) for x in obs.states]
+    o_sys, o_intr, o_def = ([_escape(fmt_state_set(aut, x)) for x in obs.states]
                             for obs in game.observers)
-    indices = game.indices
+    events = {e: _escape(e) for e in game.profile.observable}
 
-    def label(code: int) -> str:
-        s, i, d, pending = indices(code)
-        if pending is None:
-            return f"({o_sys[s]},{o_intr[i]},{o_def[d]})"
-        return f"[({o_sys[s]},{o_intr[i]},{o_def[d]}),{pending}]"
+    def labels(codes: Iterable[int]) -> Iterator[tuple[str, Optional[str]]]:
+        for s, i, d, pending in game.indices_of(codes):
+            if pending is None:
+                yield f"({o_sys[s]},{o_intr[i]},{o_def[d]})", None
+            else:
+                yield f"[({o_sys[s]},{o_intr[i]},{o_def[d]}),{events[pending]}]", pending
 
-    return label
+    return labels
 
 
-def _edge_labels() -> Callable[[EditAction, str], str]:
-    """Quoted edge labels, memoized for one exporter's call."""
-    return cache(lambda act, pending: _quote(act.label(pending)))
+class _EdgeLabels(dict):
+    """Quoted edge labels by pending event, each event's by action, built
+    from the event's menu when first read."""
+
+    def __init__(self, game: EditGameStructure):
+        super().__init__()
+        self.menu = game.menu
+
+    def __missing__(self, pending: str) -> dict[EditAction, str]:
+        got = self[pending] = {act: _quote(act.label(pending)) for act in self.menu(pending)}
+        return got
 
 
 def observer_dot(
@@ -63,8 +83,12 @@ def observer_dot(
     include_self_loops: bool = True,
 ) -> None:
     """Observer states as ``{1,3}``; solely secret states double-circled red."""
-    write = out.write
-    write(f"digraph {name} {{\n  rankdir=LR;\n")
+    _stream(out, _observer_lines(obs, aut, name, include_self_loops))
+
+
+def _observer_lines(obs: ObserverAutomaton, aut: FiniteAutomaton, name: str,
+                    include_self_loops: bool) -> Iterator[str]:
+    yield f"digraph {name} {{\n  rankdir=LR;\n"
     ids = {s: i for i, s in enumerate(obs.states)}
     for s, i in ids.items():
         attrs = [f"label={_quote(fmt_state_set(aut, s))}"]
@@ -75,14 +99,15 @@ def observer_dot(
             attrs.append("shape=circle")
         if s == obs.initial:
             attrs.append("style=bold")
-        write(f"  n{i} [{', '.join(attrs)}];\n")
-    events = [e for e in sorted(obs.alphabet) if include_self_loops or e in obs.reactive]
+        yield f"  n{i} [{', '.join(attrs)}];\n"
+    events = [(e, _quote(e)) for e in sorted(obs.alphabet)
+              if include_self_loops or e in obs.reactive]
     for s, i in ids.items():
-        for event in events:
+        for event, quoted in events:
             target = obs.step(s, event)
             if target is not None:
-                write(f"  n{i} -> n{ids[target]} [label={_quote(event)}];\n")
-    write("}\n")
+                yield f"  n{i} -> n{ids[target]} [label={quoted}];\n"
+    yield "}\n"
 
 
 def game_dot(
@@ -94,38 +119,44 @@ def game_dot(
 ) -> None:
     """Information states as ellipses, augmented states as boxes; utility-0
     states filled red; the ``disabled`` actions, if given, as dashed gray edges."""
-    write = out.write
-    write(f"digraph {name} {{\n  rankdir=LR;\n")
-    label, edge_label = _state_labels(game, aut), _edge_labels()
-    a_ids = {v: i for i, v in enumerate(game.a_states)}
-    f_ids = {v: i for i, v in enumerate(game.f_states)}
-    utility = game.utility
+    _stream(out, _game_lines(game, aut, name, disabled))
 
-    for v, i in a_ids.items():
+
+def _game_lines(game: EditGameStructure, aut: FiniteAutomaton, name: str,
+                disabled: Optional[Mapping[int, Iterable[EditAction]]]) -> Iterator[str]:
+    yield f"digraph {name} {{\n  rankdir=LR;\n"
+    labels, edge_labels = _state_labels(game, aut), _EdgeLabels(game)
+    a_states, f_states, utility = game.a_states, game.f_states, game.utility
+    a_ids = {v: i for i, v in enumerate(a_states)}
+    f_ids = {v: j for j, v in enumerate(f_states)}
+
+    for i, (v, (label, _)) in enumerate(zip(a_states, labels(a_states))):
         if utility[v] == 0:
             style = ", style=filled, fillcolor=red"
         else:
             style = ", style=bold" if v == game.initial else ""
-        write(f"  a{i} [label={_quote(label(v))}, shape=ellipse{style}];\n")
-    for vf, j in f_ids.items():
+        yield f'  a{i} [label="{label}", shape=ellipse{style}];\n'
+    pending = []  # each augmented state's, for its edges
+    for j, (vf, (label, event)) in enumerate(zip(f_states, labels(f_states))):
+        pending.append(event)
         style = ", style=filled, fillcolor=red" if utility[vf] == 0 else ""
-        write(f"  f{j} [label={_quote(label(vf))}, shape=box{style}];\n")
-    for v, i in a_ids.items():
+        yield f'  f{j} [label="{label}", shape=box{style}];\n'
+    events = {e: _quote(e) for e in game.profile.observable}
+    for i, v in enumerate(a_states):
         row = game.sys_moves[v]
         for event in sorted(row):
-            write(f"  a{i} -> f{f_ids[row[event]]} [label={_quote(event)}];\n")
-    for vf, j in f_ids.items():
-        pending = game.indices(vf)[3]
+            yield f"  a{i} -> f{f_ids[row[event]]} [label={events[event]}];\n"
+    for j, vf in enumerate(f_states):
+        quoted = edge_labels[pending[j]]
         for act, target in game.def_moves[vf].items():
-            write(f"  f{j} -> a{a_ids[target]} [label={edge_label(act, pending)}];\n")
-    if disabled and any(disabled.get(vf) for vf in f_ids):
-        write("  pruned [label=\"pruned\", shape=plaintext, fontcolor=gray];\n")
-        for vf, j in f_ids.items():
-            pending = game.indices(vf)[3]
+            yield f"  f{j} -> a{a_ids[target]} [label={quoted[act]}];\n"
+    if disabled and any(disabled.get(vf) for vf in f_states):
+        yield "  pruned [label=\"pruned\", shape=plaintext, fontcolor=gray];\n"
+        for j, vf in enumerate(f_states):
+            quoted = edge_labels[pending[j]]
             for act in disabled.get(vf, ()):
-                write(f"  f{j} -> pruned [label={edge_label(act, pending)}, "
-                      "style=dashed, color=gray];\n")
-    write("}\n")
+                yield f"  f{j} -> pruned [label={quoted[act]}, style=dashed, color=gray];\n"
+    yield "}\n"
 
 
 def trimmed_dot(
@@ -144,39 +175,52 @@ def mechanism_dot(
 ) -> None:
     """Merged states are listed one member per line, matching their origin;
     partial actions are dashed."""
-    write = out.write
-    write(f"digraph {name} {{\n  rankdir=LR;\n  node [shape=box];\n")
-    label, edge_label = _state_labels(mech.game, aut), _edge_labels()
-    a_ids = {v: i for i, v in enumerate(mech.ua_states)}
-    f_ids = {v: i for i, v in enumerate(mech.uf_states)}
+    _stream(out, _mechanism_lines(mech, aut, name))
 
-    for v, i in a_ids.items():
+
+def _mechanism_lines(mech: Mechanism, aut: FiniteAutomaton, name: str) -> Iterator[str]:
+    yield f"digraph {name} {{\n  rankdir=LR;\n  node [shape=box];\n"
+    game = mech.game
+    ua_states, uf_states = mech.ua_states, mech.uf_states
+    labels, edge_labels = _state_labels(game, aut), _EdgeLabels(game)
+    # each member's label, by code, so a label shared by beliefs is built once
+    codes = frozenset().union(*ua_states, *uf_states)
+    member = {code: label for code, (label, _) in zip(codes, labels(codes))}.__getitem__
+    sep = "\\n"  # members one per line, joined by literal \n escapes
+    a_ids = {v: i for i, v in enumerate(ua_states)}
+    f_ids = {v: j for j, v in enumerate(uf_states)}
+    for i, v in enumerate(ua_states):
         style = ", style=bold" if v == mech.initial else ""
-        write(f"  m{i} [label={_quote_lines(map(label, sorted(v)))}{style}];\n")
-    for vf, j in f_ids.items():
-        members = _quote_lines(map(label, sorted(vf)))
-        write(f"  o{j} [label={members}, shape=box, style=rounded];\n")
-    for v, i in a_ids.items():
+        yield f'  m{i} [label="{sep.join(map(member, sorted(v)))}"{style}];\n'
+    for j, vf in enumerate(uf_states):
+        yield f'  o{j} [label="{sep.join(map(member, sorted(vf)))}", shape=box, style=rounded];\n'
+    events = {e: _quote(e) for e in mech.defender}
+    for i, v in enumerate(ua_states):
         row = mech.moves_in[v]
         for event in sorted(row):
-            write(f"  m{i} -> o{f_ids[row[event]]} [label={_quote(event)}];\n")
-    for vf, j in f_ids.items():
-        cut, pending = mech.partial_at(vf), mech.game.indices(next(iter(vf)))[3]
+            yield f"  m{i} -> o{f_ids[row[event]]} [label={events[event]}];\n"
+    # the observed event of each observation state, shared by its members
+    observed = [pending for *_, pending in game.indices_of(next(iter(vf)) for vf in uf_states)]
+    for j, vf in enumerate(uf_states):
+        cut, quoted = mech.partial_at(vf), edge_labels[observed[j]]
         for act, target in mech.moves_out[vf].items():
             style = ", style=dashed" if cut and act in cut else ""
-            write(f"  o{j} -> m{a_ids[target]} [label={edge_label(act, pending)}{style}];\n")
-    write("}\n")
+            yield f"  o{j} -> m{a_ids[target]} [label={quoted[act]}{style}];\n"
+    yield "}\n"
 
 
 def mealy_dot(fe: MealyEditFunction, out: TextIO, name: str = "editor") -> None:
-    write = out.write
-    write(f"digraph {name} {{\n  rankdir=LR;\n  node [shape=circle];\n")
+    _stream(out, _mealy_lines(fe, name))
+
+
+def _mealy_lines(fe: MealyEditFunction, name: str) -> Iterator[str]:
+    yield f"digraph {name} {{\n  rankdir=LR;\n  node [shape=circle];\n"
     for q in range(fe.n_states):
         style = ", style=bold" if q == fe.initial else ""
-        write(f"  q{q} [label={_quote(str(q))}{style}];\n")
+        yield f"  q{q} [label={_quote(str(q))}{style}];\n"
     for (q, event) in sorted(fe.output):
         word = fe.output[(q, event)]
         rendered = "·".join(word) if word else "ε"
-        write(f"  q{q} -> q{fe.next_state[(q, event)]} "
-              f"[label={_quote(event + ' / ' + rendered)}];\n")
-    write("}\n")
+        yield (f"  q{q} -> q{fe.next_state[(q, event)]} "
+               f"[label={_quote(event + ' / ' + rendered)}];\n")
+    yield "}\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace
 from .observers import ObserverAutomaton, standard_observers
@@ -175,13 +175,26 @@ class EditGameStructure:
         """The indices of ``code``'s system, intruder and defender estimates
         in their observers' ``states``, and its pending event, None for an
         information state."""
-        pending = None
-        if code >= self._n_info:
-            code, e = divmod(code - self._n_info, len(self._events))
-            pending = self._events[e]
-        rest, d = divmod(code, self._n_def)
-        s, i = divmod(rest, self._n_intr)
-        return s, i, d, pending
+        return next(self.indices_of((code,)))
+
+    def indices_of(self, codes: Iterable[int]) -> Iterator[tuple[int, int, int, Optional[str]]]:
+        """``indices`` of each of ``codes``, decoded in one pass."""
+        n_info, n_intr, n_def = self._n_info, self._n_intr, self._n_def
+        events = self._events
+        n_events = len(events)
+        for code in codes:
+            pending = None
+            if code >= n_info:
+                code, e = divmod(code - n_info, n_events)
+                pending = events[e]
+            rest, d = divmod(code, n_def)
+            s, i = divmod(rest, n_intr)
+            yield s, i, d, pending
+
+    def menu(self, event: str) -> tuple[EditAction, ...]:
+        """The candidate responses to ``event`` in ``EditAction.sort_key``
+        order, a superset of each row's actions for ``event``."""
+        return self._menus[event]
 
     def _canonical(self) -> tuple:
         if self._views[0] != len(self.sys_moves):

@@ -106,11 +106,14 @@ class Mechanism:
 
     def expand(self, vua: MergedA) -> dict[str, frozenset]:
         """Row of ``vua``, merged on first request together with the action
-        rows and partial pairs of its new observation states."""
+        rows and partial pairs of its new observation states.  An
+        observation state's actions come in its event's menu order
+        (``game.menu``), which is ``EditAction.sort_key`` order."""
         if vua in self.moves_in:
             return self.moves_in[vua]
-        def_moves = self.game.def_moves
-        rows = [self.game.expand(v) for v in vua]
+        game = self.game
+        def_moves = game.def_moves
+        rows = [game.expand(v) for v in vua]
         row: dict[str, frozenset] = {}
         for event in self._events:
             vuf = frozenset(r[event] for r in rows if event in r)
@@ -125,8 +128,10 @@ class Mechanism:
                     hits_of.setdefault(act, []).append(hit)
             out: dict[EditAction, MergedA] = {}
             cut = set()
-            for act in sorted(hits_of, key=EditAction.sort_key):
-                hits = hits_of[act]
+            for act in game.menu(event):
+                hits = hits_of.get(act)
+                if hits is None:
+                    continue
                 out[act] = self._closure(hits)
                 if len(hits) < len(vuf):
                     cut.add(act)

@@ -19,15 +19,18 @@ the reach sets, the literal opacity check and the stand-alone
 joint-configuration count are the definitions the package's observers,
 ``verify_cso`` and ``certifying_depth`` are tested against; the eager
 observer builds the whole accessible powerset in one pass, the way the
-package's on-demand observer must end up once ``states`` is read.
+package's on-demand observer must end up once ``states`` is read.  The
+reference exporters write the game and mechanism DOT files one line per
+write, quoting each label as they format it, and are what ``opacedit.dot``
+must write byte for byte.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, TextIO, Union
 
-from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, project
+from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, fmt_state_set, project
 from opacedit.game import EditAction, EditGameStructure
 from opacedit.mechanism import EditMechanism, MealyEditFunction, MergedA, Mechanism
 from opacedit.observers import ObserverAutomaton, StateSet
@@ -562,3 +565,87 @@ def evaluate_editor_tree(
         conf_counterexample=conf_cx,
         first_violation=first,
     )
+
+
+def _escape(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _quote(s: str) -> str:
+    return '"' + _escape(s) + '"'
+
+
+def _reference_label(game: EditGameStructure, aut: FiniteAutomaton, code: int) -> str:
+    """``(sys,intr,dfn)`` or ``[(sys,intr,dfn),event]``, unescaped."""
+    *estimates, pending = game.indices(code)
+    sys_, intr, dfn = (fmt_state_set(aut, obs.states[x])
+                       for obs, x in zip(game.observers, estimates))
+    info = f"({sys_},{intr},{dfn})"
+    return info if pending is None else f"[{info},{pending}]"
+
+
+def game_dot_reference(
+    game: EditGameStructure, aut: FiniteAutomaton, out: TextIO, name: str = "game",
+    disabled: Optional[Mapping[int, Iterable[EditAction]]] = None,
+) -> None:
+    """What ``opacedit.dot.game_dot`` writes."""
+    write = out.write
+    write(f"digraph {name} {{\n  rankdir=LR;\n")
+    a_ids = {v: i for i, v in enumerate(game.a_states)}
+    f_ids = {v: i for i, v in enumerate(game.f_states)}
+    for v, i in a_ids.items():
+        if game.utility[v] == 0:
+            style = ", style=filled, fillcolor=red"
+        else:
+            style = ", style=bold" if v == game.initial else ""
+        write(f"  a{i} [label={_quote(_reference_label(game, aut, v))}, shape=ellipse{style}];\n")
+    for vf, j in f_ids.items():
+        style = ", style=filled, fillcolor=red" if game.utility[vf] == 0 else ""
+        write(f"  f{j} [label={_quote(_reference_label(game, aut, vf))}, shape=box{style}];\n")
+    for v, i in a_ids.items():
+        row = game.sys_moves[v]
+        for event in sorted(row):
+            write(f"  a{i} -> f{f_ids[row[event]]} [label={_quote(event)}];\n")
+    for vf, j in f_ids.items():
+        pending = game.indices(vf)[3]
+        for act, target in game.def_moves[vf].items():
+            write(f"  f{j} -> a{a_ids[target]} [label={_quote(act.label(pending))}];\n")
+    if disabled and any(disabled.get(vf) for vf in f_ids):
+        write("  pruned [label=\"pruned\", shape=plaintext, fontcolor=gray];\n")
+        for vf, j in f_ids.items():
+            pending = game.indices(vf)[3]
+            for act in disabled.get(vf, ()):
+                write(f"  f{j} -> pruned [label={_quote(act.label(pending))}, "
+                      "style=dashed, color=gray];\n")
+    write("}\n")
+
+
+def mechanism_dot_reference(
+    mech: Mechanism, aut: FiniteAutomaton, out: TextIO, name: str = "mechanism",
+) -> None:
+    """What ``opacedit.dot.mechanism_dot`` writes: members one per line,
+    each escaped on its own and joined by literal ``\\n`` escapes."""
+    write = out.write
+    game = mech.game
+
+    def members(v: frozenset) -> str:
+        return "\\n".join(_escape(_reference_label(game, aut, c)) for c in sorted(v))
+
+    write(f"digraph {name} {{\n  rankdir=LR;\n  node [shape=box];\n")
+    a_ids = {v: i for i, v in enumerate(mech.ua_states)}
+    f_ids = {v: i for i, v in enumerate(mech.uf_states)}
+    for v, i in a_ids.items():
+        style = ", style=bold" if v == mech.initial else ""
+        write(f'  m{i} [label="{members(v)}"{style}];\n')
+    for vf, j in f_ids.items():
+        write(f'  o{j} [label="{members(vf)}", shape=box, style=rounded];\n')
+    for v, i in a_ids.items():
+        row = mech.moves_in[v]
+        for event in sorted(row):
+            write(f"  m{i} -> o{f_ids[row[event]]} [label={_quote(event)}];\n")
+    for vf, j in f_ids.items():
+        pending = game.indices(next(iter(vf)))[3]
+        for act, target in mech.moves_out[vf].items():
+            style = ", style=dashed" if act in mech.partial_at(vf) else ""
+            write(f"  o{j} -> m{a_ids[target]} [label={_quote(act.label(pending))}{style}];\n")
+    write("}\n")

@@ -11,6 +11,7 @@ from opacedit.cli import main
 from opacedit.dot import game_dot, mealy_dot, mechanism_dot, observer_dot, trimmed_dot
 
 from conftest import FIG3_TEXT
+from oracles import game_dot_reference, mechanism_dot_reference
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -92,33 +93,92 @@ class _Sink:
         return len(text)
 
 
+def _completed(plant: str):
+    """A bench plant, its completed game, its trimmed game, and its
+    completed merged and refined mechanisms."""
+    aut, profile = oe.parse_model((BENCH / "instances" / f"{plant}.aut").read_text())
+    game = oe.build_edit_game(aut, profile, k=1).complete()
+    tgs = oe.trim_game(game)
+    uem = oe.build_uem(tgs).complete()
+    return aut, game, tgs, uem, oe.refine_to_em(uem)
+
+
 @pytest.fixture(scope="module")
 def gen27():
-    """gen-27-12-5's plant, completed game and completed merged mechanism."""
-    aut, profile = oe.parse_model((BENCH / "instances" / "gen-27-12-5.aut").read_text())
-    game = oe.build_edit_game(aut, profile, k=1).complete()
-    return aut, game, oe.build_uem(oe.trim_game(game)).complete()
+    return _completed("gen-27-12-5")
+
+
+@pytest.fixture(scope="module")
+def gen12():
+    return _completed("gen-12-30-10")
 
 
 class TestStreamedMemory:
-    """An export streams its lines, so what it allocates while rendering
-    stays below what it writes: about 1.0 M characters for the game and
-    3.3 M for the merged mechanism."""
+    """An export streams its lines in blocks of a few dozen, so what it
+    allocates while rendering stays below what it writes: gen-27-12-5's
+    game about 1.0 M characters and its merged mechanism 3.3 M;
+    gen-12-30-10's trimmed game with its disabled actions 0.4 M, and its
+    refined mechanism 5.5 M, whose beliefs of up to hundreds of members
+    make lines of kilobytes."""
 
-    @pytest.mark.parametrize("export", ["game", "mechanism"])
-    def test_traced_peak_below_characters_written(self, gen27, export):
-        aut, game, uem = gen27
+    @pytest.mark.parametrize("plant, export", [
+        ("gen27", "game"), ("gen27", "mechanism"), ("gen12", "trimmed"), ("gen12", "refined"),
+    ])
+    def test_traced_peak_below_characters_written(self, request, plant, export):
+        aut, game, tgs, uem, em = request.getfixturevalue(plant)
         sink = _Sink()
         tracemalloc.start()
         try:
             if export == "game":
                 game_dot(game, aut, sink)
+            elif export == "trimmed":
+                trimmed_dot(tgs, aut, sink, include_disabled=True)
             else:
-                mechanism_dot(uem, aut, sink)
+                mechanism_dot(uem if export == "mechanism" else em, aut, sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert 0 < peak < sink.chars
+
+
+# the running example with state 1 named q\x and state 3 named q"y
+ESCAPED_TEXT = (FIG3_TEXT.replace(" 1\n", " q\\x\n").replace(" 1 ", " q\\x ")
+                .replace(" 3\n", ' q"y\n').replace(" 3 ", ' q"y '))
+
+
+class TestMatchesReference:
+    """The exporters write the same bytes as the one-line-per-write
+    reference exporters of ``tests/oracles.py``: the completed game, the
+    trimmed game with its disabled actions, and the merged and refined
+    mechanisms."""
+
+    def _check(self, aut, profile, k):
+        game = oe.build_edit_game(aut, profile, k=k).complete()
+        assert render(game_dot, game, aut) == render(game_dot_reference, game, aut)
+        tgs = oe.trim_game(game)
+        if tgs is None:
+            return
+        assert (render(trimmed_dot, tgs, aut, include_disabled=True)
+                == render(game_dot_reference, tgs.game, aut, name="trimmed",
+                          disabled=tgs.disabled))
+        uem = oe.build_uem(tgs).complete()
+        for mech in (uem, oe.refine_to_em(uem)):
+            if mech is not None:
+                assert (render(mechanism_dot, mech, aut, name="raw")
+                        == render(mechanism_dot_reference, mech, aut, name="raw"))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_instances(self, seed, k):
+        self._check(*oe.random_instance(seed), k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_state_names_with_backslash_and_quote(self, k):
+        aut, profile = oe.parse_model(ESCAPED_TEXT)
+        assert {"q\\x", 'q"y'} <= set(aut.labels)
+        self._check(aut, profile, k)
+        text = render(game_dot, oe.build_edit_game(aut, profile, k=k).complete(), aut)
+        assert r"q\\x" in text and r'q\"y' in text
 
 
 class TestMealyDot:

@@ -292,3 +292,23 @@ class TestPackedCodes:
                                                  key=decoded_key(game, merged_a_key)))
             assert uem.uf_states == tuple(sorted(uem.uf_states,
                                                  key=decoded_key(game, merged_f_key)))
+
+
+class TestMenusInSortKeyOrder:
+    """``Mechanism.expand`` lists an observation state's actions in its
+    event's menu order (``EditGameStructure.menu``), which must be
+    ``EditAction.sort_key`` order: every menu strictly increases in that
+    key."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("ops", [frozenset(), *OP_SETS],
+                             ids=lambda ops: "+".join(sorted(ops)) or "none")
+    def test_every_menu_is_sort_key_ordered(self, fig3_profile, ops, k):
+        profiles = [fig3_profile] + [oe.random_instance(seed, 4, 6)[1] for seed in range(20)]
+        for profile in profiles:
+            for pending in sorted(profile.observable):
+                menu = oe.enumerate_actions(pending, profile, k, ops)
+                keys = [act.sort_key() for act in menu]
+                assert keys == sorted(set(keys)), (
+                    f"menu for {pending!r} at k={k}, ops {sorted(ops)}, defender "
+                    f"{sorted(profile.defender)}: {[act.label(pending) for act in menu]}")

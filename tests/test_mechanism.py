@@ -473,8 +473,8 @@ class TestOverAnyGame:
 
 class TestRowsInCanonicalActionOrder:
     """Every row is built in ``EditAction.sort_key`` order: the game's from
-    its menus, the mechanism's by a sort, and the live parts keep the order
-    of the rows they filter."""
+    its menus, the mechanism's by walking them, and the live parts keep the
+    order of the rows they filter."""
 
     @staticmethod
     def _in_order(rows) -> bool:
