@@ -108,12 +108,6 @@ class FiniteAutomaton:
             cur = self._arcs[cur].get(event)  # type: ignore[attr-defined]
         return cur
 
-    def enabled(self, state: int) -> tuple[str, ...]:
-        return tuple(self._arcs[state])  # type: ignore[attr-defined]
-
-    def is_secret(self, state: int) -> bool:
-        return state in self.secret
-
     def state_named(self, label: str) -> int:
         try:
             return self._index[label]  # type: ignore[attr-defined]

@@ -164,9 +164,9 @@ def cmd_observers(args) -> int:
 def cmd_game(args) -> int:
     aut, game = _game(args)
     game.complete()
-    zero = sum(1 for v in list(game.a_states) + list(game.f_states) if game.utility[v] == 0)
-    print(f"game: {len(game.a_states)} information states, "
-          f"{len(game.f_states)} augmented states, {zero} utility-0")
+    zero = sum(1 for u in game.utility.values() if u == 0)
+    print(f"game: {len(game.sys_moves)} information states, "
+          f"{len(game.def_moves)} augmented states, {zero} utility-0")
     if args.dot:
         _write_dot(args.dot, "game", lambda out: game_dot(game, aut, out))
     return EXIT_OK
@@ -181,8 +181,8 @@ def cmd_trim(args) -> int:
         print("not enforceable: initial state pruned")
         return EXIT_UNENFORCEABLE
     ndis = sum(len(d) for d in tgs.disabled.values())
-    print(f"trimmed game: {len(tgs.game.a_states)} information states, "
-          f"{len(tgs.game.f_states)} augmented states, "
+    print(f"trimmed game: {len(tgs.game.sys_moves)} information states, "
+          f"{len(tgs.game.def_moves)} augmented states, "
           f"{len(tgs.removed_a) + len(tgs.removed_f)} removed, {ndis} actions disabled")
     if args.dot:
         _write_dot(args.dot, "trimmed",

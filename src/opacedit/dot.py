@@ -8,8 +8,9 @@ blocks of at most ``_BLOCK`` lines, so no export holds its text in memory.
 A game state is labeled by its code: ``EditGameStructure.indices_of``
 decodes a run of codes in one pass into the indices of their estimates,
 whose labels are escaped once per observer estimate, in tables that live
-only for the exporter's call.  Each event and each edge label is quoted
-once per call, and ``mechanism_dot`` labels each belief member once.
+only for the exporter's call.  Each event is quoted once per call, and
+each call quotes every edge label of each event's menu (``game.menu``) once,
+into one plain dict; ``mechanism_dot`` labels each belief member once.
 """
 from __future__ import annotations
 
@@ -62,17 +63,11 @@ def _state_labels(game: EditGameStructure, aut: FiniteAutomaton,
     return labels
 
 
-class _EdgeLabels(dict):
-    """Quoted edge labels by pending event, each event's by action, built
-    from the event's menu when first read."""
-
-    def __init__(self, game: EditGameStructure):
-        super().__init__()
-        self.menu = game.menu
-
-    def __missing__(self, pending: str) -> dict[EditAction, str]:
-        got = self[pending] = {act: _quote(act.label(pending)) for act in self.menu(pending)}
-        return got
+def _edge_labels(game: EditGameStructure) -> dict[str, dict[EditAction, str]]:
+    """Quoted edge labels by pending event, each event's by action over the
+    event's menu."""
+    return {e: {act: _quote(act.label(e)) for act in game.menu(e)}
+            for e in game.profile.observable}
 
 
 def observer_dot(
@@ -125,7 +120,7 @@ def game_dot(
 def _game_lines(game: EditGameStructure, aut: FiniteAutomaton, name: str,
                 disabled: Optional[Mapping[int, Iterable[EditAction]]]) -> Iterator[str]:
     yield f"digraph {name} {{\n  rankdir=LR;\n"
-    labels, edge_labels = _state_labels(game, aut), _EdgeLabels(game)
+    labels, edge_labels = _state_labels(game, aut), _edge_labels(game)
     a_states, f_states, utility = game.a_states, game.f_states, game.utility
     a_ids = {v: i for i, v in enumerate(a_states)}
     f_ids = {v: j for j, v in enumerate(f_states)}
@@ -182,7 +177,7 @@ def _mechanism_lines(mech: Mechanism, aut: FiniteAutomaton, name: str) -> Iterat
     yield f"digraph {name} {{\n  rankdir=LR;\n  node [shape=box];\n"
     game = mech.game
     ua_states, uf_states = mech.ua_states, mech.uf_states
-    labels, edge_labels = _state_labels(game, aut), _EdgeLabels(game)
+    labels, edge_labels = _state_labels(game, aut), _edge_labels(game)
     # each member's label, by code, so a label shared by beliefs is built once
     codes = frozenset().union(*ua_states, *uf_states)
     member = {code: label for code, (label, _) in zip(codes, labels(codes))}.__getitem__
@@ -218,9 +213,7 @@ def _mealy_lines(fe: MealyEditFunction, name: str) -> Iterator[str]:
     for q in range(fe.n_states):
         style = ", style=bold" if q == fe.initial else ""
         yield f"  q{q} [label={_quote(str(q))}{style}];\n"
-    for (q, event) in sorted(fe.output):
-        word = fe.output[(q, event)]
+    for (q, event), (word, q2) in sorted(fe.edges.items()):
         rendered = "·".join(word) if word else "ε"
-        yield (f"  q{q} -> q{fe.next_state[(q, event)]} "
-               f"[label={_quote(event + ' / ' + rendered)}];\n")
+        yield f"  q{q} -> q{q2} [label={_quote(event + ' / ' + rendered)}];\n"
     yield "}\n"

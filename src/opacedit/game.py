@@ -8,9 +8,9 @@ through their self-loop conventions.  A move exists only when both observer
 runs stay defined.  The structure is built on demand, one information
 state's row at a time, so a trim that refutes the plant early never builds
 the rest.  It names every state by an int code whose order is the canonical
-order, and ``EditGameStructure.indices`` reads a code's estimates and
-pending event.  The paper's state tuples and the one-step move over them are
-reference copies in ``tests/oracles.py``, read through ``indices``.
+order, and ``EditGameStructure.indices_of`` decodes codes.  The paper's
+state tuples and the one-step move over them are reference copies in
+``tests/oracles.py``, read through ``indices_of``.
 """
 from __future__ import annotations
 
@@ -112,10 +112,10 @@ class EditGameStructure:
     defender rows and utilities of its new augmented states; an information
     state is labeled when a defender row first reaches it and gets its own
     row when expanded.  ``complete`` expands everything reachable.
-    ``a_states`` and ``f_states`` list the part built so far in the
-    canonical order; reading them never expands.  ``restrict`` cuts a game
-    down to given rows of its own, as trimming does; the restricted game is
-    whole.
+    ``a_states`` and ``f_states`` sort the part built so far into the
+    canonical order at each read; reading them never expands.  ``restrict``
+    cuts a game down to given rows of its own, as trimming does; the
+    restricted game is whole.
 
     Every state is an int code, and only this class knows the encoding.
     With ``s``, ``i`` and ``d`` the indices of an information state's
@@ -125,9 +125,9 @@ class EditGameStructure:
     information state and ``e`` the index of its pending event among the
     sorted observable events.  So codes compare in the canonical order
     (estimates by their sorted members, then the pending event), and every
-    augmented code lies above every information code.  ``indices`` gives a
-    code's estimates' indices and its pending event; the tests decode codes
-    into the paper's tuples through it (``tests/oracles.py``).
+    augmented code lies above every information code.  ``indices_of``, the
+    one decoder, gives codes' estimates' indices and pending events; the
+    tests decode codes into the paper's tuples through it.
     """
 
     def __init__(
@@ -166,19 +166,13 @@ class EditGameStructure:
         # (intruder, defender, event index) -> (action, i'*n_def + d') for
         # each defined response; a response's target adds s'*n_intr*n_def
         self._responses: dict[tuple[int, int, int], tuple] = {}
-        # rows are only ever added, so a row count dates the cached views
-        self._views: tuple[int, tuple] = (-1, ())
         s, i, d = (index[obs.initial] for index, obs in zip(self._index, observers))
         self.initial = self._label((s * self._n_intr + i) * self._n_def + d)
 
-    def indices(self, code: int) -> tuple[int, int, int, Optional[str]]:
-        """The indices of ``code``'s system, intruder and defender estimates
-        in their observers' ``states``, and its pending event, None for an
-        information state."""
-        return next(self.indices_of((code,)))
-
     def indices_of(self, codes: Iterable[int]) -> Iterator[tuple[int, int, int, Optional[str]]]:
-        """``indices`` of each of ``codes``, decoded in one pass."""
+        """For each of ``codes``, in one pass, the indices of its system,
+        intruder and defender estimates in their observers' ``states``, and
+        its pending event, None for an information state."""
         n_info, n_intr, n_def = self._n_info, self._n_intr, self._n_def
         events = self._events
         n_events = len(events)
@@ -196,20 +190,13 @@ class EditGameStructure:
         order, a superset of each row's actions for ``event``."""
         return self._menus[event]
 
-    def _canonical(self) -> tuple:
-        if self._views[0] != len(self.sys_moves):
-            a_states = tuple(sorted(self._info))
-            f_states = tuple(sorted(self.def_moves))
-            self._views = (len(self.sys_moves), (a_states, f_states))
-        return self._views[1]
-
     @property
     def a_states(self) -> tuple[int, ...]:
-        return self._canonical()[0]
+        return tuple(sorted(self._info))
 
     @property
     def f_states(self) -> tuple[int, ...]:
-        return self._canonical()[1]
+        return tuple(sorted(self.def_moves))
 
     def _label(self, v: int) -> int:
         s, i = divmod(v // self._n_def, self._n_intr)
@@ -308,7 +295,6 @@ class EditGameStructure:
         game.sys_moves, game.def_moves = sys_moves, def_moves
         game.utility = dict.fromkeys(list(sys_moves) + list(def_moves), 1)
         game._info = {v: v for v in sys_moves}
-        game._views = (-1, ())
         return game
 
 

@@ -281,8 +281,7 @@ def iter_memoryless_editors(
             alphabet=profile.defender,
             n_states=1,
             initial=0,
-            output={(0, e): act.word(e) for e, act in zip(events, combo)},
-            next_state={(0, e): 0 for e in events},
+            edges={(0, e): (act.word(e), 0) for e, act in zip(events, combo)},
             policy="memoryless",
         )
 

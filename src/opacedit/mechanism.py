@@ -44,8 +44,8 @@ class Mechanism:
 
     It reads the game only through ``game.expand`` and ``game.def_moves``,
     so ``game`` may be the trimmed game or the on-demand edit game itself;
-    ``game.indices`` reads a member's code.  ``expand`` adds one belief's
-    row and ``complete`` every reachable one.  ``ua_states`` and
+    ``game.indices_of`` decodes members' codes.  ``expand`` adds one
+    belief's row and ``complete`` every reachable one.  ``ua_states`` and
     ``uf_states`` list the expanded part in canonical order, by their
     members' sorted codes, and ``partial`` its (state, action) pairs that
     are undefined at some member, ``partial_at`` one observation state's
@@ -317,16 +317,16 @@ POLICIES: dict[str, Callable[[EditAction], tuple]] = {
 class MealyEditFunction:
     """Deterministic transducer from defender observations to output words.
 
-    Events outside the defender alphabet pass through unchanged without
-    moving the transducer.  ``step`` returns None where no response is
-    defined, which downstream checks read as an availability failure.
+    ``edges`` maps each defined (state, defender event) pair to its output
+    word and next state; ``step`` returns None at any other defender pair,
+    which downstream checks read as an availability failure.  Events outside
+    the defender alphabet pass through unchanged without moving it.
     """
 
     alphabet: frozenset[str]
     n_states: int
     initial: int
-    output: dict[tuple[int, str], Trace]
-    next_state: dict[tuple[int, str], int]
+    edges: dict[tuple[int, str], tuple[Trace, int]]
     policy: str = ""
     # belief state per transducer state when synthesized; not serialized
     beliefs: tuple = field(default=(), compare=False, repr=False)
@@ -334,10 +334,7 @@ class MealyEditFunction:
     def step(self, state: int, event: str) -> Optional[tuple[Trace, int]]:
         if event not in self.alphabet:
             return ((event,), state)
-        key = (state, event)
-        if key not in self.output:
-            return None
-        return (self.output[key], self.next_state[key])
+        return self.edges.get((state, event))
 
     @classmethod
     def identity(cls, alphabet: Iterable[str]) -> "MealyEditFunction":
@@ -346,8 +343,7 @@ class MealyEditFunction:
             alphabet=alphabet,
             n_states=1,
             initial=0,
-            output={(0, e): (e,) for e in alphabet},
-            next_state={(0, e): 0 for e in alphabet},
+            edges={(0, e): ((e,), 0) for e in alphabet},
             policy="identity",
         )
 
@@ -374,8 +370,7 @@ def synthesize(em: EditMechanism, policy: str = "prefer-passthrough") -> MealyEd
         alphabet=em.defender,
         n_states=len(order),
         initial=0,
-        output={(q, event): act.word(event) for q, event, act, _ in edges},
-        next_state={(q, event): q2 for q, event, _, q2 in edges},
+        edges={(q, event): (act.word(event), q2) for q, event, act, q2 in edges},
         policy=policy,
         beliefs=tuple(order),
     )
@@ -395,10 +390,9 @@ def format_mealy(fe: MealyEditFunction) -> str:
     lines.append("alphabet " + " ".join(sorted(fe.alphabet)))
     lines.append(f"states {fe.n_states}")
     lines.append(f"initial {fe.initial}")
-    for (q, event) in sorted(fe.output):
-        word = fe.output[(q, event)]
+    for (q, event), (word, q2) in sorted(fe.edges.items()):
         rendered = "·".join(word) if word else "-"
-        lines.append(f"{q} {event} / {rendered} {fe.next_state[(q, event)]}")
+        lines.append(f"{q} {event} / {rendered} {q2}")
     return "\n".join(lines) + "\n"
 
 
@@ -407,8 +401,7 @@ def parse_mealy(text: str) -> MealyEditFunction:
     n_states: Optional[int] = None
     initial = 0
     policy = ""
-    output: dict[tuple[int, str], Trace] = {}
-    next_state: dict[tuple[int, str], int] = {}
+    edges: dict[tuple[int, str], tuple[Trace, int]] = {}
     declared: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -442,25 +435,23 @@ def parse_mealy(text: str) -> MealyEditFunction:
             raise ValueError(f"line {lineno}: malformed transducer edge {line!r}")
         q, event, rendered, q2 = int(m.group(1)), m.group(2), m.group(3), int(m.group(4))
         word: Trace = () if rendered == "-" else tuple(rendered.split("·"))
-        if (q, event) in output:
+        if (q, event) in edges:
             raise ValueError(f"line {lineno}: duplicate edge for state {q} on {event!r}")
-        output[(q, event)] = word
-        next_state[(q, event)] = q2
+        edges[(q, event)] = (word, q2)
     if alphabet is None:
         raise ValueError("transducer text lacks an alphabet line")
     if n_states is None:
         raise ValueError("transducer text lacks a states line")
-    for q, event in output:
+    for q, event in edges:
         if event not in alphabet:
             raise ValueError(f"transducer edge from state {q} on {event!r} outside the alphabet")
-    for q in [initial] + [q for q, _ in output] + list(next_state.values()):
+    for q in [initial] + [q for q, _ in edges] + [q2 for _, q2 in edges.values()]:
         if not 0 <= q < n_states:
             raise ValueError(f"transducer state {q} outside [0, {n_states})")
     return MealyEditFunction(
         alphabet=alphabet,
         n_states=n_states,
         initial=initial,
-        output=output,
-        next_state=next_state,
+        edges=edges,
         policy=policy,
     )

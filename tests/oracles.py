@@ -2,7 +2,7 @@
 
 ``InfoState`` and ``AugmentedState`` are the paper's state tuples, and
 ``decode`` reads a game's state code into one through
-``EditGameStructure.indices``.  ``apply_defender_move`` is the one-step
+``EditGameStructure.indices_of``.  ``apply_defender_move`` is the one-step
 definition of a defender move over those tuples, the reference for the
 game's shared observer runs.  The sort keys below spell out the canonical
 order that the package's state codes encode (``EditGameStructure``): state
@@ -53,7 +53,7 @@ class AugmentedState(NamedTuple):
 
 def decode(game: EditGameStructure, code: int) -> Union[InfoState, AugmentedState]:
     """The information or augmented state that ``code`` stands for."""
-    *estimates, pending = game.indices(code)
+    *estimates, pending = next(game.indices_of((code,)))
     info = InfoState(*(obs.states[x] for obs, x in zip(game.observers, estimates)))
     return info if pending is None else AugmentedState(info, pending)
 
@@ -577,7 +577,7 @@ def _quote(s: str) -> str:
 
 def _reference_label(game: EditGameStructure, aut: FiniteAutomaton, code: int) -> str:
     """``(sys,intr,dfn)`` or ``[(sys,intr,dfn),event]``, unescaped."""
-    *estimates, pending = game.indices(code)
+    *estimates, pending = next(game.indices_of((code,)))
     sys_, intr, dfn = (fmt_state_set(aut, obs.states[x])
                        for obs, x in zip(game.observers, estimates))
     info = f"({sys_},{intr},{dfn})"
@@ -607,13 +607,13 @@ def game_dot_reference(
         for event in sorted(row):
             write(f"  a{i} -> f{f_ids[row[event]]} [label={_quote(event)}];\n")
     for vf, j in f_ids.items():
-        pending = game.indices(vf)[3]
+        pending = next(game.indices_of((vf,)))[3]
         for act, target in game.def_moves[vf].items():
             write(f"  f{j} -> a{a_ids[target]} [label={_quote(act.label(pending))}];\n")
     if disabled and any(disabled.get(vf) for vf in f_ids):
         write("  pruned [label=\"pruned\", shape=plaintext, fontcolor=gray];\n")
         for vf, j in f_ids.items():
-            pending = game.indices(vf)[3]
+            pending = next(game.indices_of((vf,)))[3]
             for act in disabled.get(vf, ()):
                 write(f"  f{j} -> pruned [label={_quote(act.label(pending))}, "
                       "style=dashed, color=gray];\n")
@@ -644,7 +644,7 @@ def mechanism_dot_reference(
         for event in sorted(row):
             write(f"  m{i} -> o{f_ids[row[event]]} [label={_quote(event)}];\n")
     for vf, j in f_ids.items():
-        pending = game.indices(next(iter(vf)))[3]
+        pending = next(game.indices_of(vf))[3]
         for act, target in mech.moves_out[vf].items():
             style = ", style=dashed" if act in mech.partial_at(vf) else ""
             write(f"  o{j} -> m{a_ids[target]} [label={_quote(act.label(pending))}{style}];\n")

@@ -60,7 +60,7 @@ class TestExtendedTransition:
     def test_abc_reaches_the_secret(self, fig3_aut):
         end = fig3_aut.run(fig3_aut.initial, T("abc"))
         assert end is not None
-        assert fig3_aut.is_secret(end)
+        assert end in fig3_aut.secret
         assert fig3_aut.labels[end] == "5"
 
     def test_dd_is_undefined(self, fig3_aut):

@@ -261,7 +261,7 @@ OP_SETS = [frozenset(c) for n in (1, 2, 3)
 
 class TestPackedCodes:
     """States are int codes whose order is the canonical order;
-    ``indices``, read by the oracles' ``decode``, is the only way back to
+    ``indices_of``, read by the oracles' ``decode``, is the only way back to
     the paper's tuples."""
 
     @pytest.mark.parametrize("k", [1, 2])

@@ -39,7 +39,7 @@ class TestSimulate:
     def test_undefined_editor_reports_the_prefix(self, fig3):
         aut, profile = fig3
         empty = oe.MealyEditFunction(
-            alphabet=profile.defender, n_states=1, initial=0, output={}, next_state={}
+            alphabet=profile.defender, n_states=1, initial=0, edges={}
         )
         with pytest.raises(oe.EditUndefinedError) as err:
             oe.simulate(aut, profile, empty, T("ab"))
@@ -80,7 +80,7 @@ class TestSimulate:
             state = fig3_fe.initial
             for step, event in zip(steps, trace):
                 if event in profile.defender:
-                    state = fig3_fe.next_state[(state, event)]
+                    state = fig3_fe.edges[(state, event)][1]
                 belief = fig3_fe.beliefs[state]
                 assert any(step.plant_state in decode(fig3_em.game, member).sys
                            for member in belief)
@@ -145,8 +145,7 @@ class TestJointWalk:
         # observers can parse from the initial estimates
         fe = oe.MealyEditFunction(
             alphabet=frozenset("abc"), n_states=1, initial=0,
-            output={(0, "a"): T("a"), (0, "b"): T("b"), (0, "c"): T("a")},
-            next_state={(0, e): 0 for e in "abc"},
+            edges={(0, "a"): (T("a"), 0), (0, "b"): (T("b"), 0), (0, "c"): (T("a"), 0)},
         )
         checks = [
             lambda: oe.certifying_depth(aut, profile, fe, 8),

@@ -14,6 +14,7 @@ from oracles import (AugmentedState, decode, decoded, decoded_key, merged_a_key,
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
+EDITORS = INSTANCES.parent / "editors"
 
 
 def T(s):
@@ -203,8 +204,7 @@ class TestSynthesize:
         narrowed = oe.refine_to_em(uem)
         assert all(len(acts) == 1 for acts in narrowed.moves_out.values())
         behaviors = {
-            (fe.n_states, fe.initial, tuple(sorted(fe.output.items())),
-             tuple(sorted(fe.next_state.items())))
+            (fe.n_states, fe.initial, tuple(sorted(fe.edges.items())))
             for fe in (oe.synthesize(narrowed, policy=p) for p in oe.POLICIES)
         }
         assert len(behaviors) == 1
@@ -229,19 +229,34 @@ class TestSynthesize:
 
 
 class TestSerialization:
-    def test_round_trip(self, fig3_fe):
-        text = oe.format_mealy(fig3_fe)
+    @pytest.mark.parametrize(
+        "case", ["fig3_fe"] + sorted(p.name for p in EDITORS.glob("*.mealy")))
+    def test_round_trip(self, case, request):
+        """The synthesized fig3 editor and every stored bench editor survive
+        a text round trip, and ``step`` reads their edge table."""
+        if case == "fig3_fe":
+            fe = request.getfixturevalue("fig3_fe")
+            text = oe.format_mealy(fe)
+        else:
+            fe, text = None, (EDITORS / case).read_text()
         back = oe.parse_mealy(text)
-        assert back == fig3_fe
+        assert fe is None or back == fe
         assert oe.format_mealy(back) == text
+        for (q, event), edge in back.edges.items():
+            assert back.step(q, event) == edge
+        assert "z" not in back.alphabet
+        for q in range(back.n_states):
+            for event in sorted(back.alphabet):
+                if (q, event) not in back.edges:
+                    assert back.step(q, event) is None
+            assert back.step(q, "z") == (("z",), q)
 
     def test_epsilon_and_insertion_words(self, fig3_profile):
         fe = oe.MealyEditFunction(
             alphabet=fig3_profile.defender,
             n_states=2,
             initial=0,
-            output={(0, "b"): (), (0, "c"): T("db"), (1, "d"): T("d")},
-            next_state={(0, "b"): 1, (0, "c"): 0, (1, "d"): 1},
+            edges={(0, "b"): ((), 1), (0, "c"): (T("db"), 0), (1, "d"): (T("d"), 1)},
             policy="hand",
         )
         back = oe.parse_mealy(oe.format_mealy(fe))

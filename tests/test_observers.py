@@ -49,7 +49,7 @@ class TestBuildObserver:
         assert len(obs.states) == fig3_aut.n_states
         for sset_ in obs.states:
             (state,) = sset_
-            for event in fig3_aut.enabled(state):
+            for event in fig3_aut.arcs(state):
                 assert obs.step(sset_, event) == {fig3_aut.step(state, event)}
 
     def test_intruder_observer_has_solely_secret_state(self, fig3_aut, fig3_observers):

@@ -118,14 +118,14 @@ class TestChecks:
     def test_empty_editor_is_unavailable(self, fig3):
         aut, profile = fig3
         empty = oe.MealyEditFunction(
-            alphabet=profile.defender, n_states=1, initial=0, output={}, next_state={}
+            alphabet=profile.defender, n_states=1, initial=0, edges={}
         )
         assert not oe.evaluate_editor(aut, profile, empty, 3).i_available
 
     def test_depth_zero_is_trivially_available(self, fig3):
         aut, profile = fig3
         empty = oe.MealyEditFunction(
-            alphabet=profile.defender, n_states=1, initial=0, output={}, next_state={}
+            alphabet=profile.defender, n_states=1, initial=0, edges={}
         )
         assert oe.evaluate_editor(aut, profile, empty, 0).i_available
 
@@ -219,18 +219,18 @@ def _random_editor(rng, defender):
     substitution and two-event words over the defender alphabet."""
     events = sorted(defender)
     n_states = rng.randint(1, 3)
-    output, next_state = {}, {}
+    edges = {}
     for q in range(n_states):
         for event in events:
             if rng.random() < 0.15:
                 continue
-            output[(q, event)] = rng.choice((
+            word = rng.choice((
                 (event,), (), (rng.choice(events),),
                 (rng.choice(events), rng.choice(events)),
             ))
-            next_state[(q, event)] = rng.randrange(n_states)
+            edges[(q, event)] = (word, rng.randrange(n_states))
     return oe.MealyEditFunction(alphabet=frozenset(defender), n_states=n_states,
-                                initial=0, output=output, next_state=next_state)
+                                initial=0, edges=edges)
 
 
 def _cross_check_cases(seeds):
