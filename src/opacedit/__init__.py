@@ -42,6 +42,7 @@ from .mechanism import (
 )
 from .opacity import (
     OpacityVerdict,
+    OracleVerdict,
     default_depth,
     edit_step,
     evaluate_editor,
@@ -50,7 +51,6 @@ from .opacity import (
 from .harness import (
     EditUndefinedError,
     HistoryEditor,
-    OracleVerdict,
     SimulationError,
     SimulationStep,
     certifying_depth,

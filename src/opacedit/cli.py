@@ -29,14 +29,13 @@ from .harness import (
     SimulationError,
     certifying_depth,
     exact_ic_check,
-    oracle_ic_enforcing,
     random_instance,
     simulate,
 )
 from .mechanism import (POLICIES, MealyEditFunction, build_uem, format_mealy, parse_mealy,
                         refine_to_em, synthesize)
 from .observers import standard_observers
-from .opacity import default_depth, verify_cso
+from .opacity import default_depth, evaluate_editor, verify_cso
 from .trimming import trim_game
 
 EXIT_OK = 0
@@ -119,7 +118,7 @@ def _write_refined_dot(dot_dir: str, em, uem, aut: FiniteAutomaton) -> None:
     partial pair and refinement kept every belief, the refined mechanism
     has ``uem``'s rows, so ``mechanism_raw.dot``, written before, is copied
     under the graph name ``mechanism`` instead of rendered again."""
-    if uem.partial or len(em.ua_states) != len(uem.ua_states):
+    if uem.partial or len(em.moves_in) != len(uem.moves_in):
         _write_dot(dot_dir, "mechanism", lambda out: mechanism_dot(em, aut, out))
         return
 
@@ -164,7 +163,8 @@ def cmd_observers(args) -> int:
 def cmd_game(args) -> int:
     aut, game = _game(args)
     game.complete()
-    zero = sum(1 for u in game.utility.values() if u == 0)
+    zero = sum(1 for moves in (game.sys_moves, game.def_moves)
+               for v in moves if game.utility(v) == 0)
     print(f"game: {len(game.sys_moves)} information states, "
           f"{len(game.def_moves)} augmented states, {zero} utility-0")
     if args.dot:
@@ -198,13 +198,13 @@ def cmd_mechanism(args) -> int:
         return EXIT_UNENFORCEABLE
     uem = build_uem(tgs).complete()
     em = refine_to_em(uem)
-    print(f"merged mechanism: {len(uem.ua_states)} belief states, "
-          f"{len(uem.uf_states)} observation states, {len(uem.partial)} partial actions")
+    print(f"merged mechanism: {len(uem.moves_in)} belief states, "
+          f"{len(uem.moves_out)} observation states, {len(uem.partial)} partial actions")
     if em is None:
         print("not ic-enforceable at this configuration")
         return EXIT_UNENFORCEABLE
-    print(f"edit mechanism: {len(em.ua_states)} belief states, "
-          f"{len(em.uf_states)} observation states")
+    print(f"edit mechanism: {len(em.moves_in)} belief states, "
+          f"{len(em.moves_out)} observation states")
     if args.dot:
         _write_dot(args.dot, "mechanism_raw", lambda out: mechanism_dot(uem, aut, out, name="raw"))
         _write_refined_dot(args.dot, em, uem, aut)
@@ -273,11 +273,11 @@ def cmd_check(args) -> int:
     aut, profile = _load(Path(args.input))
     fe = _load_transducer(args.transducer, profile)
     depth = args.depth if args.depth is not None else default_depth(aut, profile, k)
-    verdict = oracle_ic_enforcing(aut, profile, fe, depth)
+    verdict = evaluate_editor(aut, profile, fe, depth)
     if verdict.ok and args.depth is None and not exact_ic_check(aut, profile, fe):
         # the default depth fell short of the editor's joint configurations
         depth = certifying_depth(aut, profile, fe, cap=sys.maxsize)
-        verdict = oracle_ic_enforcing(aut, profile, fe, depth)
+        verdict = evaluate_editor(aut, profile, fe, depth)
     if verdict.ok:
         print(f"PASS: ic-enforcing up to depth {depth}")
         return EXIT_OK

@@ -126,7 +126,7 @@ def _game_lines(game: EditGameStructure, aut: FiniteAutomaton, name: str,
     f_ids = {v: j for j, v in enumerate(f_states)}
 
     for i, (v, (label, _)) in enumerate(zip(a_states, labels(a_states))):
-        if utility[v] == 0:
+        if utility(v) == 0:
             style = ", style=filled, fillcolor=red"
         else:
             style = ", style=bold" if v == game.initial else ""
@@ -134,7 +134,7 @@ def _game_lines(game: EditGameStructure, aut: FiniteAutomaton, name: str,
     pending = []  # each augmented state's, for its edges
     for j, (vf, (label, event)) in enumerate(zip(f_states, labels(f_states))):
         pending.append(event)
-        style = ", style=filled, fillcolor=red" if utility[vf] == 0 else ""
+        style = ", style=filled, fillcolor=red" if utility(vf) == 0 else ""
         yield f'  f{j} [label="{label}", shape=box{style}];\n'
     events = {e: _quote(e) for e in game.profile.observable}
     for i, v in enumerate(a_states):

@@ -105,15 +105,16 @@ def enumerate_actions(
 
 
 class EditGameStructure:
-    """Edit game structure with its utility labeling, built on demand.
+    """Edit game structure, built on demand.
 
-    A new structure holds only its labeled initial information state.
-    ``expand`` adds one information state's system row together with the
-    defender rows and utilities of its new augmented states; an information
-    state is labeled when a defender row first reaches it and gets its own
-    row when expanded.  ``complete`` expands everything reachable.
-    ``a_states`` and ``f_states`` sort the part built so far into the
-    canonical order at each read; reading them never expands.  ``restrict``
+    A new structure holds only its initial information state.  ``expand``
+    adds one information state's system row together with the defender
+    rows of its new augmented states; an information state is reached when
+    a defender row first names it and gets its own row when expanded.
+    ``complete`` expands everything reachable.  ``a_states`` and
+    ``f_states`` sort the part built so far into the canonical order at
+    each read; reading them never expands.  ``utility`` reads a state's
+    label off its code and, for an augmented state, its row.  ``restrict``
     cuts a game down to given rows of its own, as trimming does; the
     restricted game is whole.
 
@@ -139,15 +140,9 @@ class EditGameStructure:
         secret: frozenset[int],
     ):
         self.profile = profile
-        self.k = k
-        self.ops = ops
         self.observers = observers
         self.sys_moves: dict[int, dict[str, int]] = {}
         self.def_moves: dict[int, dict[EditAction, int]] = {}
-        self.utility: dict[int, int] = {}
-        # information states labeled so far, each code mapped to the one int
-        # object that every row refers to
-        self._info: dict[int, int] = {}
         self._events = sorted(profile.observable)
         n_sys, self._n_intr, self._n_def = (len(obs.states) for obs in observers)
         self._n_info = n_sys * self._n_intr * self._n_def
@@ -167,7 +162,10 @@ class EditGameStructure:
         # each defined response; a response's target adds s'*n_intr*n_def
         self._responses: dict[tuple[int, int, int], tuple] = {}
         s, i, d = (index[obs.initial] for index, obs in zip(self._index, observers))
-        self.initial = self._label((s * self._n_intr + i) * self._n_def + d)
+        self.initial = (s * self._n_intr + i) * self._n_def + d
+        # information states reached so far, each code mapped to the one int
+        # object that every row refers to
+        self._info: dict[int, int] = {self.initial: self.initial}
 
     def indices_of(self, codes: Iterable[int]) -> Iterator[tuple[int, int, int, Optional[str]]]:
         """For each of ``codes``, in one pass, the indices of its system,
@@ -198,11 +196,14 @@ class EditGameStructure:
     def f_states(self) -> tuple[int, ...]:
         return tuple(sorted(self.def_moves))
 
-    def _label(self, v: int) -> int:
+    def utility(self, v: int) -> int:
+        """0 at a problematic state, 1 elsewhere.  An information state is
+        problematic when its system and intruder estimates are both solely
+        secret, an expanded augmented state when it has no response."""
+        if v >= self._n_info:
+            return 1 if self.def_moves[v] else 0
         s, i = divmod(v // self._n_def, self._n_intr)
-        self._info[v] = v
-        self.utility[v] = 0 if (self._secret_only[0][s] and self._secret_only[1][i]) else 1
-        return v
+        return 0 if self._secret_only[0][s] and self._secret_only[1][i] else 1
 
     def _sys_row(self, s: int) -> tuple:
         got = self._sys_rows.get(s)
@@ -243,10 +244,10 @@ class EditGameStructure:
 
     def expand(self, v: int) -> dict[str, int]:
         """System row of ``v``, built on first request together with the
-        defender rows and utilities of its new augmented states.  Each
-        response runs the action's word through the intruder and defender
-        observers, with the runs shared by all augmented states with the
-        same estimates and pending event."""
+        defender rows of its new augmented states.  Each response runs the
+        action's word through the intruder and defender observers, with the
+        runs shared by all augmented states with the same estimates and
+        pending event."""
         if v in self.sys_moves:
             return self.sys_moves[v]
         n_id = self._n_intr * self._n_def
@@ -264,10 +265,8 @@ class EditGameStructure:
             responses: dict[EditAction, int] = {}
             for act, offset in self._respond(i, d, e):
                 target = base + offset
-                shared = info.get(target)
-                responses[act] = self._label(target) if shared is None else shared
+                responses[act] = info.setdefault(target, target)
             def_moves[vf] = responses
-            self.utility[vf] = 1 if responses else 0
         self.sys_moves[v] = row
         return row
 
@@ -288,12 +287,11 @@ class EditGameStructure:
         self, sys_moves: dict[int, dict[str, int]], def_moves: dict[int, dict[EditAction, int]]
     ) -> "EditGameStructure":
         """This game cut down to ``sys_moves`` and ``def_moves``, rows of
-        its own closed under moves, with utility 1 on every kept state.  The
-        restricted game shares the encoding, the observers and the memos; it
-        is whole, so callers expand it only at its own states."""
+        its own closed under moves.  The restricted game shares the
+        encoding, the observers and the memos; it is whole, so callers
+        expand it only at its own states."""
         game = copy.copy(self)
         game.sys_moves, game.def_moves = sys_moves, def_moves
-        game.utility = dict.fromkeys(list(sys_moves) + list(def_moves), 1)
         game._info = {v: v for v in sys_moves}
         return game
 
@@ -304,8 +302,8 @@ def build_edit_game(
     k: int = 1,
     ops: Iterable[str] = OPS_ALL,
 ) -> EditGameStructure:
-    """Edit game structure with its utility labeling, expanded on demand
-    from its initial information state."""
+    """Edit game structure, expanded on demand from its initial information
+    state."""
     ops = frozenset(ops)
     if not ops <= OPS_ALL:
         raise ValueError(f"unknown edit operations: {sorted(ops - OPS_ALL)}")

@@ -18,7 +18,8 @@ from .automata import FiniteAutomaton, ObservationProfile, Trace, project
 from .game import EditAction, enumerate_actions
 from .mechanism import MealyEditFunction
 from .observers import StateSet
-from .opacity import SupportsEdit, edit_step, editor_observers, evaluate_editor
+from .opacity import (OracleVerdict, SupportsEdit, edit_step, editor_observers,
+                      evaluate_editor)
 
 
 class SimulationError(ValueError):
@@ -84,25 +85,14 @@ def simulate(
     return steps
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    ok: bool
-    failed_property: Optional[str] = None
-    counterexample: Optional[Trace] = None
-
-
 def oracle_ic_enforcing(
     aut: FiniteAutomaton,
     profile: ObservationProfile,
     fe: SupportsEdit,
     depth: int,
 ) -> OracleVerdict:
-    """Exhaustive definitional check; reports the first failing prefix."""
-    report = evaluate_editor(aut, profile, fe, depth)
-    if report.first_violation is None:
-        return OracleVerdict(True)
-    kind, sigma = report.first_violation
-    return OracleVerdict(False, failed_property=kind, counterexample=sigma)
+    """``evaluate_editor``'s verdict, under the name ``bench/record.py`` calls."""
+    return evaluate_editor(aut, profile, fe, depth)
 
 
 def _joint_configs(

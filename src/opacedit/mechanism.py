@@ -46,10 +46,10 @@ class Mechanism:
     so ``game`` may be the trimmed game or the on-demand edit game itself;
     ``game.indices_of`` decodes members' codes.  ``expand`` adds one
     belief's row and ``complete`` every reachable one.  ``ua_states`` and
-    ``uf_states`` list the expanded part in canonical order, by their
-    members' sorted codes, and ``partial`` its (state, action) pairs that
-    are undefined at some member, ``partial_at`` one observation state's
-    actions of those; reading them never expands.
+    ``uf_states`` sort the expanded part into canonical order, by their
+    members' sorted codes, at each read, and ``partial`` lists its (state,
+    action) pairs that are undefined at some member, ``partial_at`` one
+    observation state's actions of those; reading them never expands.
     """
 
     def __init__(self, game: EditGameStructure):
@@ -61,8 +61,6 @@ class Mechanism:
         # each observation state's partial actions, the cut of its row
         self._cut: dict[frozenset, set[EditAction]] = {}
         self._closures: dict[int, frozenset] = {}
-        # rows are only ever added, so a row count dates each cached result
-        self._views: tuple[int, tuple] = (-1, ())
         # fed each row as ``expand`` builds it, each observation state's with
         # its partial actions as the cut, so its ``dead`` is always the
         # attractor over the expanded rows, where unexpanded beliefs count
@@ -70,20 +68,13 @@ class Mechanism:
         self._solver = BackwardSolver()
         self.initial: MergedA = self._closure((game.initial,))
 
-    def _canonical(self) -> tuple:
-        if self._views[0] != len(self.moves_in):
-            ua = tuple(sorted(self.moves_in, key=sorted))
-            uf = tuple(sorted(self.moves_out, key=sorted))
-            self._views = (len(self.moves_in), (ua, uf))
-        return self._views[1]
-
     @property
     def ua_states(self) -> tuple[MergedA, ...]:
-        return self._canonical()[0]
+        return tuple(sorted(self.moves_in, key=sorted))
 
     @property
     def uf_states(self) -> tuple[frozenset, ...]:
-        return self._canonical()[1]
+        return tuple(sorted(self.moves_out, key=sorted))
 
     @property
     def partial(self) -> frozenset[tuple[frozenset, EditAction]]:
@@ -240,9 +231,12 @@ class EditMechanism:
     """The edit mechanism refined from the no-guarantees ``source``: the
     rows of its proven-winning part, with no partial action.  Synthesis
     walks ``source``, which these rows are a view of: a row that lost no
-    action is the source's own row object."""
+    action is the source's own row object.  ``ua_states`` and
+    ``uf_states`` sort the rows as ``Mechanism``'s do."""
 
     partial: frozenset = frozenset()
+    ua_states = Mechanism.ua_states
+    uf_states = Mechanism.uf_states
 
     def __init__(
         self,
@@ -254,9 +248,6 @@ class EditMechanism:
         self.moves_in = moves_in
         self.moves_out = moves_out
         self.game, self.defender, self.initial = source.game, source.defender, source.initial
-        # the source's rows hold all of ours, in canonical order
-        self.ua_states = tuple(v for v in source.ua_states if v in moves_in)
-        self.uf_states = tuple(v for v in source.uf_states if v in moves_out)
 
     def partial_at(self, v: frozenset) -> Collection[EditAction]:
         return ()

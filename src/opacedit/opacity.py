@@ -4,7 +4,8 @@ Opacity is decided on the intruder observer: the plant leaks exactly when
 some reachable intruder estimate consists of secret states only.
 ``evaluate_editor`` quantifies over observable behavior up to a caller
 chosen depth and evaluates an editor jointly against the intruder and
-defender observers; its report holds availability, confidentiality and
+defender observers; its verdict names the first property to fail,
+availability or confidentiality, with its counterexample, and a pass is
 their conjunction, integrity.
 An edit output is "defined" precisely when both observers can still parse
 it.
@@ -25,7 +26,8 @@ class SupportsEdit(Protocol):
     ``step`` must return the forced single-event word and the unchanged
     state for events outside the defender alphabet, which the editor cannot
     see; ``edit_step`` raises ``ValueError`` on a rewritten word, and
-    ``evaluate_editor`` also on a changed state.
+    ``evaluate_editor`` also on a changed state it meets before a
+    violation.
     """
 
     initial: Any
@@ -113,28 +115,11 @@ def editor_observers(
             observer(aut, profile.defender, profile.observable))
 
 
-@dataclass
-class EditorReport:
-    """Outcome of evaluating an editor over all observable behavior <= depth."""
-
-    depth: int
-    i_counterexample: Optional[Trace]
-    conf_counterexample: Optional[Trace]
-    first_violation: Optional[tuple[str, Trace]]
-
-    @property
-    def i_available(self) -> bool:
-        return self.i_counterexample is None
-
-    @property
-    def confidential(self) -> bool:
-        return self.conf_counterexample is None
-
-    @property
-    def integral(self) -> bool:
-        # prefix-closed evaluation: every prefix of every checked trace is
-        # itself checked, so integrity is the conjunction below
-        return self.i_available and self.confidential
+@dataclass(frozen=True)
+class OracleVerdict:
+    ok: bool
+    failed_property: Optional[str] = None
+    counterexample: Optional[Trace] = None
 
 
 def evaluate_editor(
@@ -142,16 +127,21 @@ def evaluate_editor(
     profile: ObservationProfile,
     editor: SupportsEdit,
     depth: int,
-) -> EditorReport:
+) -> OracleVerdict:
     """Breadth-first search over the observable projections sigma of the
-    plant traces of length <= depth, in length-then-lexicographic order.
+    plant traces of length <= depth, in length-then-lexicographic order,
+    that stops at the first sigma violating a property.
 
     Checks, per sigma: the editor and both observer runs stay defined
     (availability), and whenever some plant trace projecting to sigma ends
     in a secret state, the intruder estimate of the output is not inside
     the secret set (confidentiality).  That estimate is exactly the set of
     endpoints of the plant traces explaining the emitted intruder word.
-    Counterexamples are the shortest, then lexicographically least.
+    The verdict names the failed property, ``i-availability`` or
+    ``confidentiality``, and its counterexample, the shortest, then
+    lexicographically least, violating sigma.  Every prefix of a checked
+    sigma is checked first, so a passing verdict is integrity up to the
+    depth.
 
     A node stands for its plant configs (each reachable state with the
     length of its shortest plant trace), the editor state and both
@@ -162,9 +152,10 @@ def evaluate_editor(
     bounded by the distinct such nodes up to the depth.
 
     The editor must keep its state and pass the event through on events
-    outside the defender alphabet; otherwise ``ValueError`` is raised (a
-    changed state only where the step stays defined, since a stuck run has
-    no further behavior).  Two defined runs with the same defender view then
+    outside the defender alphabet; otherwise ``ValueError`` is raised where
+    the search meets such a step before the first violation (a changed
+    state only where the step stays defined, since a stuck run has no
+    further behavior).  Two defined runs with the same defender view then
     emit the same defender output, so consistency between defender views
     needs no check.  Editor states must be hashable.  A negative depth
     raises ``ValueError``.
@@ -173,7 +164,7 @@ def evaluate_editor(
         raise ValueError("depth must be nonnegative")
     profile.validate(aut)
     o_intr, o_def = editor_observers(aut, profile)
-    unobs = frozenset(aut.events) - profile.observable
+    unobs = profile.unobservable(aut)
     observable = sorted(profile.observable)
     secret = aut.secret
 
@@ -190,7 +181,7 @@ def evaluate_editor(
                     stack.append((dst, length + 1))
         return best
 
-    # node n's word is node parent[n]'s word followed by last[n]
+    # queued node n's word is node parent[n]'s word followed by last[n]
     parent: list[int] = [-1]
     last: list[str] = [""]
 
@@ -201,18 +192,15 @@ def evaluate_editor(
             node = parent[node]
         return tuple(reversed(out))
 
-    # the first node failing each property, in the order found
-    found: dict[str, int] = {}
-
     root_configs = uo_close({aut.initial: 0})
     if o_intr.initial <= secret and not secret.isdisjoint(root_configs):
-        found["confidentiality"] = 0
+        return OracleVerdict(False, "confidentiality", ())
     # configs of the expanded nodes, by (states, editor state, estimates)
     expanded = {
         (frozenset(root_configs), editor.initial, o_intr.initial, o_def.initial): [root_configs]
     }
     queue = deque([(0, root_configs, editor.initial, o_intr.initial, o_def.initial)])
-    while queue and len(found) < 2:
+    while queue:
         node, configs, q, x_i, x_d = queue.popleft()
         for event in observable:
             stepped: dict[int, int] = {}
@@ -224,33 +212,24 @@ def evaluate_editor(
                     stepped[dst] = length + 1
             if not stepped:
                 continue
-            child = len(parent)
-            parent.append(node)
-            last.append(event)
             step = edit_step(editor, profile, (o_intr, o_def), q, x_i, x_d, event)
             if step is None:
-                found.setdefault("i-availability", child)
-                continue
+                return OracleVerdict(False, "i-availability", word(node) + (event,))
             _, q2, nx_i, nx_d = step
             if event not in profile.defender and q2 != q:
                 raise ValueError("editor changed state on an event it cannot observe")
             child_configs = uo_close(stepped)
             if nx_i <= secret and not secret.isdisjoint(child_configs):
-                found.setdefault("confidentiality", child)
+                return OracleVerdict(False, "confidentiality", word(node) + (event,))
             key = (frozenset(child_configs), q2, nx_i, nx_d)
             earlier = expanded.setdefault(key, [])
             if any(all(seen[s] <= n for s, n in child_configs.items()) for seen in earlier):
                 continue
             earlier.append(child_configs)
-            queue.append((child, child_configs, q2, nx_i, nx_d))
-
-    words = {kind: word(node) for kind, node in found.items()}
-    return EditorReport(
-        depth=depth,
-        i_counterexample=words.get("i-availability"),
-        conf_counterexample=words.get("confidentiality"),
-        first_violation=next(iter(words.items()), None),
-    )
+            parent.append(node)
+            last.append(event)
+            queue.append((len(parent) - 1, child_configs, q2, nx_i, nx_d))
+    return OracleVerdict(True)
 
 
 def default_depth(

@@ -180,7 +180,7 @@ def _walk_dead(game: EditGameStructure) -> Optional[tuple[set, int]]:
     fed: set[int] = set()
     seen = {game.initial}
     queue = deque(seen)
-    if game.utility[game.initial] == 0:
+    if game.utility(game.initial) == 0:
         solver.seed(game.initial)
     while queue:
         if game.initial in dead:
@@ -198,10 +198,10 @@ def _walk_dead(game: EditGameStructure) -> Optional[tuple[set, int]]:
                 if target not in seen:
                     seen.add(target)
                     queue.append(target)
-                    if game.utility[target] == 0:
+                    if game.utility(target) == 0:
                         solver.seed(target)
-            if game.utility[vf] == 0:
-                solver.seed(vf)
+            # an augmented state without responses, utility 0, dies here:
+            # the solver kills a controllable row with no edge
             solver.add_ctrl(vf, moves)
         solver.add_unctrl(v, row)
     return None if game.initial in dead else (dead, len(seen))
@@ -212,14 +212,15 @@ def trim_game(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
 
     The walk goes breadth-first from the initial state and expands only
     states not yet proven dead, feeding each row to one ``BackwardSolver``
-    with the utility-0 states as seeds; it stops as soon as the initial
-    state dies.  When the initial state survives, every state the walk
-    reached is either proven dead or expanded, so the live part and the
-    disabled actions are those of the whole game.  Rows built before the
-    call are fed even where their state is dead, so on a completed game
-    ``removed_a`` and ``removed_f`` list every dead state.  When nothing
-    died and the game holds no row the walk did not reach, the walked game
-    is its own live part and is returned as it is.
+    with the utility-0 information states as seeds (a utility-0 augmented
+    state has an empty row, which dies as it is fed); it stops as soon as
+    the initial state dies.  When the initial state survives, every state
+    the walk reached is either proven dead or expanded, so the live part
+    and the disabled actions are those of the whole game.  Rows built
+    before the call are fed even where their state is dead, so on a
+    completed game ``removed_a`` and ``removed_f`` list every dead state.
+    When nothing died and the game holds no row the walk did not reach,
+    the walked game is its own live part and is returned as it is.
     """
     walked = _walk_dead(game)
     if walked is None:

@@ -106,5 +106,5 @@ def info(aut, sys, intr, dfn):
 def code(game, state):
     """The code of an information or augmented state labeled in ``game``,
     found through ``decode``."""
-    (found,) = [c for c in game.utility if decode(game, c) == state]
+    (found,) = [c for c in game.a_states + game.f_states if decode(game, c) == state]
     return found

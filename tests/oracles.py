@@ -34,7 +34,7 @@ from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, fmt_st
 from opacedit.game import EditAction, EditGameStructure
 from opacedit.mechanism import EditMechanism, MealyEditFunction, MergedA, Mechanism
 from opacedit.observers import ObserverAutomaton, StateSet
-from opacedit.opacity import EditorReport, SupportsEdit, editor_observers
+from opacedit.opacity import SupportsEdit, editor_observers
 from opacedit.trimming import TrimmedGameStructure
 
 EPSILON: Trace = ()
@@ -391,7 +391,7 @@ class NaiveGame:
 
 
 def trim_game_naive(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
-    seeds = [v for v in game.a_states + game.f_states if game.utility[v] == 0]
+    seeds = [v for v in game.a_states + game.f_states if game.utility(v) == 0]
     dead = sweep_dead(game.sys_moves, game.def_moves, seeds)
     if game.initial in dead:
         return None
@@ -432,14 +432,28 @@ _UNDEFINED = ("<undefined>",)
 
 
 @dataclass
-class TreeReport(EditorReport):
-    """``EditorReport`` plus the defender-view consistency the tree checks."""
+class TreeReport:
+    """Outcome of the tree walk over all observable behavior <= depth: the
+    first counterexample to each property, and the first violation of any,
+    as ``(property, sigma)``."""
 
-    c_counterexample: Optional[tuple[Trace, Trace]] = None
+    depth: int
+    i_counterexample: Optional[Trace]
+    c_counterexample: Optional[tuple[Trace, Trace]]
+    conf_counterexample: Optional[Trace]
+    first_violation: Optional[tuple[str, Trace]]
+
+    @property
+    def i_available(self) -> bool:
+        return self.i_counterexample is None
 
     @property
     def c_available(self) -> bool:
         return self.c_counterexample is None
+
+    @property
+    def confidential(self) -> bool:
+        return self.conf_counterexample is None
 
     @property
     def integral(self) -> bool:
@@ -594,13 +608,13 @@ def game_dot_reference(
     a_ids = {v: i for i, v in enumerate(game.a_states)}
     f_ids = {v: i for i, v in enumerate(game.f_states)}
     for v, i in a_ids.items():
-        if game.utility[v] == 0:
+        if game.utility(v) == 0:
             style = ", style=filled, fillcolor=red"
         else:
             style = ", style=bold" if v == game.initial else ""
         write(f"  a{i} [label={_quote(_reference_label(game, aut, v))}, shape=ellipse{style}];\n")
     for vf, j in f_ids.items():
-        style = ", style=filled, fillcolor=red" if game.utility[vf] == 0 else ""
+        style = ", style=filled, fillcolor=red" if game.utility(vf) == 0 else ""
         write(f"  f{j} [label={_quote(_reference_label(game, aut, vf))}, shape=box{style}];\n")
     for v, i in a_ids.items():
         row = game.sys_moves[v]

@@ -64,8 +64,8 @@ def test_criterion_3_game_states_and_utility(fig3, fig3_game):
         states = {decode(game, v) for v in game.a_states}
         assert info(aut, "5", "36", "46") in states
         assert info(aut, "6", "2", "25") in states
-        assert game.utility[code(game, info(aut, "5", "5", "25"))] == 0
-        assert game.utility[code(game, info(aut, "6", "5", "25"))] == 1
+        assert game.utility(code(game, info(aut, "5", "5", "25"))) == 0
+        assert game.utility(code(game, info(aut, "6", "5", "25"))) == 1
         assert elapsed < 1.0
 
 

@@ -150,11 +150,11 @@ class TestBuildEditGame:
     def test_utility_of_leak_and_bluff(self, fig3_aut, fig3_game):
         leak = code(fig3_game, info(fig3_aut, "5", "5", "25"))
         bluff = code(fig3_game, info(fig3_aut, "6", "5", "25"))
-        assert fig3_game.utility[leak] == 0
-        assert fig3_game.utility[bluff] == 1
+        assert fig3_game.utility(leak) == 0
+        assert fig3_game.utility(bluff) == 1
 
     def test_every_plant_observable_event_has_a_response(self, fig3_game):
-        assert all(fig3_game.utility[vf] == 1 for vf in fig3_game.f_states)
+        assert all(fig3_game.utility(vf) == 1 for vf in fig3_game.f_states)
 
     def test_single_state_plant(self):
         aut, profile = oe.parse_model(
@@ -167,7 +167,7 @@ class TestBuildEditGame:
     def test_augmented_state_with_passthrough_has_utility_one(self, fig3_game):
         for vf in fig3_game.f_states:
             if PASSTHROUGH in fig3_game.def_moves[vf]:
-                assert fig3_game.utility[vf] == 1
+                assert fig3_game.utility(vf) == 1
 
 
 class TestOnDemand:
@@ -187,7 +187,8 @@ class TestOnDemand:
         assert touched.f_states == whole.f_states
         assert touched.sys_moves == whole.sys_moves
         assert touched.def_moves == whole.def_moves
-        assert touched.utility == whole.utility
+        assert ([touched.utility(v) for v in touched.a_states + touched.f_states]
+                == [whole.utility(v) for v in whole.a_states + whole.f_states])
 
     @pytest.mark.parametrize("seed", range(15))
     def test_canonical_order_is_the_key_order(self, seed):
@@ -220,7 +221,7 @@ class TestGameInvariants:
                     assert oe.project(word, profile.defender) == word
                 else:
                     assert act == PASSTHROUGH
-            for act in oe.enumerate_actions(state.pending, profile, game.k, game.ops):
+            for act in oe.enumerate_actions(state.pending, profile, 1, oe.OPS_ALL):
                 expected = apply_defender_move(state, act, o_intr, o_def, profile)
                 got = game.def_moves[vf].get(act)
                 assert (None if got is None else decode(game, got)) == expected
@@ -244,15 +245,21 @@ class TestGameInvariants:
                 else:
                     assert target.intr == vf.info.intr
 
-    def test_utility_matches_definition(self, fig3_aut, fig3_game):
-        secret = fig3_aut.secret
-        for v in fig3_game.a_states:
-            state = decode(fig3_game, v)
+    @pytest.mark.parametrize("seed", ["fig3", *range(15)])
+    def test_utility_matches_definition(self, seed, fig3, fig3_game):
+        if seed == "fig3":
+            (aut, _), game = fig3, fig3_game
+        else:
+            aut, profile = oe.random_instance(seed)
+            game = oe.build_edit_game(aut, profile, k=1).complete()
+        secret = aut.secret
+        for v in game.a_states:
+            state = decode(game, v)
             expected = 0 if (state.sys <= secret and state.intr <= secret) else 1
-            assert fig3_game.utility[v] == expected
-        for vf in fig3_game.f_states:
-            expected = 0 if not fig3_game.def_moves[vf] else 1
-            assert fig3_game.utility[vf] == expected
+            assert game.utility(v) == expected
+        for vf in game.f_states:
+            expected = 0 if not game.def_moves[vf] else 1
+            assert game.utility(vf) == expected
 
 
 OP_SETS = [frozenset(c) for n in (1, 2, 3)

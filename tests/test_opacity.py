@@ -107,34 +107,41 @@ class _SpyEditor:
         return ((event,), state)
 
 
+class _UnseenCounter:
+    """Defective editor: passes every event through, but its state counts
+    the events outside the defender alphabet."""
+
+    def __init__(self, defender):
+        self.defender = defender
+        self.initial = 0
+
+    def step(self, state, event):
+        return ((event,), state if event in self.defender else state + 1)
+
+
 class TestChecks:
     def test_synthesized_editor_passes_everything(self, fig3, fig3_fe):
         aut, profile = fig3
-        report = oe.evaluate_editor(aut, profile, fig3_fe, 6)
-        assert report.i_available
-        assert report.confidential
-        assert report.integral
+        assert oe.evaluate_editor(aut, profile, fig3_fe, 6) == oe.OracleVerdict(True)
 
     def test_empty_editor_is_unavailable(self, fig3):
         aut, profile = fig3
         empty = oe.MealyEditFunction(
             alphabet=profile.defender, n_states=1, initial=0, edges={}
         )
-        assert not oe.evaluate_editor(aut, profile, empty, 3).i_available
+        assert oe.evaluate_editor(aut, profile, empty, 3).failed_property == "i-availability"
 
     def test_depth_zero_is_trivially_available(self, fig3):
         aut, profile = fig3
         empty = oe.MealyEditFunction(
             alphabet=profile.defender, n_states=1, initial=0, edges={}
         )
-        assert oe.evaluate_editor(aut, profile, empty, 0).i_available
+        assert oe.evaluate_editor(aut, profile, empty, 0).ok
 
     def test_identity_editor_is_available_but_not_confidential(self, fig3):
         aut, profile = fig3
         ident = oe.MealyEditFunction.identity(profile.defender)
-        report = oe.evaluate_editor(aut, profile, ident, 5)
-        assert report.i_available
-        assert not report.confidential
+        assert oe.evaluate_editor(aut, profile, ident, 5).failed_property == "confidentiality"
 
     def test_editor_branching_on_invisible_event_fails_c(self, fig3):
         aut, profile = fig3
@@ -150,6 +157,21 @@ class TestChecks:
         with pytest.raises(ValueError, match="changed state"):
             oe.evaluate_editor(aut, profile, spy, 2)
 
+    def test_search_stops_at_a_leak_before_a_state_change(self):
+        # a leaks at length 1; the editor's only fault, moving on the unseen
+        # b, comes a step later, so the search returns the leak first
+        text = ("states 1 2 3\ninitial 1\nsecret {}\nevents a b\n"
+                "observable a b\nintruder a b\ndefender a\n"
+                "trans 1 a 2\ntrans 2 b 3\n")
+        aut, profile = oe.parse_model(text.format(2))
+        editor = _UnseenCounter(profile.defender)
+        assert oe.evaluate_editor(aut, profile, editor, 3) == oe.OracleVerdict(
+            False, "confidentiality", T("a"))
+        # with no leak before it, the fault is refused
+        aut, profile = oe.parse_model(text.format(3))
+        with pytest.raises(ValueError, match="changed state"):
+            oe.evaluate_editor(aut, profile, editor, 3)
+
     def test_editor_mapping_abc_to_acd_is_confidential(self, fig3, fig3_fe):
         aut, profile = fig3
         out = []
@@ -158,7 +180,7 @@ class TestChecks:
             word, state = fig3_fe.step(state, event)
             out.extend(word)
         assert tuple(out) == T("acd")
-        assert oe.evaluate_editor(aut, profile, fig3_fe, 4).confidential
+        assert oe.evaluate_editor(aut, profile, fig3_fe, 4).ok
 
     def test_vacuous_confidentiality_without_secrets(self, fig3):
         aut, profile = fig3
@@ -167,7 +189,7 @@ class TestChecks:
             initial=aut.initial, secret=frozenset(),
         )
         ident = oe.MealyEditFunction.identity(profile.defender)
-        assert oe.evaluate_editor(bare, profile, ident, 5).confidential
+        assert oe.evaluate_editor(bare, profile, ident, 5).ok
 
 
 class TestIntegrity:
@@ -176,8 +198,9 @@ class TestIntegrity:
         ident = oe.MealyEditFunction.identity(profile.defender)
         for editor in (fig3_fe, ident):
             for depth in range(5):
-                report = oe.evaluate_editor(aut, profile, editor, depth)
-                assert report.integral == (report.i_available and report.confidential)
+                tree = evaluate_editor_tree(aut, profile, editor, depth)
+                assert oe.evaluate_editor(aut, profile, editor, depth).ok == (
+                    tree.i_available and tree.confidential)
 
     def test_prefix_leak_breaks_integrity(self):
         # the only length-1 behavior reaches the secret with no alibi, while
@@ -190,9 +213,7 @@ class TestIntegrity:
         )
         ident = oe.MealyEditFunction.identity(profile.defender)
         report = oe.evaluate_editor(aut, profile, ident, 3)
-        assert report.i_available
-        assert not report.integral
-        assert report.conf_counterexample == T("a")
+        assert report == oe.OracleVerdict(False, "confidentiality", T("a"))
 
 
 class TestStructuralCAvailability:
@@ -268,7 +289,8 @@ class TestTreeCrossCheck:
         ident = oe.MealyEditFunction.identity(profile.defender)
         for depth, leak in ((3, None), (5, T("baac")), (6, T("aaac"))):
             report = oe.evaluate_editor(aut, profile, ident, depth)
-            assert report.conf_counterexample == leak
+            assert report.counterexample == leak
+            assert report.failed_property == (leak and "confidentiality")
             assert evaluate_editor_tree(aut, profile, ident, depth).conf_counterexample == leak
 
     def test_search_matches_the_tree(self):
@@ -276,8 +298,8 @@ class TestTreeCrossCheck:
         for aut, profile, editor, depth in _cross_check_cases(range(60)):
             got = oe.evaluate_editor(aut, profile, editor, depth)
             want = evaluate_editor_tree(aut, profile, editor, depth)
-            assert (got.i_counterexample, got.conf_counterexample, got.first_violation) == (
-                want.i_counterexample, want.conf_counterexample, want.first_violation)
+            assert want.first_violation == (
+                None if got.ok else (got.failed_property, got.counterexample))
             assert want.c_available or not want.i_available
             kinds.add(want.first_violation and want.first_violation[0])
         # the sample exercises every outcome

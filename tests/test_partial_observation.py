@@ -54,9 +54,7 @@ class TestUnobservableEvents:
     def test_checks_quantify_over_projections(self):
         aut, profile = _model()
         ident = oe.MealyEditFunction.identity(profile.defender)
-        report = oe.evaluate_editor(aut, profile, ident, 4)
-        assert report.i_available
-        assert report.confidential
+        assert oe.evaluate_editor(aut, profile, ident, 4).ok
         assert oe.exact_ic_check(aut, profile, ident)
 
     def test_secret_prefix_with_silent_witness(self):
@@ -69,4 +67,4 @@ class TestUnobservableEvents:
         )
         ident = oe.MealyEditFunction.identity(profile.defender)
         report = oe.evaluate_editor(aut, profile, ident, 2)
-        assert report.conf_counterexample == ()
+        assert report == oe.OracleVerdict(False, "confidentiality", ())

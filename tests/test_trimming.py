@@ -43,17 +43,19 @@ class TestTrimFig3:
         game = oe.build_edit_game(*fig3, k=0, ops=SUBS_ONLY).complete()
         rows = tuple({v: dict(row) for v, row in moves.items()}
                      for moves in (game.sys_moves, game.def_moves))
-        a_states, utility = game.a_states, dict(game.utility)
+        a_states = game.a_states
+        utility = [game.utility(v) for v in a_states + game.f_states]
         tgs = oe.trim_game(game)
         kept = tgs.game
         assert tgs.removed_a and kept is not game
         assert kept.observers is game.observers
         codes = list(kept.sys_moves) + list(kept.def_moves)
         assert all(decode(kept, v) == decode(game, v) for v in codes)
-        assert kept.utility == dict.fromkeys(codes, 1)
+        assert all(kept.utility(v) == 1 for v in codes)
         assert all(kept.expand(v) is kept.sys_moves[v] for v in kept.sys_moves)
         assert (game.sys_moves, game.def_moves) == rows
-        assert game.a_states == a_states and game.utility == utility
+        assert game.a_states == a_states
+        assert [game.utility(v) for v in a_states + game.f_states] == utility
 
 
 NO_SECRET = (
@@ -66,7 +68,7 @@ class TestTrimEdgeCases:
     def test_no_problematic_states_means_no_change(self):
         aut, profile = oe.parse_model(NO_SECRET)
         game = oe.build_edit_game(aut, profile, k=1).complete()
-        assert all(game.utility[v] == 1 for v in list(game.a_states) + list(game.f_states))
+        assert all(game.utility(v) == 1 for v in list(game.a_states) + list(game.f_states))
         tgs = oe.trim_game(game)
         assert set(tgs.game.a_states) == set(game.a_states)
         assert set(tgs.game.f_states) == set(game.f_states)
@@ -101,7 +103,7 @@ class TestTrimEdgeCases:
             "intruder a\ndefender a\n"
         )
         game = oe.build_edit_game(aut, profile, k=1)
-        assert game.utility[game.initial] == 0
+        assert game.utility(game.initial) == 0
         assert oe.trim_game(game) is None
 
     def test_fixpoint_idempotence(self, fig3_tgs):
@@ -279,7 +281,7 @@ class TestOnTheFlyTrim:
             whole = oe.build_edit_game(aut, profile, k=k, ops=ops).complete()
             got, want = oe.trim_game(lazy), oe.trim_game(whole)
             # a utility-0 state is dead from the start and never expanded
-            assert all(lazy.utility[v] == 1 for v in lazy.sys_moves)
+            assert all(lazy.utility(v) == 1 for v in lazy.sys_moves)
             if got is None or want is None:
                 assert got is None and want is None
                 continue
@@ -288,6 +290,8 @@ class TestOnTheFlyTrim:
             assert got.game.sys_moves == want.game.sys_moves
             assert got.game.def_moves == want.game.def_moves
             assert got.disabled == want.disabled
+            # no kept state is problematic, so the trimmed game needs no table
+            assert all(got.game.utility(v) == 1 for v in got.game.a_states + got.game.f_states)
             # every state the walk reached is proven dead or expanded
             assert set(lazy.sys_moves) | set(got.removed_a) == set(lazy.a_states)
 
@@ -298,7 +302,7 @@ class TestOnTheFlyTrim:
         game = oe.build_edit_game(aut, profile, k=2)
         assert oe.trim_game(game) is None
         assert len(game.a_states) <= 1000
-        assert all(game.utility[v] == 1 for v in game.sys_moves)
+        assert all(game.utility(v) == 1 for v in game.sys_moves)
 
 
 class _GameStrategyEditor:
