@@ -60,8 +60,7 @@ class FiniteAutomaton:
         n = len(self.labels)
         if n == 0:
             raise ModelError("automaton needs at least one state")
-        index = {label: i for i, label in enumerate(self.labels)}
-        if len(index) != n:
+        if len(set(self.labels)) != n:
             raise ModelError("state labels must be unique")
         if len(set(self.events)) != len(self.events):
             raise ModelError("event ids must be unique")
@@ -85,7 +84,6 @@ class FiniteAutomaton:
         object.__setattr__(
             self, "_arcs", tuple({e: a[e] for e in sorted(a)} for a in arcs)
         )
-        object.__setattr__(self, "_index", index)
         # observers built over this plant, by (reactive, full) alphabets
         object.__setattr__(self, "_observers", {})
 
@@ -107,12 +105,6 @@ class FiniteAutomaton:
                 return None
             cur = self._arcs[cur].get(event)  # type: ignore[attr-defined]
         return cur
-
-    def state_named(self, label: str) -> int:
-        try:
-            return self._index[label]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ModelError(f"unknown state label {label!r}") from None
 
 
 @dataclass(frozen=True)

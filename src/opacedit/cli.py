@@ -90,12 +90,20 @@ def _game(args):
 
 
 def _load_transducer(path: str, profile: ObservationProfile) -> MealyEditFunction:
+    """The transducer at ``path``, over the defender alphabet, emitting
+    only observable events, the ones both observers read."""
     fe = parse_mealy(Path(path).read_text())
     if fe.alphabet != profile.defender:
         raise ModelError(
             f"transducer alphabet {{{','.join(sorted(fe.alphabet))}}} differs from "
             f"the defender alphabet {{{','.join(sorted(profile.defender))}}}"
         )
+    for (q, event), (word, _) in fe.edges.items():
+        for out in word:
+            if out not in profile.observable:
+                raise ModelError(f"transducer edge from state {q} on {event!r} emits {out!r}, "
+                                 f"outside the observable alphabet "
+                                 f"{{{','.join(sorted(profile.observable))}}}")
     return fe
 
 

@@ -1,10 +1,12 @@
 """Graphviz exports for observers, game structures, and mechanisms.
 
-Output is fully deterministic: nodes and edges are emitted in the canonical
-orders of the underlying structures, and belief members in code order, so
-repeated runs produce identical bytes.  Each exporter yields its lines into
-``_stream``, which writes them into the text stream it is given joined in
-blocks of at most ``_BLOCK`` lines, so no export holds its text in memory.
+Output is fully deterministic: nodes come out in the canonical orders of
+the underlying structures, belief members in code order, and each node's
+edges in the order its row was built (by sorted event, or by
+``EditAction.sort_key``), so repeated runs produce identical bytes.  Each
+exporter yields its lines into ``_stream``, which writes them into the
+text stream it is given joined in blocks of at most ``_BLOCK`` lines, so
+no export holds its text in memory.
 A game state is labeled by its code: ``EditGameStructure.indices_of``
 decodes a run of codes in one pass into the indices of their estimates,
 whose labels are escaped once per observer estimate, in tables that live
@@ -138,9 +140,8 @@ def _game_lines(game: EditGameStructure, aut: FiniteAutomaton, name: str,
         yield f'  f{j} [label="{label}", shape=box{style}];\n'
     events = {e: _quote(e) for e in game.profile.observable}
     for i, v in enumerate(a_states):
-        row = game.sys_moves[v]
-        for event in sorted(row):
-            yield f"  a{i} -> f{f_ids[row[event]]} [label={events[event]}];\n"
+        for event, vf in game.sys_moves[v].items():
+            yield f"  a{i} -> f{f_ids[vf]} [label={events[event]}];\n"
     for j, vf in enumerate(f_states):
         quoted = edge_labels[pending[j]]
         for act, target in game.def_moves[vf].items():
@@ -154,14 +155,9 @@ def _game_lines(game: EditGameStructure, aut: FiniteAutomaton, name: str,
     yield "}\n"
 
 
-def trimmed_dot(
-    tgs: TrimmedGameStructure,
-    aut: FiniteAutomaton,
-    out: TextIO,
-    name: str = "trimmed",
-    include_disabled: bool = False,
-) -> None:
-    game_dot(tgs.game, aut, out, name=name,
+def trimmed_dot(tgs: TrimmedGameStructure, aut: FiniteAutomaton, out: TextIO,
+                include_disabled: bool = False) -> None:
+    game_dot(tgs.game, aut, out, name="trimmed",
              disabled=tgs.disabled if include_disabled else None)
 
 
@@ -191,9 +187,8 @@ def _mechanism_lines(mech: Mechanism, aut: FiniteAutomaton, name: str) -> Iterat
         yield f'  o{j} [label="{sep.join(map(member, sorted(vf)))}", shape=box, style=rounded];\n'
     events = {e: _quote(e) for e in mech.defender}
     for i, v in enumerate(ua_states):
-        row = mech.moves_in[v]
-        for event in sorted(row):
-            yield f"  m{i} -> o{f_ids[row[event]]} [label={events[event]}];\n"
+        for event, vf in mech.moves_in[v].items():
+            yield f"  m{i} -> o{f_ids[vf]} [label={events[event]}];\n"
     # the observed event of each observation state, shared by its members
     observed = [pending for *_, pending in game.indices_of(next(iter(vf)) for vf in uf_states)]
     for j, vf in enumerate(uf_states):
@@ -204,12 +199,12 @@ def _mechanism_lines(mech: Mechanism, aut: FiniteAutomaton, name: str) -> Iterat
     yield "}\n"
 
 
-def mealy_dot(fe: MealyEditFunction, out: TextIO, name: str = "editor") -> None:
-    _stream(out, _mealy_lines(fe, name))
+def mealy_dot(fe: MealyEditFunction, out: TextIO) -> None:
+    _stream(out, _mealy_lines(fe))
 
 
-def _mealy_lines(fe: MealyEditFunction, name: str) -> Iterator[str]:
-    yield f"digraph {name} {{\n  rankdir=LR;\n  node [shape=circle];\n"
+def _mealy_lines(fe: MealyEditFunction) -> Iterator[str]:
+    yield "digraph editor {\n  rankdir=LR;\n  node [shape=circle];\n"
     for q in range(fe.n_states):
         style = ", style=bold" if q == fe.initial else ""
         yield f"  q{q} [label={_quote(str(q))}{style}];\n"

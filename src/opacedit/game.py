@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace
 from .observers import ObserverAutomaton, standard_observers
@@ -271,16 +271,9 @@ class EditGameStructure:
         return row
 
     def complete(self) -> "EditGameStructure":
-        """Expand, breadth-first, every information state reachable from the
-        initial one."""
-        seen = {self.initial}
-        queue = deque(seen)
-        while queue:
-            for vf in self.expand(queue.popleft()).values():
-                for target in self.def_moves[vf].values():
-                    if target not in seen:
-                        seen.add(target)
-                        queue.append(target)
+        """Expand every information state reachable from the initial one
+        (``expand_reachable``)."""
+        expand_reachable(self.initial, self.expand, self.def_moves)
         return self
 
     def restrict(
@@ -294,6 +287,21 @@ class EditGameStructure:
         game.sys_moves, game.def_moves = sys_moves, def_moves
         game._info = {v: v for v in sys_moves}
         return game
+
+
+def expand_reachable(initial: Hashable, expand: Callable[[Hashable], Mapping],
+                     ctrl: Mapping[Hashable, Mapping]) -> None:
+    """Expand, breadth-first, every node reachable from ``initial``:
+    ``expand`` builds a node's row into controllable nodes, whose rows
+    ``ctrl`` then holds.  The game and the mechanism complete by it."""
+    seen = {initial}
+    queue = deque(seen)
+    while queue:
+        for node in expand(queue.popleft()).values():
+            for target in ctrl[node].values():
+                if target not in seen:
+                    seen.add(target)
+                    queue.append(target)
 
 
 def build_edit_game(

@@ -9,22 +9,22 @@ A concrete deterministic transducer is then extracted with a pluggable
 action-selection policy.
 
 The merged mechanism is built on demand.  Refinement and synthesis walk the
-strategy their action order prefers and expand a belief state only when the
-walk reaches it; the backward safety solver is fed each row as it is
-expanded, with unexpanded beliefs counted as live, and the walk is repeated
-until it meets no dead observation state (a local fixpoint in the style of
-on-the-fly game solving).  ``Mechanism.complete`` expands everything, for
-callers that show the whole structure.
+strategy their action order prefers through one method, ``Mechanism._walk``,
+and expand a belief state only when the walk reaches it; the backward
+safety solver is fed each row as it is expanded, with unexpanded beliefs
+counted as live, and the walk repeats its pass until a pass meets no dead
+observation state (a local fixpoint in the style of on-the-fly game
+solving).  ``Mechanism.complete`` expands everything, for callers that show
+the whole structure, by the game's completion walk.
 """
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Optional
 
 from .automata import Trace
-from .game import EditAction, EditGameStructure
+from .game import EditAction, EditGameStructure, expand_reachable
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
 
 # A belief is the frozenset of its information-state codes and an
@@ -135,69 +135,51 @@ class Mechanism:
         return row
 
     def complete(self) -> "Mechanism":
-        """Expand, breadth-first, every belief reachable from the initial one."""
-        seen = {self.initial}
-        queue = deque(seen)
-        while queue:
-            for vuf in self.expand(queue.popleft()).values():
-                for target in self.moves_out[vuf].values():
-                    if target not in seen:
-                        seen.add(target)
-                        queue.append(target)
+        """Expand every belief reachable from the initial one, by the game's
+        completion walk (``expand_reachable``)."""
+        expand_reachable(self.initial, self.expand, self.moves_out)
         return self
 
     def _walk(self, key: Callable[[EditAction], tuple]) -> Optional[Walk]:
         """Breadth-first walk of the strategy that plays, at each observation
         state, the ``key``-least uncut action whose target is not proven
-        dead, expanding beliefs as it reaches them.  None when the initial
-        belief is proven dead.
+        dead, expanding beliefs as it reaches them; None when the initial
+        belief is proven dead.  Rows are read in the order ``expand`` built
+        them, by sorted defender event.
 
         ``expand`` feeds the solver, so ``dead`` may grow during a pass.
         A node dies only on complete evidence, so every action the walk
-        skips loses in the whole mechanism too.  A walk that closes is a
-        winning strategy: at each observation state of its beliefs it has an
-        uncut action into them, so no row fed later kills one of them, and
-        its actions are the key-least winning ones.
+        skips loses in the whole mechanism too.  Passes repeat, sharing
+        ``ranked``, until one closes.  A pass that closes is a winning
+        strategy: at each observation state of its beliefs it has an uncut
+        action into them, so no row fed later kills one of them, and its
+        actions are the key-least winning ones.
         """
         ranked: dict[frozenset, list[tuple[EditAction, MergedA]]] = {}
         dead = self._solver.dead
         while self.initial not in dead:
-            walk = self._walk_once(key, dead, ranked)
-            if walk is not None:
-                return walk
-            # The walk met observation states whose actions all lead into
+            order, index, edges, stuck = [self.initial], {self.initial: 0}, [], False
+            for q, vua in enumerate(order):
+                for event, vuf in self.expand(vua).items():
+                    if vuf not in ranked:
+                        acts, cut = self.moves_out[vuf], self._cut.get(vuf, ())
+                        ranked[vuf] = [(a, acts[a]) for a in sorted(acts, key=key)
+                                       if a not in cut]
+                    act, target = next(
+                        ((a, t) for a, t in ranked[vuf] if t not in dead), (None, None))
+                    if act is None:
+                        stuck = True  # vua is lost; walk on to find more such states
+                        break
+                    if target not in index:
+                        index[target] = len(order)
+                        order.append(target)
+                    edges.append((q, event, act, index[target]))
+            if not stuck:
+                return order, edges
+            # The pass met observation states whose actions all lead into
             # proven-dead beliefs, so the belief it stood in, live when the
-            # walk reached it, is dead now, and the next pass avoids it.
+            # pass reached it, is dead now, and the next pass avoids it.
         return None
-
-    def _walk_once(
-        self, key: Callable[[EditAction], tuple], dead: set,
-        ranked: dict[frozenset, list[tuple[EditAction, MergedA]]],
-    ) -> Optional[Walk]:
-        """One pass of ``_walk``; None when some observation state has no
-        uncut action into a belief not proven dead.  ``ranked`` keeps each
-        observation state's uncut actions in ``key`` order across passes."""
-        order = [self.initial]
-        index = {self.initial: 0}
-        edges = []
-        stuck = False
-        for q, vua in enumerate(order):
-            row = self.expand(vua)
-            for event in sorted(row):
-                vuf = row[event]
-                if vuf not in ranked:
-                    acts, cut = self.moves_out[vuf], self._cut.get(vuf, ())
-                    ranked[vuf] = [(a, acts[a]) for a in sorted(acts, key=key) if a not in cut]
-                act, target = next(
-                    ((a, t) for a, t in ranked[vuf] if t not in dead), (None, None))
-                if act is None:
-                    stuck = True  # vua is lost; walk on to find more such states
-                    break
-                if target not in index:
-                    index[target] = len(order)
-                    order.append(target)
-                edges.append((q, event, act, index[target]))
-        return None if stuck else (order, edges)
 
 
 def _unobservable_closure(game: EditGameStructure, seeds: Iterable[int]) -> frozenset:

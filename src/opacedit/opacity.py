@@ -143,13 +143,14 @@ def evaluate_editor(
     sigma is checked first, so a passing verdict is integrity up to the
     depth.
 
-    A node stands for its plant configs (each reachable state with the
-    length of its shortest plant trace), the editor state and both
-    estimates.  A node whose states, editor state and estimates equal those
-    of an earlier node, with no state reached by a shorter plant trace, is
-    checked but not expanded: its subtree could only repeat, later in the
-    order, what the earlier node's subtree shows.  The cost is therefore
-    bounded by the distinct such nodes up to the depth.
+    A queued node carries its sigma, its plant configs (each reachable
+    state with the length of its shortest plant trace), the editor state
+    and both estimates, so a counterexample is a node's sigma followed by
+    the violating event.  A node whose states, editor state and estimates
+    equal those of an earlier node, with no state reached by a shorter
+    plant trace, is checked but not expanded: its subtree could only
+    repeat, later in the order, what the earlier node's subtree shows.  The
+    cost is therefore bounded by the distinct such nodes up to the depth.
 
     The editor must keep its state and pass the event through on events
     outside the defender alphabet; otherwise ``ValueError`` is raised where
@@ -181,17 +182,6 @@ def evaluate_editor(
                     stack.append((dst, length + 1))
         return best
 
-    # queued node n's word is node parent[n]'s word followed by last[n]
-    parent: list[int] = [-1]
-    last: list[str] = [""]
-
-    def word(node: int) -> Trace:
-        out: list[str] = []
-        while node > 0:
-            out.append(last[node])
-            node = parent[node]
-        return tuple(reversed(out))
-
     root_configs = uo_close({aut.initial: 0})
     if o_intr.initial <= secret and not secret.isdisjoint(root_configs):
         return OracleVerdict(False, "confidentiality", ())
@@ -199,9 +189,9 @@ def evaluate_editor(
     expanded = {
         (frozenset(root_configs), editor.initial, o_intr.initial, o_def.initial): [root_configs]
     }
-    queue = deque([(0, root_configs, editor.initial, o_intr.initial, o_def.initial)])
+    queue = deque([((), root_configs, editor.initial, o_intr.initial, o_def.initial)])
     while queue:
-        node, configs, q, x_i, x_d = queue.popleft()
+        sigma, configs, q, x_i, x_d = queue.popleft()
         for event in observable:
             stepped: dict[int, int] = {}
             for state, length in configs.items():
@@ -214,21 +204,19 @@ def evaluate_editor(
                 continue
             step = edit_step(editor, profile, (o_intr, o_def), q, x_i, x_d, event)
             if step is None:
-                return OracleVerdict(False, "i-availability", word(node) + (event,))
+                return OracleVerdict(False, "i-availability", sigma + (event,))
             _, q2, nx_i, nx_d = step
             if event not in profile.defender and q2 != q:
                 raise ValueError("editor changed state on an event it cannot observe")
             child_configs = uo_close(stepped)
             if nx_i <= secret and not secret.isdisjoint(child_configs):
-                return OracleVerdict(False, "confidentiality", word(node) + (event,))
+                return OracleVerdict(False, "confidentiality", sigma + (event,))
             key = (frozenset(child_configs), q2, nx_i, nx_d)
             earlier = expanded.setdefault(key, [])
             if any(all(seen[s] <= n for s, n in child_configs.items()) for seen in earlier):
                 continue
             earlier.append(child_configs)
-            parent.append(node)
-            last.append(event)
-            queue.append((len(parent) - 1, child_configs, q2, nx_i, nx_d))
+            queue.append((sigma + (event,), child_configs, q2, nx_i, nx_d))
     return OracleVerdict(True)
 
 

@@ -96,7 +96,7 @@ def fig3_fe(fig3_em):
 
 def sset(aut, labels):
     """State set from display labels, e.g. sset(aut, "13") -> {ids of 1,3}."""
-    return frozenset(aut.state_named(name) for name in labels)
+    return frozenset(aut.labels.index(name) for name in labels)
 
 
 def info(aut, sys, intr, dfn):

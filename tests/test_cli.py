@@ -278,6 +278,26 @@ class TestMalformedTransducer:
         assert main(["check", fig3_file, str(path), "--depth", "4"]) == 2
         assert "on 'a' outside the alphabet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("foreign", ["zzz", "u"], ids=["undeclared", "unobservable"])
+    @pytest.mark.parametrize("start", ["0 a / a 0", "0 a / a 1"], ids=["unreached", "reached"])
+    @pytest.mark.parametrize("command", [
+        ["check"], ["simulate", "a", "a"],
+    ], ids=["check", "simulate"])
+    def test_rejects_output_outside_the_observable_alphabet(
+            self, tmp_path, capsys, command, start, foreign):
+        # Unreached, the edge would leave the verdict alone; reached, the
+        # observers would stop on its word.  Both are refused on loading.
+        plant = tmp_path / "loop.aut"
+        plant.write_text("states 1 2\ninitial 1\nevents a u\nobservable a\n"
+                         "intruder a\ndefender a\ntrans 1 a 1\ntrans 1 u 2\n")
+        editor = tmp_path / "foreign.mealy"
+        editor.write_text(f"alphabet a\nstates 2\ninitial 0\n{start}\n1 a / a·{foreign} 1\n")
+        assert main([command[0], str(plant), str(editor), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: transducer edge from state 1 on 'a' emits {foreign!r}, "
+                                "outside the observable alphabet {a}\n")
+
     @pytest.mark.parametrize("header, message", [
         ("states\n", "line 2: states takes exactly one nonnegative integer"),
         ("states 1\ninitial\n", "line 3: initial takes exactly one nonnegative integer"),

@@ -487,13 +487,19 @@ class TestOverAnyGame:
 
 
 class TestRowsInCanonicalActionOrder:
-    """Every row is built in ``EditAction.sort_key`` order: the game's from
-    its menus, the mechanism's by walking them, and the live parts keep the
-    order of the rows they filter."""
+    """Every action row is built in ``EditAction.sort_key`` order: the
+    game's from its menus, the mechanism's by walking them, and the live
+    parts keep the order of the rows they filter.  Every system row and
+    every belief row lists its events in strictly increasing order, the
+    order the belief walk and the DOT export read them in."""
 
     @staticmethod
     def _in_order(rows) -> bool:
         return all(list(row) == sorted(row, key=EditAction.sort_key) for row in rows.values())
+
+    @staticmethod
+    def _events_increase(rows) -> bool:
+        return all(a < b for row in rows.values() for a, b in zip(row, list(row)[1:]))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_random_plants(self, k):
@@ -501,12 +507,16 @@ class TestRowsInCanonicalActionOrder:
             aut, profile = oe.random_instance(seed)
             game = oe.build_edit_game(aut, profile, k=k).complete()
             assert self._in_order(game.def_moves)
+            assert self._events_increase(game.sys_moves)
             tgs = oe.trim_game(game)
             if tgs is None:
                 continue
             assert self._in_order(tgs.game.def_moves)
+            assert self._events_increase(tgs.game.sys_moves)
             uem = oe.build_uem(tgs).complete()
             assert self._in_order(uem.moves_out)
+            assert self._events_increase(uem.moves_in)
             em = oe.refine_to_em(uem)
             if em is not None:
                 assert self._in_order(em.moves_out)
+                assert self._events_increase(em.moves_in)
