@@ -18,8 +18,7 @@ from .automata import FiniteAutomaton, ObservationProfile, Trace, project
 from .game import EditAction, enumerate_actions
 from .mechanism import MealyEditFunction
 from .observers import StateSet
-from .opacity import (OracleVerdict, SupportsEdit, edit_step, editor_observers,
-                      evaluate_editor)
+from .opacity import SupportsEdit, edit_step, editor_observers, evaluate_editor
 
 
 class SimulationError(ValueError):
@@ -85,14 +84,8 @@ def simulate(
     return steps
 
 
-def oracle_ic_enforcing(
-    aut: FiniteAutomaton,
-    profile: ObservationProfile,
-    fe: SupportsEdit,
-    depth: int,
-) -> OracleVerdict:
-    """``evaluate_editor``'s verdict, under the name ``bench/record.py`` calls."""
-    return evaluate_editor(aut, profile, fe, depth)
+# ``evaluate_editor`` under the name ``bench/record.py`` calls
+oracle_ic_enforcing = evaluate_editor
 
 
 def _joint_configs(

@@ -2,9 +2,10 @@
 
 The defender cannot see events outside its alphabet, so surviving
 information states linked by unobservable composite moves are merged into
-belief states.  A first pass keeps every action that works for at least one
-member ("no guarantees"); a second pass prunes actions that are undefined at
-some member, since playing one would let the intruder notice the interface.
+belief states, closed with the observers' component search (``close``).
+A first pass keeps every action that works for at least one member ("no
+guarantees"); a second pass prunes actions that are undefined at some
+member, since playing one would let the intruder notice the interface.
 A concrete deterministic transducer is then extracted with a pluggable
 action-selection policy.
 
@@ -25,6 +26,7 @@ from typing import Callable, Collection, Iterable, Optional
 
 from .automata import Trace
 from .game import EditAction, EditGameStructure, expand_reachable
+from .observers import close
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
 
 # A belief is the frozenset of its information-state codes and an
@@ -84,15 +86,27 @@ class Mechanism:
         """``v``'s partial actions: those undefined at some member."""
         return self._cut.get(v, ())
 
+    def _silent(self, v: int) -> list[int]:
+        """The information states one move the defender cannot see leads
+        ``v`` to: a system event outside the defender alphabet followed by
+        its forced passthrough."""
+        game = self.game
+        moves = [game.def_moves[vf] for event, vf in game.expand(v).items()
+                 if event not in self.defender]
+        assert all(len(acts) == 1 for acts in moves), (
+            "non-defender event admits only the passthrough")
+        return [target for acts in moves for target in acts.values()]
+
     def _closure(self, hits: Iterable[int]) -> frozenset:
-        """Unobservable closure of ``hits``, as the union of each hit's
-        memoized closure."""
+        """Closure of ``hits`` under ``_silent``, as the union of each hit's
+        closure.  ``close`` runs only for a hit without one, and records
+        one for every information state its search passes."""
+        closures = self._closures
         parts = []
         for v in hits:
-            closed = self._closures.get(v)
-            if closed is None:
-                closed = self._closures[v] = _unobservable_closure(self.game, (v,))
-            parts.append(closed)
+            if v not in closures:
+                close((v,), self._silent, closures)
+            parts.append(closures[v])
         return parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
     def expand(self, vua: MergedA) -> dict[str, frozenset]:
@@ -180,27 +194,6 @@ class Mechanism:
             # proven-dead beliefs, so the belief it stood in, live when the
             # pass reached it, is dead now, and the next pass avoids it.
         return None
-
-
-def _unobservable_closure(game: EditGameStructure, seeds: Iterable[int]) -> frozenset:
-    """Close a set of information states of ``game`` under moves the
-    defender cannot see: a system event outside the defender alphabet
-    followed by its forced passthrough."""
-    defender = game.profile.defender
-    closed = set(seeds)
-    stack = list(closed)
-    while stack:
-        v = stack.pop()
-        for event, vf in game.expand(v).items():
-            if event in defender:
-                continue
-            acts = game.def_moves[vf]
-            assert len(acts) == 1, "non-defender event admits only the passthrough"
-            target = next(iter(acts.values()))
-            if target not in closed:
-                closed.add(target)
-                stack.append(target)
-    return frozenset(closed)
 
 
 def build_uem(tgs: TrimmedGameStructure) -> Mechanism:

@@ -6,6 +6,9 @@ observer's reactive set self-loop at every state, so an observer can always
 be driven by arbitrary observable words.  Transitions on reactive events are
 partial: an empty reach set encodes "undefined" rather than a sink.
 
+Each estimate is closed under the events the observer cannot see by
+``close``, the one closure search, which the merged mechanism shares.
+
 An observer is explored on demand: each transition is computed the first
 time ``step`` asks for it and kept, so a question that reaches a few
 estimates pays for those alone.  Reading ``states`` completes the
@@ -15,70 +18,64 @@ the plant.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .automata import FiniteAutomaton, ObservationProfile
 
 StateSet = frozenset[int]
 
 
-def silent_closures(aut: FiniteAutomaton, silent: frozenset[str]) -> list[StateSet]:
-    """The closure of each plant state under the ``silent`` events, computed
-    once per strongly connected component of the silent arcs.
+def close(roots: Iterable[Hashable], succ: Callable[[Hashable], Iterable[Hashable]],
+          closures: dict) -> None:
+    """Record in ``closures`` the closure under ``succ`` of every node
+    reached from ``roots``: the nodes it reaches, itself included.  Nodes
+    already in ``closures`` count as closed.
 
-    Tarjan's algorithm, run with an explicit stack, completes the
-    components in reverse topological order, so when one completes, the
-    closure of every component its arcs leave to is known: its closure is
-    its members together with those.  The members of a component share
-    their closure object.
+    Tarjan's search, run with an explicit stack, completes the strongly
+    connected components in reverse topological order.  Each frame collects
+    the closures its arcs reach outside its component and hands them to its
+    parent, so when a component completes, its closure is its members
+    together with those.  The members of a component share their closure
+    object.
     """
-    n = aut.n_states
-    succ = [[dst for event, dst in aut.arcs(x).items() if event in silent] for x in range(n)]
-    order = [-1] * n  # discovery index, -1 while undiscovered
-    low = [0] * n
-    # a discovered state is on the stack until its component completes,
-    # that is while its closure is None
-    closures: list[Optional[StateSet]] = [None] * n
-    stack: list[int] = []
-    # (state, its arcs left to follow, its place on the stack)
-    work: list[tuple[int, Iterator[int], int]] = []
-    ticket = itertools.count()
-
-    def discover(x: int) -> None:
-        order[x] = low[x] = next(ticket)
-        work.append((x, iter(succ[x]), len(stack)))
-        stack.append(x)
-
-    for root in range(n):
-        if order[root] < 0:
-            discover(root)
+    for root in roots:
+        if root in closures:
+            continue
+        # a node discovered here is on the stack until it is in ``closures``
+        order = {root: 0}
+        stack = [root]
+        # [node, its arcs left to follow, its place on the stack, its low
+        # link, the closures its component's arcs reached so far]
+        work: list[list] = [[root, iter(succ(root)), 0, 0, []]]
         while work:
-            x, arcs, base = work[-1]
-            for y in arcs:
-                if order[y] < 0:
-                    discover(y)
+            frame = work[-1]
+            for y in frame[1]:
+                closed = closures.get(y)
+                if closed is not None:
+                    frame[4].append(closed)
+                elif y in order:
+                    frame[3] = min(frame[3], order[y])
+                else:
+                    order[y] = len(order)
+                    work.append([y, iter(succ(y)), len(stack), order[y], []])
+                    stack.append(y)
                     break
-                if closures[y] is None:
-                    low[x] = min(low[x], order[y])
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[x])
-                if low[x] == order[x]:
+                x, _, base, low, parts = frame
+                if low == order[x]:
                     members = stack[base:]
                     del stack[base:]
-                    # successors outside the component are closed already;
-                    # those inside it are among the members
-                    closed = frozenset(members).union(*(
-                        closures[z] for y in members for z in succ[y]
-                        if closures[z] is not None))
+                    closed = frozenset(members).union(*parts)
                     for y in members:
                         closures[y] = closed
-    return closures  # type: ignore[return-value]
+                    if work:
+                        work[-1][4].append(closed)
+                else:
+                    work[-1][3] = min(work[-1][3], low)
+                    work[-1][4].extend(parts)
 
 
 class ObserverAutomaton:
@@ -94,8 +91,9 @@ class ObserverAutomaton:
     def __init__(self, aut: FiniteAutomaton, reactive: frozenset[str], full: frozenset[str]):
         self.alphabet = full
         self.reactive = reactive
-        silent = frozenset(aut.events) - reactive
-        closures = silent_closures(aut, silent)
+        closures: dict[int, StateSet] = {}
+        close(range(aut.n_states), lambda x: [
+            dst for event, dst in aut.arcs(x).items() if event not in reactive], closures)
         empty: StateSet = frozenset()
         self.initial: StateSet = closures[aut.initial]
         # event -> closed successor set of each plant state, empty where

@@ -341,6 +341,27 @@ def certifying_depth_reference(
     return min(len(seen) + 1, cap)
 
 
+def unobservable_closure_reference(game: EditGameStructure, seeds: Iterable[int]) -> frozenset:
+    """Close a set of information states of ``game`` under moves the
+    defender cannot see, a system event outside the defender alphabet
+    followed by its forced passthrough, by one search from the seeds."""
+    defender = game.profile.defender
+    closed = set(seeds)
+    stack = list(closed)
+    while stack:
+        v = stack.pop()
+        for event, vf in game.expand(v).items():
+            if event in defender:
+                continue
+            acts = game.def_moves[vf]
+            assert len(acts) == 1, "non-defender event admits only the passthrough"
+            target = next(iter(acts.values()))
+            if target not in closed:
+                closed.add(target)
+                stack.append(target)
+    return frozenset(closed)
+
+
 def sweep_dead(unctrl, ctrl, seeds, cut=frozenset()) -> set:
     """Restart-the-sweep formulation of the backward safety fixpoint."""
     dead = set(seeds)

@@ -106,6 +106,14 @@ class TestSynthesize:
             emitted.extend(word)
         assert tuple(emitted) == ("a", "c", "d")
 
+    @pytest.mark.parametrize("name", ["gen-27-12-5", "gen-5-8-5"])
+    def test_default_transducer_is_the_stored_one(self, name, capsys):
+        # the stored editors byte for byte, so a change to the closures or
+        # to the belief order that moves a transducer fails here
+        assert main(["synthesize", str(INSTANCES / f"{name}.aut")]) == 0
+        stored = ROOT / "bench" / "editors" / f"synth-{name}.mealy"
+        assert capsys.readouterr().out == stored.read_text()
+
     def test_unenforceable_exit_code(self, tmp_path, capsys):
         path = tmp_path / "locked.aut"
         path.write_text(UNENFORCEABLE)

@@ -1,16 +1,16 @@
 import io
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 import opacedit as oe
 from opacedit.dot import mechanism_dot
 from opacedit.game import EditAction, PASSTHROUGH
-from opacedit.mechanism import _unobservable_closure
 
 from conftest import FORCED_LEAK_TEXT, SUBS_ONLY, code, info
 from oracles import (AugmentedState, decode, decoded, decoded_key, merged_a_key, merged_f_key,
-                     refine_naive, sweep_dead)
+                     refine_naive, sweep_dead, unobservable_closure_reference)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
@@ -23,7 +23,7 @@ def T(s):
 
 class TestUnobservableClosure:
     def test_initial_closure_absorbs_the_silent_prefix(self, fig3_aut, fig3_tgs):
-        got = _unobservable_closure(fig3_tgs.game, {fig3_tgs.game.initial})
+        got = oe.Mechanism(fig3_tgs.game)._closure([fig3_tgs.game.initial])
         assert decoded(fig3_tgs.game, got) == {
             info(fig3_aut, "1", "14", "13"),
             info(fig3_aut, "3", "36", "13"),
@@ -31,11 +31,37 @@ class TestUnobservableClosure:
 
     def test_fixed_point_without_silent_moves(self, fig3_aut, fig3_tgs):
         still = code(fig3_tgs.game, info(fig3_aut, "5", "36", "46"))
-        assert _unobservable_closure(fig3_tgs.game, {still}) == {still}
+        assert oe.Mechanism(fig3_tgs.game)._closure([still]) == {still}
 
     def test_idempotent(self, fig3_tgs):
-        once = _unobservable_closure(fig3_tgs.game, {fig3_tgs.game.initial})
-        assert _unobservable_closure(fig3_tgs.game, once) == once
+        uem = oe.Mechanism(fig3_tgs.game)
+        once = uem._closure([fig3_tgs.game.initial])
+        assert uem._closure(sorted(once)) == once
+
+
+class TestClosuresAreTheReference:
+    """Every closure the mechanism's component search records equals the
+    per-seed search of the oracle; members of one strongly connected
+    component share one closure object."""
+
+    @staticmethod
+    def _check(aut, profile) -> Optional[bool]:
+        """True when two nodes share a closure object; None when trimming
+        refutes the plant."""
+        tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+        if tgs is None:
+            return None
+        closures = oe.build_uem(tgs).complete()._closures
+        for v, closed in closures.items():
+            assert closed == unobservable_closure_reference(tgs.game, (v,))
+        return len({id(c) for c in closures.values()}) < len(closures)
+
+    def test_random_plants(self):
+        shared = [self._check(*oe.random_instance(seed, 8, 5)) for seed in range(100)]
+        assert any(shared)  # silent cycles occur among the seeds
+
+    def test_components_share_on_a_bench_plant(self):
+        assert self._check(*oe.parse_model((INSTANCES / "gen-12-30-10.aut").read_text()))
 
 
 class TestBuildUem:

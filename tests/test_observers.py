@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import opacedit as oe
-from opacedit.observers import ObserverAutomaton, silent_closures
+from opacedit.observers import ObserverAutomaton, close
 from opacedit.opacity import editor_observers
 
 from conftest import FIG3_TEXT, sset
@@ -227,8 +227,8 @@ class TestLaziness:
 
 
 class TestSilentClosures:
-    """The closures computed once per strongly connected component of the
-    silent arcs are the per-state searches of the oracle."""
+    """The closures ``close`` computes once per strongly connected component
+    of the silent arcs are the per-state searches of the oracle."""
 
     @staticmethod
     def _check(aut, profile) -> bool:
@@ -236,7 +236,11 @@ class TestSilentClosures:
         component has more than one state."""
         shared = False
         for reactive in (profile.observable, profile.intruder, profile.defender):
-            got = silent_closures(aut, frozenset(aut.events) - reactive)
+            closures: dict = {}
+            close(range(aut.n_states),
+                  lambda x: [dst for event, dst in aut.arcs(x).items() if event not in reactive],
+                  closures)
+            got = [closures[x] for x in range(aut.n_states)]
             assert got == [reach_set(aut, x, None, reactive) for x in range(aut.n_states)]
             shared |= len({id(c) for c in got}) < aut.n_states
         return shared
