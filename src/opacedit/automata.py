@@ -9,7 +9,6 @@ reproducible byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 Trace = tuple[str, ...]
@@ -42,50 +41,76 @@ def _check_symbol(kind: str, token: str, line: Optional[int] = None) -> str:
     raise ModelError(message) if line is None else ParseError(message, line)
 
 
-@dataclass(frozen=True)
-class FiniteAutomaton:
+class Record:
+    """A value record: equality and ``repr`` read the fields ``_fields``
+    names, in order, and it is unhashable unless a subclass defines
+    ``__hash__``.  Records are not assigned to after construction."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FiniteAutomaton(Record):
     """Deterministic plant with a partial transition map and secret states.
 
     ``labels[i]`` is the display name of state ``i``; ``delta`` maps
     ``(state, event)`` pairs to successor states and is partial.
     """
 
-    labels: tuple[str, ...]
-    events: tuple[str, ...]
-    delta: Mapping[tuple[int, str], int]
-    initial: int
-    secret: frozenset[int]
+    _fields = ("labels", "events", "delta", "initial", "secret")
 
-    def __post_init__(self):
-        n = len(self.labels)
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        events: tuple[str, ...],
+        delta: Mapping[tuple[int, str], int],
+        initial: int,
+        secret: frozenset[int],
+    ):
+        n = len(labels)
         if n == 0:
             raise ModelError("automaton needs at least one state")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ModelError("state labels must be unique")
-        if len(set(self.events)) != len(self.events):
+        if len(set(events)) != len(events):
             raise ModelError("event ids must be unique")
-        for label in self.labels:
+        for label in labels:
             _check_symbol("state", label)
-        for event in self.events:
+        for event in events:
             _check_symbol("event", event)
-        if not 0 <= self.initial < n:
+        if not 0 <= initial < n:
             raise ModelError("initial state out of range")
-        if not all(0 <= s < n for s in self.secret):
+        if not all(0 <= s < n for s in secret):
             raise ModelError("secret state out of range")
-        events = set(self.events)
+        declared = set(events)
         arcs: list[dict[str, int]] = [dict() for _ in range(n)]
-        for (src, event), dst in self.delta.items():
+        for (src, event), dst in delta.items():
             if not 0 <= src < n or not 0 <= dst < n:
                 raise ModelError(f"transition ({src},{event},{dst}) references unknown state")
-            if event not in events:
+            if event not in declared:
                 raise ModelError(f"transition event {event!r} not declared")
             arcs[src][event] = dst
+        self.labels = labels
+        self.events = events
+        self.delta = delta
+        self.initial = initial
+        self.secret = secret
         # per-state successor maps in sorted event order, for deterministic walks
-        object.__setattr__(
-            self, "_arcs", tuple({e: a[e] for e in sorted(a)} for a in arcs)
-        )
+        self._arcs = tuple({e: a[e] for e in sorted(a)} for a in arcs)
         # observers built over this plant, by (reactive, full) alphabets
-        object.__setattr__(self, "_observers", {})
+        self._observers: dict = {}
 
     @property
     def n_states(self) -> int:
@@ -93,22 +118,21 @@ class FiniteAutomaton:
 
     def arcs(self, state: int) -> Mapping[str, int]:
         """Successors of ``state`` keyed by event, in sorted event order."""
-        return self._arcs[state]  # type: ignore[attr-defined]
+        return self._arcs[state]
 
     def step(self, state: int, event: str) -> Optional[int]:
-        return self._arcs[state].get(event)  # type: ignore[attr-defined]
+        return self._arcs[state].get(event)
 
     def run(self, state: int, trace: Iterable[str]) -> Optional[int]:
         cur: Optional[int] = state
         for event in trace:
             if cur is None:
                 return None
-            cur = self._arcs[cur].get(event)  # type: ignore[attr-defined]
+            cur = self._arcs[cur].get(event)
         return cur
 
 
-@dataclass(frozen=True)
-class ObservationProfile:
+class ObservationProfile(Record):
     """The observable alphabet and the intruder/defender sub-alphabets.
 
     ``intruder`` and ``defender`` are both subsets of ``observable`` but need
@@ -116,15 +140,24 @@ class ObservationProfile:
     never stored.
     """
 
-    observable: frozenset[str]
-    intruder: frozenset[str]
-    defender: frozenset[str]
+    _fields = ("observable", "intruder", "defender")
 
-    def __post_init__(self):
-        if not self.intruder <= self.observable:
+    def __init__(
+        self,
+        observable: frozenset[str],
+        intruder: frozenset[str],
+        defender: frozenset[str],
+    ):
+        if not intruder <= observable:
             raise ModelError("intruder alphabet must be a subset of the observable one")
-        if not self.defender <= self.observable:
+        if not defender <= observable:
             raise ModelError("defender alphabet must be a subset of the observable one")
+        self.observable = observable
+        self.intruder = intruder
+        self.defender = defender
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def validate(self, aut: FiniteAutomaton) -> None:
         if not self.observable <= set(aut.events):

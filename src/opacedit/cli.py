@@ -7,7 +7,6 @@ configuration is not enforceable.
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 from pathlib import Path
@@ -98,12 +97,7 @@ def _load_transducer(path: str, profile: ObservationProfile) -> MealyEditFunctio
             f"transducer alphabet {{{','.join(sorted(fe.alphabet))}}} differs from "
             f"the defender alphabet {{{','.join(sorted(profile.defender))}}}"
         )
-    for (q, event), (word, _) in fe.edges.items():
-        for out in word:
-            if out not in profile.observable:
-                raise ModelError(f"transducer edge from state {q} on {event!r} emits {out!r}, "
-                                 f"outside the observable alphabet "
-                                 f"{{{','.join(sorted(profile.observable))}}}")
+    fe.check_outputs(profile.observable)
     return fe
 
 
@@ -289,6 +283,8 @@ def cmd_check(args) -> int:
     if verdict.ok:
         print(f"PASS: ic-enforcing up to depth {depth}")
         return EXIT_OK
+    import json  # only a failure prints JSON; a fresh start skips the import
+
     record = {
         "property": verdict.failed_property,
         "trace": list(verdict.counterexample or ()),

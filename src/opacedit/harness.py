@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace, project
 from .game import EditAction, enumerate_actions
@@ -33,8 +32,7 @@ class EditUndefinedError(RuntimeError):
         self.prefix = prefix
 
 
-@dataclass(frozen=True)
-class SimulationStep:
+class SimulationStep(NamedTuple):
     plant_event: str
     editor_output: Trace
     intruder_estimate: StateSet

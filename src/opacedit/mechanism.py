@@ -21,10 +21,9 @@ the whole structure, by the game's completion walk.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Optional
 
-from .automata import Trace
+from .automata import ModelError, Record, Trace
 from .game import EditAction, EditGameStructure, expand_reachable
 from .observers import close
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
@@ -45,13 +44,16 @@ class Mechanism:
     demand over ``game``.
 
     It reads the game only through ``game.expand`` and ``game.def_moves``,
-    so ``game`` may be the trimmed game or the on-demand edit game itself;
-    ``game.indices_of`` decodes members' codes.  ``expand`` adds one
-    belief's row and ``complete`` every reachable one.  ``ua_states`` and
-    ``uf_states`` sort the expanded part into canonical order, by their
-    members' sorted codes, at each read, and ``partial`` lists its (state,
-    action) pairs that are undefined at some member, ``partial_at`` one
-    observation state's actions of those; reading them never expands.
+    so ``game`` may be the trimmed game, or the on-demand edit game itself
+    where trimming would remove nothing; elsewhere a move the defender
+    cannot see may reach an augmented state with no move, which fails
+    ``_silent``'s assertion.  ``game.indices_of`` decodes members' codes.
+    ``expand`` adds one belief's row and ``complete`` every reachable one.
+    ``ua_states`` and ``uf_states`` sort the expanded part into canonical
+    order, by their members' sorted codes, at each read, and ``partial``
+    lists its (state, action) pairs that are undefined at some member,
+    ``partial_at`` one observation state's actions of those; reading them
+    never expands.
     """
 
     def __init__(self, game: EditGameStructure):
@@ -279,28 +281,50 @@ POLICIES: dict[str, Callable[[EditAction], tuple]] = {
 }
 
 
-@dataclass(frozen=True)
-class MealyEditFunction:
+class MealyEditFunction(Record):
     """Deterministic transducer from defender observations to output words.
 
     ``edges`` maps each defined (state, defender event) pair to its output
     word and next state; ``step`` returns None at any other defender pair,
     which downstream checks read as an availability failure.  Events outside
     the defender alphabet pass through unchanged without moving it.
+    ``beliefs``, the belief state per transducer state when synthesized, is
+    neither serialized nor compared.
     """
 
-    alphabet: frozenset[str]
-    n_states: int
-    initial: int
-    edges: dict[tuple[int, str], tuple[Trace, int]]
-    policy: str = ""
-    # belief state per transducer state when synthesized; not serialized
-    beliefs: tuple = field(default=(), compare=False, repr=False)
+    _fields = ("alphabet", "n_states", "initial", "edges", "policy")
+
+    def __init__(
+        self,
+        alphabet: frozenset[str],
+        n_states: int,
+        initial: int,
+        edges: dict[tuple[int, str], tuple[Trace, int]],
+        policy: str = "",
+        beliefs: tuple = (),
+    ):
+        self.alphabet = alphabet
+        self.n_states = n_states
+        self.initial = initial
+        self.edges = edges
+        self.policy = policy
+        self.beliefs = beliefs
 
     def step(self, state: int, event: str) -> Optional[tuple[Trace, int]]:
         if event not in self.alphabet:
             return ((event,), state)
         return self.edges.get((state, event))
+
+    def check_outputs(self, observable: frozenset[str]) -> None:
+        """Raise ``ModelError`` at the first edge, in edge-table order,
+        whose word emits an event outside ``observable``: the observers
+        read only observable events."""
+        for (q, event), (word, _) in self.edges.items():
+            for out in word:
+                if out not in observable:
+                    raise ModelError(f"transducer edge from state {q} on {event!r} emits {out!r}, "
+                                     f"outside the observable alphabet "
+                                     f"{{{','.join(sorted(observable))}}}")
 
     @classmethod
     def identity(cls, alphabet: Iterable[str]) -> "MealyEditFunction":

@@ -163,9 +163,9 @@ def observer(
     """``build_observer``'s observer, built on the first request and kept
     with ``aut`` for every later one."""
     key = (frozenset(reactive), frozenset(full))
-    got = aut._observers.get(key)  # type: ignore[attr-defined]
+    got = aut._observers.get(key)
     if got is None:
-        got = aut._observers[key] = build_observer(aut, *key)  # type: ignore[attr-defined]
+        got = aut._observers[key] = build_observer(aut, *key)
     return got
 
 

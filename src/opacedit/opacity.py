@@ -13,10 +13,10 @@ it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Optional, Protocol
+from typing import Any, NamedTuple, Optional, Protocol
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace
+from .mechanism import MealyEditFunction
 from .observers import ObserverAutomaton, StateSet, observer
 
 
@@ -36,8 +36,7 @@ class SupportsEdit(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class OpacityVerdict:
+class OpacityVerdict(NamedTuple):
     opaque: bool
     witness: Optional[Trace]
 
@@ -115,8 +114,7 @@ def editor_observers(
             observer(aut, profile.defender, profile.observable))
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     ok: bool
     failed_property: Optional[str] = None
     counterexample: Optional[Trace] = None
@@ -159,11 +157,15 @@ def evaluate_editor(
     further behavior).  Two defined runs with the same defender view then
     emit the same defender output, so consistency between defender views
     needs no check.  Editor states must be hashable.  A negative depth
-    raises ``ValueError``.
+    raises ``ValueError``, and so does a ``MealyEditFunction`` with an
+    output word outside the observable alphabet, reached or not
+    (``check_outputs``).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     profile.validate(aut)
+    if isinstance(editor, MealyEditFunction):
+        editor.check_outputs(profile.observable)
     o_intr, o_def = editor_observers(aut, profile)
     unobs = profile.unobservable(aut)
     observable = sorted(profile.observable)

@@ -18,9 +18,8 @@ has built them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Collection, Hashable, Iterable, Mapping, Optional
+from typing import Collection, Hashable, Iterable, Mapping, NamedTuple, Optional
 
 from .game import EditAction, EditGameStructure
 
@@ -30,8 +29,7 @@ Cut = Mapping[Hashable, Collection[Hashable]]
 _NO_CUT: Cut = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class TrimmedGameStructure:
+class TrimmedGameStructure(NamedTuple):
     """Surviving game plus the per-state edit actions that trimming disabled;
     states are the game's codes."""
 

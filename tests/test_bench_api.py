@@ -9,6 +9,9 @@ traced benchmark run.
 """
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,25 @@ def test_bench_scripts_resolve_in_the_package(script):
     missing = sorted(n for n in names if not hasattr(opacedit, n))
     assert not missing, f"bench/{script} uses names opacedit lacks: {missing}"
 
+
+
+
+def test_cli_start_up_loads_every_stage_and_nothing_heavy():
+    """A fresh ``import opacedit.cli`` loads no ``dataclasses`` and no
+    ``json``, and loads every module whose stages the trace worker wraps:
+    the worker patches only modules already in ``sys.modules``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import opacedit.cli; "
+         "print('\\n'.join(sorted(set(sys.modules) - before)))"],
+        env=env, capture_output=True, text=True, check=True)
+    added = set(done.stdout.split())
+    assert {"dataclasses", "json"} & added == set()
+    stages = {f"opacedit.{layer}" for layer in _trace_worker().STAGES}
+    assert len(stages) == 8
+    assert stages - added == set()
 
 
 def _trace_worker():

@@ -254,6 +254,62 @@ class TestSynthesize:
         assert once == again
 
 
+_PLANT = dict(labels=("s", "t"), events=("a", "b"), delta={(0, "a"): 1}, initial=0,
+              secret=frozenset({1}))
+_PROFILE = dict(observable=frozenset("ab"), intruder=frozenset("a"), defender=frozenset("b"))
+# record -> (field values, another valid value per field, hashable,
+# construction errors as (overridden fields, message))
+RECORDS = {
+    "FiniteAutomaton": (
+        _PLANT,
+        dict(labels=("s", "u"), events=("a", "c"), delta={}, initial=1, secret=frozenset()),
+        False,
+        [(dict(labels=()), "automaton needs at least one state"),
+         (dict(labels=("s", "s")), "state labels must be unique"),
+         (dict(events=("a", "a")), "event ids must be unique"),
+         (dict(labels=("s", "t u")), "state id 't u' must be printable, nonempty, whitespace-free"),
+         (dict(events=("a", "-")), "event id '-' is reserved: the transducer format writes "
+                                   "'-' for the empty word and joins words with '·'"),
+         (dict(initial=2), "initial state out of range"),
+         (dict(secret=frozenset({2})), "secret state out of range"),
+         (dict(delta={(0, "a"): 2}), "transition (0,a,2) references unknown state"),
+         (dict(delta={(0, "c"): 1}), "transition event 'c' not declared")]),
+    "ObservationProfile": (
+        _PROFILE,
+        dict(observable=frozenset("abc"), intruder=frozenset(), defender=frozenset("a")),
+        True,
+        [(dict(intruder=frozenset("c")),
+          "intruder alphabet must be a subset of the observable one"),
+         (dict(defender=frozenset("c")),
+          "defender alphabet must be a subset of the observable one")]),
+    "MealyEditFunction": (
+        dict(alphabet=frozenset("b"), n_states=1, initial=0, edges={(0, "b"): (("b",), 0)},
+             policy="hand"),
+        dict(alphabet=frozenset(), n_states=2, initial=1, edges={}, policy=""),
+        False, []),
+    "TrimmedGameStructure": (
+        dict(game="game", disabled={0: ()}, removed_a=(1,), removed_f=(2,)),
+        dict(game="other", disabled={}, removed_a=(), removed_f=()),
+        False, []),
+    "OpacityVerdict": (
+        dict(opaque=False, witness=("a",)), dict(opaque=True, witness=None), True, []),
+    "OracleVerdict": (
+        dict(ok=False, failed_property="confidentiality", counterexample=("a",)),
+        dict(ok=True, failed_property=None, counterexample=None),
+        True, []),
+    "SimulationStep": (
+        dict(plant_event="a", editor_output=("b",), intruder_estimate=frozenset({0}),
+             defender_estimate=frozenset({1}), plant_state=1, leak=True),
+        dict(plant_event="b", editor_output=(), intruder_estimate=frozenset(),
+             defender_estimate=frozenset(), plant_state=0, leak=False),
+        True, []),
+}
+
+
+def _copy(fields: dict) -> dict:
+    return {f: dict(v) if isinstance(v, dict) else v for f, v in fields.items()}
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "case", ["fig3_fe"] + sorted(p.name for p in EDITORS.glob("*.mealy")))
@@ -276,6 +332,30 @@ class TestSerialization:
                 if (q, event) not in back.edges:
                     assert back.step(q, event) is None
             assert back.step(q, "z") == (("z",), q)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_records_are_values(self, name):
+        """Every record compares field by field, and is hashable exactly
+        where its fields are; a transducer's beliefs are not compared, and
+        the plant and the profile refuse bad fields with fixed messages."""
+        fields, other, hashable, errors = RECORDS[name]
+        record = getattr(oe, name)
+        a, b = record(**_copy(fields)), record(**_copy(fields))
+        assert a == b and not a != b
+        for field, value in other.items():
+            changed = record(**dict(_copy(fields), **{field: value}))
+            assert changed != a and not changed == a, field
+        if hashable:
+            assert hash(a) == hash(b)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+        if name == "MealyEditFunction":
+            assert record(**_copy(fields), beliefs=(frozenset({0}),)) == a
+        for overrides, message in errors:
+            with pytest.raises(oe.ModelError) as exc:
+                record(**dict(_copy(fields), **overrides))
+            assert str(exc.value) == message
 
     def test_epsilon_and_insertion_words(self, fig3_profile):
         fe = oe.MealyEditFunction(

@@ -138,6 +138,18 @@ class TestChecks:
         )
         assert oe.evaluate_editor(aut, profile, empty, 0).ok
 
+    @pytest.mark.parametrize("start", ["0 a / a 0", "0 a / a 1"], ids=["unreached", "reached"])
+    def test_refuses_output_outside_the_observable_alphabet(self, start):
+        # Unreached, the edge would leave the verdict alone; reached, the
+        # observers would stop on its word.  Both are refused up front.
+        aut, profile = oe.parse_model("states 1 2\ninitial 1\nsecret 2\nevents a\n"
+                                      "observable a\nintruder a\ndefender a\ntrans 1 a 1\n")
+        fe = oe.parse_mealy(f"alphabet a\nstates 2\ninitial 0\n{start}\n1 a / zzz 1\n")
+        with pytest.raises(ValueError) as exc:
+            oe.evaluate_editor(aut, profile, fe, 10)
+        assert str(exc.value) == ("transducer edge from state 1 on 'a' emits 'zzz', "
+                                  "outside the observable alphabet {a}")
+
     def test_identity_editor_is_available_but_not_confidential(self, fig3):
         aut, profile = fig3
         ident = oe.MealyEditFunction.identity(profile.defender)
