@@ -271,10 +271,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    k = _max_insert(args)
+    # --max-insert feeds only the default depth, so only then is it read
+    k = None if args.depth is not None else _max_insert(args)
     aut, profile = _load(Path(args.input))
     fe = _load_transducer(args.transducer, profile)
-    depth = args.depth if args.depth is not None else default_depth(aut, profile, k)
+    depth = args.depth if k is None else default_depth(aut, profile, k)
     verdict = evaluate_editor(aut, profile, fe, depth)
     if verdict.ok and args.depth is None and not exact_ic_check(aut, profile, fe):
         # the default depth fell short of the editor's joint configurations

@@ -23,8 +23,11 @@ from .observers import ObserverAutomaton, StateSet, observer
 class SupportsEdit(Protocol):
     """Stateful editor: consumes observable events, emits output words.
 
-    ``step`` must return the forced single-event word and the unchanged
-    state for events outside the defender alphabet, which the editor cannot
+    ``step`` must be a pure function of ``(state, event)``:
+    ``evaluate_editor`` steps each editor state, pair of estimates and
+    event once, and every later run that meets them reuses the result.
+    It must return the forced single-event word and the unchanged state
+    for events outside the defender alphabet, which the editor cannot
     see; ``edit_step`` raises ``ValueError`` on a rewritten word, and
     ``evaluate_editor`` also on a changed state it meets before a
     violation.
@@ -141,14 +144,20 @@ def evaluate_editor(
     sigma is checked first, so a passing verdict is integrity up to the
     depth.
 
-    A queued node carries its sigma, its plant configs (each reachable
-    state with the length of its shortest plant trace), the editor state
-    and both estimates, so a counterexample is a node's sigma followed by
-    the violating event.  A node whose states, editor state and estimates
-    equal those of an earlier node, with no state reached by a shorter
-    plant trace, is checked but not expanded: its subtree could only
-    repeat, later in the order, what the earlier node's subtree shows.  The
-    cost is therefore bounded by the distinct such nodes up to the depth.
+    A queued node carries its sigma, its plant states as a sorted tuple,
+    the length of each one's shortest plant trace as a tuple in the same
+    order, the editor state and both estimates, so a counterexample is a
+    node's sigma followed by the violating event.  A node whose states,
+    editor state and estimates equal those of an earlier node, with no
+    state reached by a shorter plant trace, is checked but not expanded:
+    its subtree could only repeat, later in the order, what the earlier
+    node's subtree shows.  ``expanded`` keys the expanded nodes by that
+    tuple and keeps their length tuples only, one tuple for a key met
+    once and a list from the second, so the cost is bounded by the
+    distinct such nodes up to the depth.  A node steps only the events its
+    states enable, and each (editor state, estimates, event) is stepped
+    through the editor and the observers once, so ``step`` must be a pure
+    function of its arguments.
 
     The editor must keep its state and pass the event through on events
     outside the defender alphabet; otherwise ``ValueError`` is raised where
@@ -166,60 +175,97 @@ def evaluate_editor(
     profile.validate(aut)
     if isinstance(editor, MealyEditFunction):
         editor.check_outputs(profile.observable)
-    o_intr, o_def = editor_observers(aut, profile)
-    unobs = profile.unobservable(aut)
-    observable = sorted(profile.observable)
+    observers = o_intr, o_def = editor_observers(aut, profile)
+    observable = profile.observable
     secret = aut.secret
+    # each plant state's observable arcs and its successors on the events
+    # no observer sees
+    obs_arcs = []
+    silent = []
+    for state in range(aut.n_states):
+        arcs = aut.arcs(state).items()
+        obs_arcs.append(tuple((e, dst) for e, dst in arcs if e in observable))
+        silent.append(tuple(dst for e, dst in arcs if e not in observable))
 
-    def uo_close(configs: dict[int, int]) -> dict[int, int]:
-        best = dict(configs)
-        stack = list(best.items())
-        while stack:
-            state, length = stack.pop()
-            if length != best.get(state) or length >= depth:
-                continue
-            for event, dst in aut.arcs(state).items():
-                if event in unobs and length + 1 < best.get(dst, depth + 2):
-                    best[dst] = length + 1
-                    stack.append((dst, length + 1))
-        return best
-
-    root_configs = uo_close({aut.initial: 0})
-    if o_intr.initial <= secret and not secret.isdisjoint(root_configs):
-        return OracleVerdict(False, "confidentiality", ())
-    # configs of the expanded nodes, by (states, editor state, estimates)
-    expanded = {
-        (frozenset(root_configs), editor.initial, o_intr.initial, o_def.initial): [root_configs]
-    }
-    queue = deque([((), root_configs, editor.initial, o_intr.initial, o_def.initial)])
-    while queue:
-        sigma, configs, q, x_i, x_d = queue.popleft()
-        for event in observable:
-            stepped: dict[int, int] = {}
-            for state, length in configs.items():
-                if length >= depth:
+    def closed(best: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The states and lengths of ``best`` closed under silent arcs."""
+        if any(map(silent.__getitem__, best)):
+            stack = list(best.items())
+            while stack:
+                state, length = stack.pop()
+                if length != best[state] or length >= depth:
                     continue
-                dst = aut.step(state, event)
-                if dst is not None and length + 1 < stepped.get(dst, depth + 2):
-                    stepped[dst] = length + 1
-            if not stepped:
-                continue
-            step = edit_step(editor, profile, (o_intr, o_def), q, x_i, x_d, event)
-            if step is None:
+                for dst in silent[state]:
+                    if length + 1 < best.get(dst, depth + 2):
+                        best[dst] = length + 1
+                        stack.append((dst, length + 1))
+        states = tuple(sorted(best))
+        return states, tuple(map(best.__getitem__, states))
+
+    # (editor state, estimates, event) -> the editor's next state, the next
+    # estimates and whether the intruder's lies inside the secret set
+    moves: dict[tuple, tuple[Any, StateSet, StateSet, bool]] = {}
+
+    def move(q: Any, x_i: StateSet, x_d: StateSet, event: str):
+        step = edit_step(editor, profile, observers, q, x_i, x_d, event)
+        if step is None:
+            return None
+        _, q2, nx_i, nx_d = step
+        if event not in profile.defender and q2 != q:
+            raise ValueError("editor changed state on an event it cannot observe")
+        got = moves[q, x_i, x_d, event] = (q2, nx_i, nx_d, nx_i <= secret)
+        return got
+
+    root, root_lengths = closed({aut.initial: 0})
+    if o_intr.initial <= secret and not secret.isdisjoint(root):
+        return OracleVerdict(False, "confidentiality", ())
+    # length tuples of the expanded nodes, by (states, editor state, estimates)
+    key = (root, editor.initial, o_intr.initial, o_def.initial)
+    expanded: dict[tuple, Any] = {key: root_lengths}
+    # each state and length tuple once, however many nodes share it
+    canon: dict[tuple[int, ...], tuple[int, ...]] = {}
+    queue = deque([((), key, root_lengths)])
+    while queue:
+        sigma, (states, q, x_i, x_d), lengths = queue.popleft()
+        # event -> each state it reaches, with its shortest plant trace
+        stepped: dict[str, dict[int, int]] = {}
+        for state, length in zip(states, lengths):
+            if length < depth:
+                length += 1
+                for event, dst in obs_arcs[state]:
+                    reached = stepped.get(event)
+                    if reached is None:
+                        stepped[event] = {dst: length}
+                    elif length < reached.get(dst, depth + 1):
+                        reached[dst] = length
+        for event in sorted(stepped):
+            got = moves.get((q, x_i, x_d, event)) or move(q, x_i, x_d, event)
+            if got is None:
                 return OracleVerdict(False, "i-availability", sigma + (event,))
-            _, q2, nx_i, nx_d = step
-            if event not in profile.defender and q2 != q:
-                raise ValueError("editor changed state on an event it cannot observe")
-            child_configs = uo_close(stepped)
-            if nx_i <= secret and not secret.isdisjoint(child_configs):
+            q2, nx_i, nx_d, solely_secret = got
+            child, child_lengths = closed(stepped[event])
+            if solely_secret and not secret.isdisjoint(child):
                 return OracleVerdict(False, "confidentiality", sigma + (event,))
-            key = (frozenset(child_configs), q2, nx_i, nx_d)
-            earlier = expanded.setdefault(key, [])
-            if any(all(seen[s] <= n for s, n in child_configs.items()) for seen in earlier):
+            key = (canon.setdefault(child, child), q2, nx_i, nx_d)
+            seen = expanded.get(key)
+            if seen is None:
+                expanded[key] = child_lengths = canon.setdefault(child_lengths, child_lengths)
+            elif type(seen) is tuple:
+                if _dominates(seen, child_lengths):
+                    continue
+                expanded[key] = [seen, child_lengths]
+            elif any(_dominates(earlier, child_lengths) for earlier in seen):
                 continue
-            earlier.append(child_configs)
-            queue.append((sigma + (event,), child_configs, q2, nx_i, nx_d))
+            else:
+                seen.append(child_lengths)
+            queue.append((sigma + (event,), key, child_lengths))
     return OracleVerdict(True)
+
+
+def _dominates(earlier: tuple[int, ...], lengths: tuple[int, ...]) -> bool:
+    """Whether no state is reached by a shorter plant trace in ``lengths``
+    than in ``earlier``; both list the same states in the same order."""
+    return earlier == lengths or all(a <= b for a, b in zip(earlier, lengths))
 
 
 def default_depth(

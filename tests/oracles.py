@@ -14,7 +14,10 @@ survivors by re-sorting with the canonical keys rather than filtering the
 parent's already sorted tuples.  The naive refinement takes a completed
 mechanism.  The tree walk evaluates an editor on every observable
 projection up to a depth, one node per word, with explicit defender-view
-consistency groups and explanation searches.  The language enumerations,
+consistency groups and explanation searches; the reference search is the
+package's bounded search as first written, one dict of plant
+configurations per node and one editor step per child, for plants too
+large for the tree.  The language enumerations,
 the reach sets, the literal opacity check and the stand-alone
 joint-configuration count are the definitions the package's observers,
 ``verify_cso`` and ``certifying_depth`` are tested against; the eager
@@ -34,7 +37,7 @@ from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, fmt_st
 from opacedit.game import EditAction, EditGameStructure
 from opacedit.mechanism import EditMechanism, MealyEditFunction, MergedA, Mechanism
 from opacedit.observers import ObserverAutomaton, StateSet
-from opacedit.opacity import SupportsEdit, editor_observers
+from opacedit.opacity import OracleVerdict, SupportsEdit, edit_step, editor_observers
 from opacedit.trimming import TrimmedGameStructure
 
 EPSILON: Trace = ()
@@ -450,6 +453,80 @@ def refine_naive(uem: Mechanism) -> Optional[EditMechanism]:
 
 
 _UNDEFINED = ("<undefined>",)
+
+
+def evaluate_editor_reference(
+    aut: FiniteAutomaton,
+    profile: ObservationProfile,
+    editor: SupportsEdit,
+    depth: int,
+) -> OracleVerdict:
+    """``opacity.evaluate_editor`` as first written: each node keeps a dict
+    of its plant configurations, the expanded nodes are keyed by a
+    frozenset of their states with a list of config dicts each, and every
+    child steps the editor and both observers afresh.  The package's
+    search must return the same verdict and raise the same ``ValueError``
+    on every input.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    profile.validate(aut)
+    if isinstance(editor, MealyEditFunction):
+        editor.check_outputs(profile.observable)
+    o_intr, o_def = editor_observers(aut, profile)
+    unobs = profile.unobservable(aut)
+    observable = sorted(profile.observable)
+    secret = aut.secret
+
+    def uo_close(configs: dict[int, int]) -> dict[int, int]:
+        best = dict(configs)
+        stack = list(best.items())
+        while stack:
+            state, length = stack.pop()
+            if length != best.get(state) or length >= depth:
+                continue
+            for event, dst in aut.arcs(state).items():
+                if event in unobs and length + 1 < best.get(dst, depth + 2):
+                    best[dst] = length + 1
+                    stack.append((dst, length + 1))
+        return best
+
+    root_configs = uo_close({aut.initial: 0})
+    if o_intr.initial <= secret and not secret.isdisjoint(root_configs):
+        return OracleVerdict(False, "confidentiality", ())
+    # configs of the expanded nodes, by (states, editor state, estimates)
+    expanded = {
+        (frozenset(root_configs), editor.initial, o_intr.initial, o_def.initial): [root_configs]
+    }
+    queue = deque([((), root_configs, editor.initial, o_intr.initial, o_def.initial)])
+    while queue:
+        sigma, configs, q, x_i, x_d = queue.popleft()
+        for event in observable:
+            stepped: dict[int, int] = {}
+            for state, length in configs.items():
+                if length >= depth:
+                    continue
+                dst = aut.step(state, event)
+                if dst is not None and length + 1 < stepped.get(dst, depth + 2):
+                    stepped[dst] = length + 1
+            if not stepped:
+                continue
+            step = edit_step(editor, profile, (o_intr, o_def), q, x_i, x_d, event)
+            if step is None:
+                return OracleVerdict(False, "i-availability", sigma + (event,))
+            _, q2, nx_i, nx_d = step
+            if event not in profile.defender and q2 != q:
+                raise ValueError("editor changed state on an event it cannot observe")
+            child_configs = uo_close(stepped)
+            if nx_i <= secret and not secret.isdisjoint(child_configs):
+                return OracleVerdict(False, "confidentiality", sigma + (event,))
+            key = (frozenset(child_configs), q2, nx_i, nx_d)
+            earlier = expanded.setdefault(key, [])
+            if any(all(seen[s] <= n for s, n in child_configs.items()) for seen in earlier):
+                continue
+            earlier.append(child_configs)
+            queue.append((sigma + (event,), child_configs, q2, nx_i, nx_d))
+    return OracleVerdict(True)
 
 
 @dataclass

@@ -215,6 +215,17 @@ class TestSimulateAndCheck:
             assert exc.value.code == 2
             assert "unrecognized arguments: --ops" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["-1", "7"])
+    def test_check_with_depth_ignores_max_insert(self, capsys, k):
+        # with --depth given, --max-insert feeds nothing, so no value of it
+        # changes the outcome, a negative one included
+        argv = ["check", str(INSTANCES / "gen-5-8-5.aut"),
+                str(ROOT / "bench" / "editors" / "synth-gen-5-8-5.mealy"), "--depth", "4"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--max-insert", k]) == 0
+        assert capsys.readouterr() == plain == ("PASS: ic-enforcing up to depth 4\n", "")
+
     def test_check_rejects_a_negative_depth(self, fig3_file, editor_file, capsys):
         assert main(["check", fig3_file, editor_file, "--depth", "-1"]) == 2
         captured = capsys.readouterr()

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
 import opacedit as oe
 
 from conftest import sset
-from oracles import (brute_force_cso, evaluate_editor_tree, generated_language,
-                     inverse_projection_members, nonsecret_explanation_exists)
+from oracles import (brute_force_cso, evaluate_editor_reference, evaluate_editor_tree,
+                     generated_language, inverse_projection_members,
+                     nonsecret_explanation_exists)
 
 
 def T(s):
@@ -266,11 +268,15 @@ def _random_editor(rng, defender):
                                 initial=0, edges=edges)
 
 
-def _cross_check_cases(seeds):
-    """All events observable, then hiding 1 to n-2 of the n events."""
+def _cross_check_cases(seeds, size=(6, 5), depths=(0, 2, 4, 7), extended=False):
+    """All events observable, then hiding 1 to n-2 of the n events, of
+    ``random_instance(seed, *size)``, with the identity editor and three
+    random ones; ``extended`` adds the synthesized editor where one exists
+    and an ``_UnseenCounter``, which raises wherever the search meets an
+    event it cannot see before a violation."""
     for seed in seeds:
         rng = random.Random(seed)
-        aut, full = oe.random_instance(seed, 6, 5)
+        aut, full = oe.random_instance(seed, *size)
         events = sorted(aut.events)
         profiles = [full]
         for hide in range(1, len(events) - 1):
@@ -282,8 +288,13 @@ def _cross_check_cases(seeds):
         for profile in profiles:
             editors = [oe.MealyEditFunction.identity(profile.defender)]
             editors += [_random_editor(rng, profile.defender) for _ in range(3)]
+            if extended:
+                tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+                em = oe.refine_to_em(oe.build_uem(tgs)) if tgs else None
+                editors += [oe.synthesize(em)] if em else []
+                editors.append(_UnseenCounter(profile.defender))
             for editor in editors:
-                for depth in (0, 2, 4, 7):
+                for depth in depths:
                     yield aut, profile, editor, depth
 
 
@@ -316,3 +327,63 @@ class TestTreeCrossCheck:
             kinds.add(want.first_violation and want.first_violation[0])
         # the sample exercises every outcome
         assert kinds == {None, "i-availability", "confidentiality"}
+
+
+def _outcome(search, aut, profile, editor, depth):
+    """The search's verdict, or the text of the ``ValueError`` it raises."""
+    try:
+        return search(aut, profile, editor, depth)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReferenceCrossCheck:
+    """The search against ``evaluate_editor_reference``, the dict-per-node
+    search it was first written as, on plants past the tree oracle's reach."""
+
+    def test_search_matches_the_reference(self):
+        outcomes = set()
+        cases = _cross_check_cases(range(40), size=(12, 6), depths=(0, 3, 6, 10),
+                                   extended=True)
+        for aut, profile, editor, depth in cases:
+            got = _outcome(oe.evaluate_editor, aut, profile, editor, depth)
+            assert got == _outcome(evaluate_editor_reference, aut, profile, editor, depth)
+            outcomes.add(got if isinstance(got, str) else got.failed_property)
+        # the sample exercises every outcome
+        assert outcomes == {None, "i-availability", "confidentiality",
+                            "editor changed state on an event it cannot observe"}
+
+
+class _CountingEditor:
+    """A transducer that counts its ``step`` calls by (state, event)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.initial = inner.initial
+        self.calls = Counter()
+
+    def step(self, state, event):
+        self.calls[state, event] += 1
+        return self.inner.step(state, event)
+
+
+class TestStepMemo:
+    def test_each_joint_step_is_taken_once(self, fig3, fig3_fe, monkeypatch):
+        # The search steps the editor only through edit_step, and each
+        # (editor state, estimates, event) goes through it at most once.
+        # Some (state, event) is met under two estimate pairs, so it is
+        # stepped once for each.
+        aut, profile = fig3
+        met = []
+        edit_step = oe.opacity.edit_step
+
+        def logged(editor, profile, observers, q, x_intr, x_def, event):
+            met.append((q, x_intr, x_def, event))
+            return edit_step(editor, profile, observers, q, x_intr, x_def, event)
+
+        monkeypatch.setattr(oe.opacity, "edit_step", logged)
+        counted = _CountingEditor(fig3_fe)
+        assert oe.evaluate_editor(aut, profile, counted, 8) == oe.OracleVerdict(True)
+        assert len(met) == len(set(met)) == sum(counted.calls.values())
+        assert set(counted.calls) == {(q, event) for q, _, _, event in met}
+        assert len(counted.calls) < len(met)
