@@ -6,10 +6,13 @@ labels are kept for parsing and display.  Everything here is immutable after
 construction, and every enumeration is returned in a canonical order
 (length, then lexicographic on event ids) so that downstream artifacts are
 reproducible byte for byte.
+
+The plant text and the transducer text (``mechanism.parse_mealy``) share
+one statement reader, ``statements``, and one id check, ``_declare``.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 Trace = tuple[str, ...]
 
@@ -19,8 +22,8 @@ class ModelError(ValueError):
 
 
 class ParseError(ModelError):
-    """Malformed model text; the message carries the offending line number,
-    if the fault has one (a missing declaration has none)."""
+    """Malformed model or transducer text; the message carries the offending
+    line number, if the fault has one (a missing declaration has none)."""
 
     def __init__(self, message: str, line: Optional[int] = None):
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -159,10 +162,6 @@ class ObservationProfile(Record):
     def __hash__(self) -> int:
         return hash(self._values())
 
-    def validate(self, aut: FiniteAutomaton) -> None:
-        if not self.observable <= set(aut.events):
-            raise ModelError("observable alphabet mentions undeclared events")
-
     def unobservable(self, aut: FiniteAutomaton) -> frozenset[str]:
         return frozenset(aut.events) - self.observable
 
@@ -183,6 +182,24 @@ _DIRECTIVES = (
 )
 
 
+def statements(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Each nonblank line of ``text``, cut at ``#`` and stripped, with its
+    line number and its whitespace-separated tokens."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
+
+
+def _declare(kind: str, tokens: Iterable[str], lineno: int, ids: dict[str, int]) -> None:
+    """Number each of ``tokens`` in ``ids`` in turn, refusing a malformed
+    or repeated id."""
+    for tok in tokens:
+        if _check_symbol(kind, tok, lineno) in ids:
+            raise ParseError(f"{kind} {tok!r} declared twice", lineno)
+        ids[tok] = len(ids)
+
+
 def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
     """Parse the one-directive-per-line model format.
 
@@ -190,35 +207,22 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
     from the same (state, event) pair, and references to undeclared symbols
     are hard errors carrying the line number.
     """
-    # insertion-ordered: label -> index, event -> None
+    # label -> index, event -> index, in declaration order
     states: dict[str, int] = {}
-    events: dict[str, None] = {}
+    events: dict[str, int] = {}
     sets: dict[str, list[tuple[int, str]]] = {
         "secret": [], "observable": [], "intruder": [], "defender": []
     }
     initial: Optional[tuple[int, str]] = None
     trans: list[tuple[int, str, str, str]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
+    for lineno, _, (directive, *args) in statements(text):
         if directive not in _DIRECTIVES:
             raise ParseError(f"unknown directive {directive!r}", lineno)
         if directive == "states":
-            for tok in args:
-                _check_symbol("state", tok, lineno)
-                if tok in states:
-                    raise ParseError(f"state {tok!r} declared twice", lineno)
-                states[tok] = len(states)
+            _declare("state", args, lineno, states)
         elif directive == "events":
-            for tok in args:
-                _check_symbol("event", tok, lineno)
-                if tok in events:
-                    raise ParseError(f"event {tok!r} declared twice", lineno)
-                events[tok] = None
+            _declare("event", args, lineno, events)
         elif directive == "initial":
             if len(args) != 1:
                 raise ParseError("initial takes exactly one state", lineno)
@@ -273,9 +277,7 @@ def parse_model(text: str) -> tuple[FiniteAutomaton, ObservationProfile]:
         initial=state_ref(*initial),
         secret=secret,
     )
-    profile = ObservationProfile(observable=observable, intruder=intruder, defender=defender)
-    profile.validate(aut)
-    return aut, profile
+    return aut, ObservationProfile(observable=observable, intruder=intruder, defender=defender)
 
 
 def format_model(aut: FiniteAutomaton, profile: ObservationProfile) -> str:

@@ -18,9 +18,9 @@ from .automata import (
     ObservationProfile,
     fmt_state_set,
     format_model,
+    parse_model,
     project,
 )
-from . import automata
 from .dot import game_dot, mealy_dot, mechanism_dot, observer_dot, trimmed_dot
 from .game import OPS_ALL, build_edit_game
 from .harness import (
@@ -45,12 +45,13 @@ EXIT_UNENFORCEABLE = 3
 OBSERVER_NAMES = ("system", "intruder", "defender")
 
 
-def _load(path: Path) -> tuple[FiniteAutomaton, ObservationProfile]:
+def _read(name: str) -> str:
+    """The text of the file ``name``, the plant or the transducer."""
+    path = Path(name)
     try:
-        text = path.read_text()
+        return path.read_text()
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
-    return automata.parse_model(text)
 
 
 def _max_insert(args) -> int:
@@ -84,14 +85,14 @@ def _game(args):
     """The plant and its edit game, expanded on demand.  The edit flags are
     checked before the plant is read."""
     ops, k = _edit_flags(args)
-    aut, profile = _load(Path(args.input))
+    aut, profile = parse_model(_read(args.input))
     return aut, build_edit_game(aut, profile, k=k, ops=ops)
 
 
 def _load_transducer(path: str, profile: ObservationProfile) -> MealyEditFunction:
     """The transducer at ``path``, over the defender alphabet, emitting
     only observable events, the ones both observers read."""
-    fe = parse_mealy(Path(path).read_text())
+    fe = parse_mealy(_read(path))
     if fe.alphabet != profile.defender:
         raise ModelError(
             f"transducer alphabet {{{','.join(sorted(fe.alphabet))}}} differs from "
@@ -137,7 +138,7 @@ def _render_trace(trace) -> str:
 
 
 def cmd_verify(args) -> int:
-    aut, profile = _load(Path(args.input))
+    aut, profile = parse_model(_read(args.input))
     verdict = verify_cso(aut, profile)
     if verdict.opaque:
         print("OPAQUE")
@@ -151,7 +152,7 @@ def cmd_verify(args) -> int:
 def cmd_observers(args) -> int:
     if args.no_self_loops and not args.dot:
         raise ModelError("--no-self-loops requires --dot DIR")
-    aut, profile = _load(Path(args.input))
+    aut, profile = parse_model(_read(args.input))
     for name, obs in zip(OBSERVER_NAMES, standard_observers(aut, profile)):
         print(f"{name} observer: {len(obs.states)} states, "
               f"initial {fmt_state_set(aut, obs.initial)}")
@@ -250,7 +251,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    aut, profile = _load(Path(args.input))
+    aut, profile = parse_model(_read(args.input))
     fe = _load_transducer(args.transducer, profile)
     trace = tuple(args.events)
     try:
@@ -273,7 +274,7 @@ def cmd_simulate(args) -> int:
 def cmd_check(args) -> int:
     # --max-insert feeds only the default depth, so only then is it read
     k = None if args.depth is not None else _max_insert(args)
-    aut, profile = _load(Path(args.input))
+    aut, profile = parse_model(_read(args.input))
     fe = _load_transducer(args.transducer, profile)
     depth = args.depth if k is None else default_depth(aut, profile, k)
     verdict = evaluate_editor(aut, profile, fe, depth)

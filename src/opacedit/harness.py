@@ -52,10 +52,9 @@ def simulate(
     A step leaks when the intruder estimate sits inside the secret set while
     the plant is actually in a secret state.
     """
-    profile.validate(aut)
+    observers = editor_observers(aut, profile)
     if aut.run(aut.initial, trace) is None:
         raise SimulationError(f"trace {' '.join(trace) or 'ε'} is not generated by the plant")
-    observers = editor_observers(aut, profile)
     q, x_intr, x_def = fe.initial, observers[0].initial, observers[1].initial
     steps: list[SimulationStep] = []
     state = aut.initial
@@ -285,7 +284,6 @@ def find_edit_strategy(
     below each history is solved independently and memoized on the budget,
     the observed event, and the parked configuration set.
     """
-    profile.validate(aut)
     o_intr, o_def = editor_observers(aut, profile)
     action_menu = {
         e: enumerate_actions(e, profile, k, ops) for e in sorted(profile.defender)

@@ -20,10 +20,10 @@ the whole structure, by the game's completion walk.
 """
 from __future__ import annotations
 
-import re
 from typing import Callable, Collection, Iterable, Optional
 
-from .automata import ModelError, Record, Trace
+from .automata import (ModelError, ParseError, Record, Trace, _check_symbol, _declare,
+                       statements)
 from .game import EditAction, EditGameStructure, expand_reachable
 from .observers import close
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
@@ -370,8 +370,6 @@ def synthesize(em: EditMechanism, policy: str = "prefer-passthrough") -> MealyEd
 # Transducer text format: one edge per line, `state γ / ω state'`
 # ---------------------------------------------------------------------------
 
-_EDGE_RE = re.compile(r"^(\d+)\s+(\S+)\s+/\s+(\S+)\s+(\d+)$")
-
 
 def format_mealy(fe: MealyEditFunction) -> str:
     lines = []
@@ -387,57 +385,55 @@ def format_mealy(fe: MealyEditFunction) -> str:
 
 
 def parse_mealy(text: str) -> MealyEditFunction:
+    """Parse the transducer format with the plant format's reader and id
+    rules; every fault is a ``ParseError``, with a line where it has one."""
     alphabet: Optional[frozenset[str]] = None
-    n_states: Optional[int] = None
-    initial = 0
+    numbers: dict[str, int] = {}  # the states and initial lines
     policy = ""
     edges: dict[tuple[int, str], tuple[Trace, int]] = {}
     declared: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] in declared:
-            raise ValueError(f"line {lineno}: {tokens[0]} declared twice")
-        if tokens[0] == "policy":
+    for lineno, line, tokens in statements(text):
+        head = tokens[0]
+        if head in declared:
+            raise ParseError(f"{head} declared twice", lineno)
+        if head == "policy":
             if len(tokens) != 2:
-                raise ValueError(f"line {lineno}: policy takes exactly one name")
+                raise ParseError("policy takes exactly one name", lineno)
             declared.add("policy")
             policy = tokens[1]
             continue
-        if tokens[0] == "alphabet":
+        if head == "alphabet":
             declared.add("alphabet")
-            alphabet = frozenset(tokens[1:])
+            ids: dict[str, int] = {}
+            _declare("event", tokens[1:], lineno, ids)
+            alphabet = frozenset(ids)
             continue
-        if tokens[0] in ("states", "initial"):
+        if head in ("states", "initial"):
             if len(tokens) != 2 or not tokens[1].isdecimal():
-                raise ValueError(f"line {lineno}: {tokens[0]} takes exactly one "
-                                 "nonnegative integer")
-            declared.add(tokens[0])
-            if tokens[0] == "states":
-                n_states = int(tokens[1])
-            else:
-                initial = int(tokens[1])
+                raise ParseError(f"{head} takes exactly one nonnegative integer", lineno)
+            declared.add(head)
+            numbers[head] = int(tokens[1])
             continue
-        m = _EDGE_RE.match(line)
-        if not m:
-            raise ValueError(f"line {lineno}: malformed transducer edge {line!r}")
-        q, event, rendered, q2 = int(m.group(1)), m.group(2), m.group(3), int(m.group(4))
-        word: Trace = () if rendered == "-" else tuple(rendered.split("·"))
+        if (len(tokens) != 5 or tokens[2] != "/"
+                or not tokens[0].isdecimal() or not tokens[4].isdecimal()):
+            raise ParseError(f"malformed transducer edge {line!r}", lineno)
+        q, event, rendered, q2 = int(tokens[0]), tokens[1], tokens[3], int(tokens[4])
+        word: Trace = () if rendered == "-" else tuple(
+            _check_symbol("event", e, lineno) for e in rendered.split("·"))
         if (q, event) in edges:
-            raise ValueError(f"line {lineno}: duplicate edge for state {q} on {event!r}")
+            raise ParseError(f"duplicate edge for state {q} on {event!r}", lineno)
         edges[(q, event)] = (word, q2)
     if alphabet is None:
-        raise ValueError("transducer text lacks an alphabet line")
-    if n_states is None:
-        raise ValueError("transducer text lacks a states line")
+        raise ParseError("transducer text lacks an alphabet line")
+    if "states" not in numbers:
+        raise ParseError("transducer text lacks a states line")
+    n_states, initial = numbers["states"], numbers.get("initial", 0)
     for q, event in edges:
         if event not in alphabet:
-            raise ValueError(f"transducer edge from state {q} on {event!r} outside the alphabet")
+            raise ParseError(f"transducer edge from state {q} on {event!r} outside the alphabet")
     for q in [initial] + [q for q, _ in edges] + [q2 for _, q2 in edges.values()]:
         if not 0 <= q < n_states:
-            raise ValueError(f"transducer state {q} outside [0, {n_states})")
+            raise ParseError(f"transducer state {q} outside [0, {n_states})")
     return MealyEditFunction(
         alphabet=alphabet,
         n_states=n_states,

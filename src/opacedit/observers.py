@@ -14,7 +14,9 @@ time ``step`` asks for it and kept, so a question that reaches a few
 estimates pays for those alone.  Reading ``states`` completes the
 accessible part.  The stages read a plant's observers through
 ``observer``, which builds each one on the first request and keeps it with
-the plant.
+the plant.  Every stage builds an observer before it reads an alphabet,
+so ``build_observer`` alone checks that the observable alphabet names only
+plant events.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from collections import deque
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
-from .automata import FiniteAutomaton, ObservationProfile
+from .automata import FiniteAutomaton, ModelError, ObservationProfile
 
 StateSet = frozenset[int]
 
@@ -149,11 +151,14 @@ class ObserverAutomaton:
 def build_observer(
     aut: FiniteAutomaton, reactive: Iterable[str], full: Iterable[str]
 ) -> ObserverAutomaton:
-    """Accessible powerset observer reacting to ``reactive`` within ``full``."""
+    """Accessible powerset observer reacting to ``reactive`` within ``full``.
+    The one check that a profile's observable alphabet fits its plant."""
     reactive_set = frozenset(reactive)
     full_set = frozenset(full)
-    if not reactive_set <= full_set or not full_set <= set(aut.events):
-        raise ValueError("need reactive <= full <= plant events")
+    if not full_set <= set(aut.events):
+        raise ModelError("observable alphabet mentions undeclared events")
+    if not reactive_set <= full_set:
+        raise ValueError("reactive alphabet must be a subset of the full one")
     return ObserverAutomaton(aut, reactive_set, full_set)
 
 
@@ -173,7 +178,6 @@ def standard_observers(
     aut: FiniteAutomaton, profile: ObservationProfile
 ) -> tuple[ObserverAutomaton, ObserverAutomaton, ObserverAutomaton]:
     """The system, intruder, and defender observers for one profile."""
-    profile.validate(aut)
     full = profile.observable
     return (observer(aut, full, full), observer(aut, profile.intruder, full),
             observer(aut, profile.defender, full))

@@ -50,7 +50,6 @@ def verify_cso(aut: FiniteAutomaton, profile: ObservationProfile) -> OpacityVerd
     When violated, the witness is the lexicographically least shortest plant
     trace driving the intruder estimate inside the secret set.
     """
-    profile.validate(aut)
     o_intr = observer(aut, profile.intruder, profile.observable)
     secret = aut.secret
     if not any(s <= secret for s in o_intr.reachable()):
@@ -172,10 +171,9 @@ def evaluate_editor(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    profile.validate(aut)
+    observers = o_intr, o_def = editor_observers(aut, profile)
     if isinstance(editor, MealyEditFunction):
         editor.check_outputs(profile.observable)
-    observers = o_intr, o_def = editor_observers(aut, profile)
     observable = profile.observable
     secret = aut.secret
     # each plant state's observable arcs and its successors on the events
@@ -274,6 +272,5 @@ def default_depth(
     k: int = 1,
 ) -> int:
     """Documented certification bound: product state count plus k plus one."""
-    profile.validate(aut)
     o_intr, o_def = editor_observers(aut, profile)
     return aut.n_states * len(o_intr.states) * len(o_def.states) + k + 1

@@ -470,7 +470,6 @@ def evaluate_editor_reference(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    profile.validate(aut)
     if isinstance(editor, MealyEditFunction):
         editor.check_outputs(profile.observable)
     o_intr, o_def = editor_observers(aut, profile)
@@ -573,7 +572,6 @@ def evaluate_editor_tree(
     explanation (confidentiality).  Counterexamples are the shortest, then
     lexicographically least.
     """
-    profile.validate(aut)
     o_intr, o_def = editor_observers(aut, profile)
     unobs = frozenset(aut.events) - profile.observable
     observable = sorted(profile.observable)

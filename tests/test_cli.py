@@ -340,6 +340,23 @@ class TestMalformedTransducer:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("alphabet b c d b\nstates 1\n" + IDENTITY_EDGES, "line 1: event 'b' declared twice"),
+        ("alphabet b c d\nstates 1\n0 b / c··d 0\n0 c / c 0\n0 d / d 0\n",
+         "line 3: event id '' must be printable, nonempty, whitespace-free"),
+    ], ids=["alphabet-id-twice", "empty-output-event"])
+    @pytest.mark.parametrize("command", [
+        ["check", "--depth", "4"], ["simulate", "a", "b", "c"],
+    ], ids=["check", "simulate"])
+    def test_rejects_malformed_ids(self, fig3_file, tmp_path, capsys, command, text, message):
+        # transducer ids follow the plant format's rules
+        path = tmp_path / "bad.mealy"
+        path.write_text(text)
+        assert main([command[0], fig3_file, str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_check_requires_states_line(self, fig3_file, tmp_path, capsys):
         # without it the count would be inferred from the edges, hiding gaps
         path = tmp_path / "stateless.mealy"
@@ -520,6 +537,15 @@ class TestPipelineFlagErrors:
             assert err == (f"error: cannot read {missing}: [Errno 2] "
                            f"No such file or directory: '{missing}'\n")
         assert not dot_dir.exists()
+
+    @pytest.mark.parametrize("command", [["check"], ["simulate", "a"]],
+                             ids=["check", "simulate"])
+    def test_missing_transducer(self, fig3_file, tmp_path, capsys, command):
+        # the plant and the transducer are read through one helper
+        missing = tmp_path / "nope.mealy"
+        assert self._run([command[0], fig3_file, str(missing), *command[1:]], capsys) == (
+            2, f"error: cannot read {missing}: [Errno 2] "
+               f"No such file or directory: '{missing}'\n")
 
 
 class TestObserversBuiltOnce:

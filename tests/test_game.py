@@ -78,6 +78,24 @@ class TestEnumerateActions:
                       "print({insertion('db'): 1}.get(act))", "2", data) == b"1\n"
 
 
+# a profile under which the event u is not observable
+HIDDEN_U = oe.ObservationProfile(frozenset("a"), frozenset("a"), frozenset("a"))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda fig3: insertion(()), "insertion prefix must be nonempty"),
+        (lambda fig3: oe.enumerate_actions("u", HIDDEN_U, 1),
+         "pending event 'u' is not observable"),
+        (lambda fig3: oe.build_edit_game(*fig3, ops={"delete", "swap"}),
+         "unknown edit operations: ['swap']"),
+    ], ids=["empty-insertion", "unobservable-pending", "unknown-operation"])
+    def test_refused(self, fig3, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(fig3)
+        assert str(exc.value) == message
+
+
 class TestApplyDefenderMove:
     def test_substituting_c_for_b_hides_from_intruder(self, fig3, fig3_game, fig3_observers):
         aut, profile = fig3

@@ -205,6 +205,16 @@ class TestRandomInstance:
             assert 2 <= aut.n_states <= 5
             assert 2 <= len(aut.events) <= 4
 
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(max_states=1), "need at least two states and two events"),
+        (dict(max_events=1), "need at least two states and two events"),
+        (dict(max_events=11), "at most 10 events"),
+    ], ids=["one-state", "one-event", "eleven-events"])
+    def test_size_limits(self, sizes, message):
+        with pytest.raises(ValueError) as exc:
+            oe.random_instance(0, **sizes)
+        assert str(exc.value) == message
+
 
 class TestStrategySearch:
     def test_running_example_needs_a_stateful_looping_editor(self, fig3, fig3_fe):
@@ -247,6 +257,26 @@ class TestStrategySearch:
             "intruder a b\ndefender a b\ntrans s a t\n"
         )
         assert oe.find_edit_strategy(aut, profile, 1, oe.OPS_ALL, 6) is None
+
+    def test_depth_bounds_the_decisions(self):
+        # the first observation, a, leaks unless the defender deletes it, so
+        # an editor needs one decision and depth 0 allows none
+        aut, profile = oe.parse_model(
+            "states s t\ninitial s\nsecret t\nevents a\nobservable a\n"
+            "intruder a\ndefender a\ntrans s a t\n"
+        )
+        assert oe.find_edit_strategy(aut, profile, 1, oe.OPS_ALL, 0) is None
+        editor = oe.find_edit_strategy(aut, profile, 1, oe.OPS_ALL, 1)
+        assert editor.decisions == {T("a"): oe.DELETE}
+
+    def test_history_editor_steps(self):
+        editor = oe.HistoryEditor({T("b"): oe.DELETE}, frozenset("bc"))
+        # an event it cannot see passes through and leaves the history alone
+        assert editor.step(T("b"), "a") == (T("a"), T("b"))
+        assert editor.step(editor.initial, "b") == ((), T("b"))
+        # a history it holds no decision for is undefined
+        assert editor.step(editor.initial, "c") is None
+        assert editor.step(T("b"), "b") is None
 
     def test_memoryless_family_is_complete_per_event_menu(self, fig3_profile):
         editors = list(oe.iter_memoryless_editors(fig3_profile, 0, frozenset({"substitute"})))

@@ -406,6 +406,48 @@ class TestSerialization:
             oe.parse_mealy(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("alphabet a\nstates 1 2\n", 2, "states takes exactly one nonnegative integer"),
+        ("policy a\nalphabet a\npolicy c\n", 3, "policy declared twice"),
+        ("alphabet a\n\n# an edge\n0 a /a 0\n", 4, "malformed transducer edge '0 a /a 0'"),
+        ("alphabet a\nstates 1\n0 a / a 0\n0 a / - 0\n", 4, "duplicate edge for state 0 on 'a'"),
+        ("states 1\nalphabet a b a\n", 2, "event 'a' declared twice"),
+        ("alphabet a\nstates 1\n0 a / a··a 0\n", 3,
+         "event id '' must be printable, nonempty, whitespace-free"),
+        ("alphabet a -\n", 1, "event id '-' is reserved: the transducer format writes '-' "
+         "for the empty word and joins words with '·'"),
+        ("alphabet a\nstates 1\n0 a / a·- 0\n", 3, "event id '-' is reserved: the transducer "
+         "format writes '-' for the empty word and joins words with '·'"),
+    ], ids=["header", "repeated-directive", "edge", "duplicate-edge", "alphabet-id-twice",
+            "empty-output-event", "reserved-alphabet-id", "reserved-output-event"])
+    def test_errors_on_a_line_are_parse_errors_naming_it(self, text, line, message):
+        # transducer ids follow the plant format's rules, through its reader
+        with pytest.raises(oe.ParseError) as exc:
+            oe.parse_mealy(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("states 1\n", "transducer text lacks an alphabet line"),
+        ("alphabet a\n", "transducer text lacks a states line"),
+        ("alphabet a\nstates 1\n0 b / b 0\n",
+         "transducer edge from state 0 on 'b' outside the alphabet"),
+        ("alphabet a\nstates 1\n0 a / a 1\n", "transducer state 1 outside [0, 1)"),
+    ], ids=["no-alphabet", "no-states", "foreign-event", "state-range"])
+    def test_errors_without_a_line_are_parse_errors(self, text, message):
+        with pytest.raises(oe.ParseError) as exc:
+            oe.parse_mealy(text)
+        assert exc.value.line is None
+        assert str(exc.value) == message
+
+    def test_comments_and_blank_lines_are_skipped(self, fig3_fe):
+        # the plant format's reader: '#' starts a comment anywhere on a line
+        text = oe.format_mealy(fig3_fe)
+        lines = text.splitlines()
+        noisy = ["# synthesized", "", *(f"  {line}   # line {i}" for i, line in enumerate(lines)),
+                 "   ", "#"]
+        assert oe.parse_mealy("\n".join(noisy)) == oe.parse_mealy(text) == fig3_fe
+
 
 class TestMechanismAgreement:
     @pytest.mark.parametrize("seed", range(25))

@@ -158,6 +158,50 @@ class TestObserversPerPlant:
         assert o_sys is o_def
 
 
+# Each stage that reads a plant with a profile, called with a profile whose
+# observable alphabet names the event z that the plant lacks.  The editor
+# emits y, outside that alphabet, on b, and the trace dd is not in the
+# plant's language, so the stages that check those too must meet the
+# profile first.
+FOREIGN_PROFILE_STAGES = {
+    "verify_cso": lambda aut, profile, fe: oe.verify_cso(aut, profile),
+    "build_edit_game": lambda aut, profile, fe: oe.build_edit_game(aut, profile),
+    "evaluate_editor": lambda aut, profile, fe: oe.evaluate_editor(aut, profile, fe, 3),
+    "exact_ic_check": lambda aut, profile, fe: oe.exact_ic_check(aut, profile, fe),
+    "certifying_depth": lambda aut, profile, fe: oe.certifying_depth(aut, profile, fe, 8),
+    "default_depth": lambda aut, profile, fe: oe.default_depth(aut, profile),
+    "simulate": lambda aut, profile, fe: oe.simulate(aut, profile, fe, T("dd")),
+    "find_edit_strategy":
+        lambda aut, profile, fe: oe.find_edit_strategy(aut, profile, 1, oe.OPS_ALL, 2),
+}
+
+
+class TestProfileMeetsPlant:
+    """The plant–profile check is made once, where an observer is built."""
+
+    @pytest.mark.parametrize("stage", sorted(FOREIGN_PROFILE_STAGES))
+    def test_every_stage_refuses_an_undeclared_observable_event(self, stage):
+        aut, profile = oe.parse_model(FIG3_TEXT)
+        foreign = oe.ObservationProfile(profile.observable | {"z"}, profile.intruder,
+                                        profile.defender)
+        fe = oe.MealyEditFunction(alphabet=profile.defender, n_states=1, initial=0,
+                                  edges={(0, "b"): (T("y"), 0)})
+        with pytest.raises(oe.ModelError) as exc:
+            FOREIGN_PROFILE_STAGES[stage](aut, foreign, fe)
+        assert str(exc.value) == "observable alphabet mentions undeclared events"
+        assert not aut._observers
+
+    @pytest.mark.parametrize("reactive, full, error, message", [
+        ("ab", "abz", oe.ModelError, "observable alphabet mentions undeclared events"),
+        ("abc", "ab", ValueError, "reactive alphabet must be a subset of the full one"),
+    ], ids=["full-outside-plant", "reactive-outside-full"])
+    def test_build_observer_checks_its_alphabets(self, fig3_aut, reactive, full, error,
+                                                 message):
+        with pytest.raises(error) as exc:
+            oe.build_observer(fig3_aut, reactive, full)
+        assert str(exc.value) == message
+
+
 class TestOnDemand:
     def test_matches_the_eager_reference(self):
         # steps taken in any order before ``states`` is read leave the
