@@ -7,6 +7,7 @@ configuration is not enforceable.
 from __future__ import annotations
 
 import argparse
+import gc
 import shutil
 import sys
 from pathlib import Path
@@ -116,6 +117,19 @@ def _write_dot(dot_dir: str, name: str, render: Callable[[TextIO], None]) -> Non
         raise
 
 
+def _copy_dot(dot_dir: str, source: str, name: str) -> None:
+    """``DIR/<name>.dot`` as a copy of ``DIR/<source>.dot``, written before,
+    whose first line, the ``digraph`` line, names the graph ``name``."""
+
+    def copy(out: TextIO) -> None:
+        with (Path(dot_dir) / f"{source}.dot").open() as src:
+            src.readline()
+            out.write(f"digraph {name} {{\n")
+            shutil.copyfileobj(src, out)
+
+    _write_dot(dot_dir, name, copy)
+
+
 def _write_refined_dot(dot_dir: str, em, uem, aut: FiniteAutomaton) -> None:
     """``mechanism.dot`` for ``em``.  When the completed ``uem`` has no
     partial pair and refinement kept every belief, the refined mechanism
@@ -123,14 +137,8 @@ def _write_refined_dot(dot_dir: str, em, uem, aut: FiniteAutomaton) -> None:
     under the graph name ``mechanism`` instead of rendered again."""
     if uem.partial or len(em.moves_in) != len(uem.moves_in):
         _write_dot(dot_dir, "mechanism", lambda out: mechanism_dot(em, aut, out))
-        return
-
-    def copy_raw(out: TextIO) -> None:
-        with (Path(dot_dir) / "mechanism_raw.dot").open() as raw:
-            out.write(raw.readline().replace("digraph raw {", "digraph mechanism {", 1))
-            shutil.copyfileobj(raw, out)
-
-    _write_dot(dot_dir, "mechanism", copy_raw)
+    else:
+        _copy_dot(dot_dir, "mechanism_raw", "mechanism")
 
 
 def _render_trace(trace) -> str:
@@ -222,13 +230,20 @@ def cmd_synthesize(args) -> int:
             _write_dot(args.dot, f"observer_{name}",
                        lambda out: observer_dot(obs, aut, out, name=f"observer_{name}"))
         game.complete()
-        _write_dot(args.dot, "game", lambda out: game_dot(game, aut, out))
     tgs = trim_game(game)
+    if args.dot:
+        if tgs is not None and tgs.game is game:
+            # trimming removed nothing: the trimmed game is the game
+            _write_dot(args.dot, "trimmed", lambda out: trimmed_dot(tgs, aut, out))
+            _copy_dot(args.dot, "trimmed", "game")
+        else:
+            _write_dot(args.dot, "game", lambda out: game_dot(game, aut, out))
+            if tgs is not None:
+                _write_dot(args.dot, "trimmed", lambda out: trimmed_dot(tgs, aut, out))
     em = None
     if tgs is not None:
         uem = build_uem(tgs)
         if args.dot:
-            _write_dot(args.dot, "trimmed", lambda out: trimmed_dot(tgs, aut, out))
             uem.complete()
             _write_dot(args.dot, "mechanism_raw",
                        lambda out: mechanism_dot(uem, aut, out, name="raw"))
@@ -402,6 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The pipeline makes no reference cycles, so the cyclic collector would
+    # only walk its objects; reference counting frees them all.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ModelError, ValueError, OSError) as exc:
@@ -410,6 +429,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ decodes a run of codes in one pass into the indices of their estimates,
 whose labels are escaped once per observer estimate, in tables that live
 only for the exporter's call.  Each event is quoted once per call, and
 each call quotes every edge label of each event's menu (``game.menu``) once,
-into one plain dict; ``mechanism_dot`` labels each belief member once.
+into one plain dict; ``mechanism_dot`` labels each belief member once and
+sorts each state's members once, for its place and for its label.
 """
 from __future__ import annotations
 
@@ -172,7 +173,12 @@ def mechanism_dot(
 def _mechanism_lines(mech: Mechanism, aut: FiniteAutomaton, name: str) -> Iterator[str]:
     yield f"digraph {name} {{\n  rankdir=LR;\n  node [shape=box];\n"
     game = mech.game
-    ua_states, uf_states = mech.ua_states, mech.uf_states
+    # each state's members sorted once, for the canonical order
+    # (``ua_states``, ``uf_states``) and for its label
+    a_members = {v: sorted(v) for v in mech.moves_in}
+    f_members = {vf: sorted(vf) for vf in mech.moves_out}
+    ua_states = sorted(a_members, key=a_members.__getitem__)
+    uf_states = sorted(f_members, key=f_members.__getitem__)
     labels, edge_labels = _state_labels(game, aut), _edge_labels(game)
     # each member's label, by code, so a label shared by beliefs is built once
     codes = frozenset().union(*ua_states, *uf_states)
@@ -182,9 +188,10 @@ def _mechanism_lines(mech: Mechanism, aut: FiniteAutomaton, name: str) -> Iterat
     f_ids = {v: j for j, v in enumerate(uf_states)}
     for i, v in enumerate(ua_states):
         style = ", style=bold" if v == mech.initial else ""
-        yield f'  m{i} [label="{sep.join(map(member, sorted(v)))}"{style}];\n'
+        yield f'  m{i} [label="{sep.join(map(member, a_members[v]))}"{style}];\n'
     for j, vf in enumerate(uf_states):
-        yield f'  o{j} [label="{sep.join(map(member, sorted(vf)))}", shape=box, style=rounded];\n'
+        yield (f'  o{j} [label="{sep.join(map(member, f_members[vf]))}", '
+               'shape=box, style=rounded];\n')
     events = {e: _quote(e) for e in mech.defender}
     for i, v in enumerate(ua_states):
         for event, vf in mech.moves_in[v].items():

@@ -17,6 +17,10 @@ counted as live, and the walk repeats its pass until a pass meets no dead
 observation state (a local fixpoint in the style of on-the-fly game
 solving).  ``Mechanism.complete`` expands everything, for callers that show
 the whole structure, by the game's completion walk.
+
+Rows are never changed once built, so equal values are shared
+(hash-consing): the mechanism holds one object per belief and per
+observation state, and every row that names one names that object.
 """
 from __future__ import annotations
 
@@ -54,6 +58,10 @@ class Mechanism:
     lists its (state, action) pairs that are undefined at some member,
     ``partial_at`` one observation state's actions of those; reading them
     never expands.
+
+    Each belief and each observation state is one object, interned in
+    ``_canon``: a ``moves_in`` row's values are ``moves_out``'s keys, and a
+    ``moves_out`` row's values ``moves_in``'s keys.
     """
 
     def __init__(self, game: EditGameStructure):
@@ -65,12 +73,16 @@ class Mechanism:
         # each observation state's partial actions, the cut of its row
         self._cut: dict[frozenset, set[EditAction]] = {}
         self._closures: dict[int, frozenset] = {}
+        # every set of codes met, to the one object of its closure: a belief
+        # and an observation state to themselves, a set of hits to its
+        # belief.  A belief is closed, so the two meet in one table.
+        self._canon: dict[frozenset, frozenset] = {}
         # fed each row as ``expand`` builds it, each observation state's with
         # its partial actions as the cut, so its ``dead`` is always the
         # attractor over the expanded rows, where unexpanded beliefs count
         # as live
         self._solver = BackwardSolver()
-        self.initial: MergedA = self._closure((game.initial,))
+        self.initial: MergedA = self._closure([game.initial])
 
     @property
     def ua_states(self) -> tuple[MergedA, ...]:
@@ -99,17 +111,28 @@ class Mechanism:
             "non-defender event admits only the passthrough")
         return [target for acts in moves for target in acts.values()]
 
-    def _closure(self, hits: Iterable[int]) -> frozenset:
-        """Closure of ``hits`` under ``_silent``, as the union of each hit's
-        closure.  ``close`` runs only for a hit without one, and records
-        one for every information state its search passes."""
-        closures = self._closures
-        parts = []
-        for v in hits:
+    def _closure(self, hits: list[int]) -> frozenset:
+        """The belief that closes ``hits`` under ``_silent``: the union of
+        each hit's closure, computed only for a set of hits not met before.
+        ``close`` runs only for a hit without a closure, and records one
+        for every information state its search passes."""
+        canon, closures = self._canon, self._closures
+        if len(hits) == 1:
+            v = hits[0]
             if v not in closures:
                 close((v,), self._silent, closures)
-            parts.append(closures[v])
-        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+            belief = closures[v]
+            return canon.setdefault(belief, belief)
+        key = frozenset(hits)
+        belief = canon.get(key)
+        if belief is None:
+            for v in hits:
+                if v not in closures:
+                    close((v,), self._silent, closures)
+            belief = frozenset().union(*map(closures.__getitem__, key))
+            belief = canon.setdefault(belief, belief)
+            canon[key] = belief
+        return belief
 
     def expand(self, vua: MergedA) -> dict[str, frozenset]:
         """Row of ``vua``, merged on first request together with the action
@@ -118,7 +141,8 @@ class Mechanism:
         (``game.menu``), which is ``EditAction.sort_key`` order."""
         if vua in self.moves_in:
             return self.moves_in[vua]
-        game = self.game
+        game, canon = self.game, self._canon
+        vua = canon.setdefault(vua, vua)
         def_moves = game.def_moves
         rows = [game.expand(v) for v in vua]
         row: dict[str, frozenset] = {}
@@ -126,21 +150,28 @@ class Mechanism:
             vuf = frozenset(r[event] for r in rows if event in r)
             if not vuf:
                 continue
-            row[event] = vuf
-            if vuf in self.moves_out:
+            known = canon.get(vuf)
+            if known is not None:  # interned with its moves_out row
+                row[event] = known
                 continue
+            canon[vuf] = row[event] = vuf
             hits_of: dict[EditAction, list[int]] = {}
             for z in vuf:
                 for act, hit in def_moves[z].items():
-                    hits_of.setdefault(act, []).append(hit)
+                    hits = hits_of.get(act)
+                    if hits is None:
+                        hits_of[act] = [hit]
+                    else:
+                        hits.append(hit)
             out: dict[EditAction, MergedA] = {}
             cut = set()
+            size = len(vuf)
             for act in game.menu(event):
                 hits = hits_of.get(act)
                 if hits is None:
                     continue
                 out[act] = self._closure(hits)
-                if len(hits) < len(vuf):
+                if len(hits) < size:
                     cut.add(act)
             self.moves_out[vuf] = out
             if cut:
@@ -388,9 +419,10 @@ def parse_mealy(text: str) -> MealyEditFunction:
     """Parse the transducer format with the plant format's reader and id
     rules; every fault is a ``ParseError``, with a line where it has one."""
     alphabet: Optional[frozenset[str]] = None
-    numbers: dict[str, int] = {}  # the states and initial lines
+    numbers: dict[str, tuple[int, int]] = {}  # the states and initial lines, (value, line)
     policy = ""
     edges: dict[tuple[int, str], tuple[Trace, int]] = {}
+    edge_lines: dict[tuple[int, str], int] = {}
     declared: set[str] = set()
     for lineno, line, tokens in statements(text):
         head = tokens[0]
@@ -412,7 +444,7 @@ def parse_mealy(text: str) -> MealyEditFunction:
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(f"{head} takes exactly one nonnegative integer", lineno)
             declared.add(head)
-            numbers[head] = int(tokens[1])
+            numbers[head] = (int(tokens[1]), lineno)
             continue
         if (len(tokens) != 5 or tokens[2] != "/"
                 or not tokens[0].isdecimal() or not tokens[4].isdecimal()):
@@ -423,17 +455,24 @@ def parse_mealy(text: str) -> MealyEditFunction:
         if (q, event) in edges:
             raise ParseError(f"duplicate edge for state {q} on {event!r}", lineno)
         edges[(q, event)] = (word, q2)
+        edge_lines[(q, event)] = lineno
     if alphabet is None:
         raise ParseError("transducer text lacks an alphabet line")
     if "states" not in numbers:
         raise ParseError("transducer text lacks a states line")
-    n_states, initial = numbers["states"], numbers.get("initial", 0)
-    for q, event in edges:
+    n_states = numbers["states"][0]
+    initial, initial_line = numbers.get("initial", (0, None))
+    for (q, event), lineno in edge_lines.items():
         if event not in alphabet:
-            raise ParseError(f"transducer edge from state {q} on {event!r} outside the alphabet")
-    for q in [initial] + [q for q, _ in edges] + [q2 for _, q2 in edges.values()]:
+            raise ParseError(f"transducer edge from state {q} on {event!r} outside the alphabet",
+                             lineno)
+    # the initial state, then each edge's source, then each edge's target
+    named = [(initial, initial_line)]
+    named += [(q, lineno) for (q, _), lineno in edge_lines.items()]
+    named += [(q2, edge_lines[edge]) for edge, (_, q2) in edges.items()]
+    for q, lineno in named:
         if not 0 <= q < n_states:
-            raise ParseError(f"transducer state {q} outside [0, {n_states})")
+            raise ParseError(f"transducer state {q} outside [0, {n_states})", lineno)
     return MealyEditFunction(
         alphabet=alphabet,
         n_states=n_states,

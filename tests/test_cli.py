@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import os
 import subprocess
@@ -583,3 +585,68 @@ class TestObserversBuiltOnce:
         assert main(["synthesize", str(path)]) == 0
         assert builds == [(profile.observable, profile.observable),
                           (profile.intruder, profile.observable)]
+
+
+class TestCyclicCollector:
+    """``main`` runs its command with the cyclic collector off and leaves it
+    as it found it; the pipeline makes no reference cycles, so nothing
+    waits for the collector."""
+
+    @pytest.fixture
+    def restore(self):
+        collecting = gc.isenabled()
+        yield
+        (gc.enable if collecting else gc.disable)()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("raised, code", [(None, 0), (oe.ModelError("bad"), 2),
+                                              (RuntimeError("boom"), None)],
+                             ids=["returns", "input-error", "raises"])
+    def test_main_restores_the_collector(self, fig3_file, monkeypatch, capsys, restore,
+                                         collecting, raised, code):
+        import opacedit.cli as cli
+
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_verify", command)
+        (gc.enable if collecting else gc.disable)()
+        if code is None:
+            with pytest.raises(RuntimeError):
+                main(["verify", fig3_file])
+        else:
+            assert main(["verify", fig3_file]) == code
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("plant", ["gen-27-12-5", "gen-5-8-5", "gen-12-30-10",
+                                       "gen-6-16-6", "gen-53-30-10"])
+    def test_pipeline_leaves_no_cyclic_garbage(self, plant, restore):
+        from opacedit.dot import game_dot, mechanism_dot, trimmed_dot
+
+        def run():
+            aut, profile = oe.parse_model((INSTANCES / f"{plant}.aut").read_text())
+            game = oe.build_edit_game(aut, profile, k=1)
+            whole = plant != "gen-6-16-6"  # its merged mechanism has 229,019 beliefs
+            if whole:
+                game_dot(game.complete(), aut, io.StringIO())
+            tgs = oe.trim_game(game)
+            if tgs is None:
+                return
+            uem = oe.build_uem(tgs)
+            if whole:
+                trimmed_dot(tgs, aut, io.StringIO())
+                mechanism_dot(uem.complete(), aut, io.StringIO())
+            em = oe.refine_to_em(uem)
+            fe = oe.synthesize(em)
+            assert oe.evaluate_editor(aut, profile, fe, 4).ok
+
+        gc.collect()
+        gc.disable()
+        run()
+        assert gc.collect() == 0

@@ -274,3 +274,34 @@ class TestMechanismRenderedOnce:
         tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
         em = oe.refine_to_em(oe.build_uem(tgs).complete())
         assert (tmp_path / "mechanism.dot").read_text() == render(mechanism_dot, em, aut)
+
+
+class TestGameRenderedOnce:
+    """``export-dot`` renders the game once when trimming removes nothing
+    (gen-27-12-5), through ``trimmed_dot``, and copies ``trimmed.dot`` to
+    ``game.dot`` under the graph name ``game``; where trimming removes
+    states (gen-12-30-10: 418) it renders both."""
+
+    @pytest.mark.parametrize("plant, renders", [("gen-27-12-5", ["trimmed"]),
+                                                ("gen-12-30-10", ["game", "trimmed"])])
+    def test_renders(self, tmp_path, monkeypatch, capsys, plant, renders):
+        import opacedit.cli as cli
+        import opacedit.dot as dot
+
+        names = []
+
+        def counting(game, aut, out, name="game", disabled=None):
+            names.append(name)
+            game_dot(game, aut, out, name=name, disabled=disabled)
+
+        monkeypatch.setattr(cli, "game_dot", counting)
+        monkeypatch.setattr(dot, "game_dot", counting)
+        path = BENCH / "instances" / f"{plant}.aut"
+        assert main(["export-dot", str(path), "--dot", str(tmp_path)]) == 0
+        assert names == renders
+        aut, profile = oe.parse_model(path.read_text())
+        game = oe.build_edit_game(aut, profile, k=1).complete()
+        tgs = oe.trim_game(game)
+        assert (tgs.game is game) == (len(renders) == 1)
+        assert (tmp_path / "game.dot").read_text() == render(game_dot, game, aut)
+        assert (tmp_path / "trimmed.dot").read_text() == render(trimmed_dot, tgs, aut)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from pathlib import Path
 from typing import Optional
 
@@ -418,8 +419,14 @@ class TestSerialization:
          "for the empty word and joins words with '·'"),
         ("alphabet a\nstates 1\n0 a / a·- 0\n", 3, "event id '-' is reserved: the transducer "
          "format writes '-' for the empty word and joins words with '·'"),
+        ("alphabet a\nstates 1\n0 b / b 0\n", 3,
+         "transducer edge from state 0 on 'b' outside the alphabet"),
+        ("alphabet a\nstates 1\n0 a / a 1\n", 3, "transducer state 1 outside [0, 1)"),
+        ("alphabet a\n0 a / a 0\n# the header after the edge\nstates 1\ninitial 2\n", 5,
+         "transducer state 2 outside [0, 1)"),
     ], ids=["header", "repeated-directive", "edge", "duplicate-edge", "alphabet-id-twice",
-            "empty-output-event", "reserved-alphabet-id", "reserved-output-event"])
+            "empty-output-event", "reserved-alphabet-id", "reserved-output-event",
+            "foreign-event", "state-range", "initial-range"])
     def test_errors_on_a_line_are_parse_errors_naming_it(self, text, line, message):
         # transducer ids follow the plant format's rules, through its reader
         with pytest.raises(oe.ParseError) as exc:
@@ -430,10 +437,8 @@ class TestSerialization:
     @pytest.mark.parametrize("text, message", [
         ("states 1\n", "transducer text lacks an alphabet line"),
         ("alphabet a\n", "transducer text lacks a states line"),
-        ("alphabet a\nstates 1\n0 b / b 0\n",
-         "transducer edge from state 0 on 'b' outside the alphabet"),
-        ("alphabet a\nstates 1\n0 a / a 1\n", "transducer state 1 outside [0, 1)"),
-    ], ids=["no-alphabet", "no-states", "foreign-event", "state-range"])
+        ("alphabet a\nstates 0\n", "transducer state 0 outside [0, 0)"),
+    ], ids=["no-alphabet", "no-states", "default-initial-range"])
     def test_errors_without_a_line_are_parse_errors(self, text, message):
         with pytest.raises(oe.ParseError) as exc:
             oe.parse_mealy(text)
@@ -668,3 +673,45 @@ class TestRowsInCanonicalActionOrder:
             if em is not None:
                 assert self._in_order(em.moves_out)
                 assert self._events_increase(em.moves_in)
+
+
+class TestOneObjectPerState:
+    """The completed mechanism holds one object per belief and per
+    observation state: each ``moves_in`` row names ``moves_out``'s keys
+    and each ``moves_out`` row ``moves_in``'s keys."""
+
+    @staticmethod
+    def _check(uem) -> None:
+        beliefs = {v: v for v in uem.moves_in}
+        observations = {vf: vf for vf in uem.moves_out}
+        assert all(observations[vf] is vf for row in uem.moves_in.values() for vf in row.values())
+        assert all(beliefs[v] is v for row in uem.moves_out.values() for v in row.values())
+        assert beliefs[uem.initial] is uem.initial
+
+    @pytest.mark.parametrize("plant", ["gen-27-12-5", "gen-5-8-5"])
+    def test_bench_plants(self, plant):
+        aut, profile = oe.parse_model((INSTANCES / f"{plant}.aut").read_text())
+        self._check(oe.build_uem(oe.trim_game(oe.build_edit_game(aut, profile, k=1))).complete())
+
+    def test_random_plants(self):
+        checked = 0
+        for seed in range(30):
+            tgs = oe.trim_game(oe.build_edit_game(*oe.random_instance(seed), k=1))
+            if tgs is not None:
+                self._check(oe.build_uem(tgs).complete())
+                checked += 1
+        assert checked >= 15
+
+    def test_completed_mechanism_memory(self):
+        # gen-27-12-5: 4,625 beliefs and 6,000 observation states; about
+        # 18 MB when each row held its own copy of the sets it names
+        aut, profile = oe.parse_model((INSTANCES / "gen-27-12-5.aut").read_text())
+        tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+        tracemalloc.start()
+        try:
+            uem = oe.build_uem(tgs).complete()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(uem.moves_in), len(uem.moves_out)) == (4625, 6000)
+        assert peak < 13_000_000
