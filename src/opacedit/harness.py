@@ -17,7 +17,7 @@ from .automata import FiniteAutomaton, ObservationProfile, Trace, project
 from .game import EditAction, enumerate_actions
 from .mechanism import MealyEditFunction
 from .observers import StateSet
-from .opacity import SupportsEdit, edit_step, editor_observers, evaluate_editor
+from .opacity import ConfigTable, SupportsEdit, edit_step, editor_observers, evaluate_editor
 
 
 class SimulationError(ValueError):
@@ -93,26 +93,37 @@ def _joint_configs(
 
     Yields each configuration as it leaves the queue, then, while expanding
     it in plant event order, None for each undefined editor or observer
-    step.  Editor states must be hashable.
+    step.  The walk keeps each joint configuration as one int, its editor
+    configuration's number in a ``ConfigTable`` times the plant's state
+    count plus its plant state, and steps each editor configuration and
+    event once however many plant states share them.  Editor states must
+    be hashable.
     """
-    observers = editor_observers(aut, profile)
-    start = (aut.initial, observers[0].initial, observers[1].initial, editor.initial)
-    seen = {start}
-    queue = deque([start])
+    table = ConfigTable(aut, profile, editor)
+    configs, rows = table.configs, table.rows
+    n = aut.n_states
+    observable = profile.observable
+    arcs = [tuple((event, dst, event in observable) for event, dst in aut.arcs(x).items())
+            for x in range(n)]
+    # configuration 0 is the editor's start, so the start's int is the
+    # plant's initial state
+    seen = {aut.initial}
+    queue = deque(seen)
     while queue:
-        config = queue.popleft()
-        yield config
-        x, xi, xd, q = config
-        for event, dst in aut.arcs(x).items():
-            if event not in profile.observable:
-                nxt = (dst, xi, xd, q)
+        c, x = divmod(queue.popleft(), n)
+        q, xi, xd = configs[c]
+        yield x, xi, xd, q
+        row = rows[c]
+        here = c * n
+        for event, dst, observed in arcs[x]:
+            if not observed:
+                nxt = here + dst
             else:
-                step = edit_step(editor, profile, observers, q, xi, xd, event)
-                if step is None:
+                c2 = row[event] if event in row else table.step(c, event)
+                if c2 is None:
                     yield None
                     continue
-                _, q2, nxi, nxd = step
-                nxt = (dst, nxi, nxd, q2)
+                nxt = c2 * n + dst
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

@@ -23,9 +23,12 @@ from .observers import ObserverAutomaton, StateSet, observer
 class SupportsEdit(Protocol):
     """Stateful editor: consumes observable events, emits output words.
 
-    ``step`` must be a pure function of ``(state, event)``:
-    ``evaluate_editor`` steps each editor state, pair of estimates and
-    event once, and every later run that meets them reuses the result.
+    ``step`` must be a pure function of ``(state, event)``: every editor
+    check numbers each configuration (editor state, intruder estimate,
+    defender estimate) it meets once, in a ``ConfigTable``, and steps each
+    configuration and event once, so ``evaluate_editor`` and the joint walk
+    behind ``exact_ic_check`` and ``certifying_depth`` reuse the result
+    wherever they meet that configuration again.
     It must return the forced single-event word and the unchanged state
     for events outside the defender alphabet, which the editor cannot
     see; ``edit_step`` raises ``ValueError`` on a rewritten word, and
@@ -116,6 +119,49 @@ def editor_observers(
             observer(aut, profile.defender, profile.observable))
 
 
+class ConfigTable:
+    """The editor configurations (editor state, intruder estimate, defender
+    estimate) one check meets, numbered in the order met, and each one's
+    successor per event, stepped once through ``edit_step``.
+
+    ``configs[c]`` is configuration ``c``, and ``solely_secret[c]`` whether
+    its intruder estimate lies inside the secret set; configuration 0 is the
+    editor's initial state with both observers' initial estimates.
+    ``rows[c]`` maps each event stepped from ``c`` to the next
+    configuration's number, or to None where the editor or either observer
+    is undefined.  A reader looks an event up in its row and calls ``step``
+    only on a miss.
+    """
+
+    def __init__(self, aut: FiniteAutomaton, profile: ObservationProfile,
+                 editor: SupportsEdit):
+        self.editor = editor
+        self.profile = profile
+        self.observers = o_intr, o_def = editor_observers(aut, profile)
+        self.secret = aut.secret
+        self.configs: list[tuple[Any, StateSet, StateSet]] = []
+        self.solely_secret: list[bool] = []
+        self.rows: list[dict[str, Optional[int]]] = []
+        self.ids: dict[tuple[Any, StateSet, StateSet], int] = {}
+        self.number((editor.initial, o_intr.initial, o_def.initial))
+
+    def number(self, config: tuple[Any, StateSet, StateSet]) -> int:
+        """The number of ``config``, numbered here if it is new."""
+        c = self.ids.get(config)
+        if c is None:
+            c = self.ids[config] = len(self.configs)
+            self.configs.append(config)
+            self.solely_secret.append(config[1] <= self.secret)
+            self.rows.append({})
+        return c
+
+    def step(self, c: int, event: str) -> Optional[int]:
+        """Step configuration ``c`` on ``event`` and record it in its row."""
+        got = edit_step(self.editor, self.profile, self.observers, *self.configs[c], event)
+        nxt = self.rows[c][event] = None if got is None else self.number(got[1:])
+        return nxt
+
+
 class OracleVerdict(NamedTuple):
     ok: bool
     failed_property: Optional[str] = None
@@ -143,20 +189,23 @@ def evaluate_editor(
     sigma is checked first, so a passing verdict is integrity up to the
     depth.
 
-    A queued node carries its sigma, its plant states as a sorted tuple,
-    the length of each one's shortest plant trace as a tuple in the same
-    order, the editor state and both estimates, so a counterexample is a
-    node's sigma followed by the violating event.  A node whose states,
-    editor state and estimates equal those of an earlier node, with no
-    state reached by a shorter plant trace, is checked but not expanded:
-    its subtree could only repeat, later in the order, what the earlier
-    node's subtree shows.  ``expanded`` keys the expanded nodes by that
-    tuple and keeps their length tuples only, one tuple for a key met
-    once and a list from the second, so the cost is bounded by the
-    distinct such nodes up to the depth.  A node steps only the events its
-    states enable, and each (editor state, estimates, event) is stepped
-    through the editor and the observers once, so ``step`` must be a pure
-    function of its arguments.
+    A queued node carries its sigma, the number of its plant pair (its
+    plant states as a sorted tuple and the length of each one's shortest
+    plant trace as a tuple in the same order) and the number of its editor
+    configuration in a ``ConfigTable``, so a counterexample is a node's
+    sigma followed by the violating event.  A node whose states and
+    configuration equal those of an earlier node, with no state reached by
+    a shorter plant trace, is checked but not expanded: its subtree could
+    only repeat, later in the order, what the earlier node's subtree
+    shows.  ``expanded`` keys the expanded nodes by their states, then by
+    their configuration number, and keeps their length tuples only, one
+    tuple for a key met once and a list from the second, so the cost is
+    bounded by the distinct such nodes up to the depth.  Each plant pair
+    is stepped and closed under silent arcs once, into its successors in
+    event order (only the events its states enable), however many nodes
+    hold it, and each configuration and event is stepped through the
+    editor and the observers once, so ``step`` must be a pure function of
+    its arguments.
 
     The editor must keep its state and pass the event through on events
     outside the defender alphabet; otherwise ``ValueError`` is raised where
@@ -171,10 +220,11 @@ def evaluate_editor(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    observers = o_intr, o_def = editor_observers(aut, profile)
+    table = ConfigTable(aut, profile, editor)
     if isinstance(editor, MealyEditFunction):
         editor.check_outputs(profile.observable)
     observable = profile.observable
+    defender = profile.defender
     secret = aut.secret
     # each plant state's observable arcs and its successors on the events
     # no observer sees
@@ -185,8 +235,18 @@ def evaluate_editor(
         obs_arcs.append(tuple((e, dst) for e, dst in arcs if e in observable))
         silent.append(tuple(dst for e, dst in arcs if e not in observable))
 
-    def closed(best: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The states and lengths of ``best`` closed under silent arcs."""
+    # the (states, lengths) pairs met, numbered, with each one's successors
+    # once stepped, in event order
+    pair_ids: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    successors: list[Optional[list[tuple]]] = []
+    # by states, then configuration number: the length tuples of the
+    # expanded nodes, one dict per states tuple, shared by its pairs
+    expanded: dict[tuple[int, ...], dict[int, Any]] = {}
+
+    def number(best: dict[int, int]) -> int:
+        """The number of the pair of ``best`` closed under silent arcs,
+        numbered here if it is new; ``best`` is closed in place."""
         if any(map(silent.__getitem__, best)):
             stack = list(best.items())
             while stack:
@@ -198,36 +258,21 @@ def evaluate_editor(
                         best[dst] = length + 1
                         stack.append((dst, length + 1))
         states = tuple(sorted(best))
-        return states, tuple(map(best.__getitem__, states))
+        pair = (states, tuple(map(best.__getitem__, states)))
+        p = pair_ids.get(pair)
+        if p is None:
+            p = pair_ids[pair] = len(pairs)
+            pairs.append(pair)
+            successors.append(None)
+        return p
 
-    # (editor state, estimates, event) -> the editor's next state, the next
-    # estimates and whether the intruder's lies inside the secret set
-    moves: dict[tuple, tuple[Any, StateSet, StateSet, bool]] = {}
-
-    def move(q: Any, x_i: StateSet, x_d: StateSet, event: str):
-        step = edit_step(editor, profile, observers, q, x_i, x_d, event)
-        if step is None:
-            return None
-        _, q2, nx_i, nx_d = step
-        if event not in profile.defender and q2 != q:
-            raise ValueError("editor changed state on an event it cannot observe")
-        got = moves[q, x_i, x_d, event] = (q2, nx_i, nx_d, nx_i <= secret)
-        return got
-
-    root, root_lengths = closed({aut.initial: 0})
-    if o_intr.initial <= secret and not secret.isdisjoint(root):
-        return OracleVerdict(False, "confidentiality", ())
-    # length tuples of the expanded nodes, by (states, editor state, estimates)
-    key = (root, editor.initial, o_intr.initial, o_def.initial)
-    expanded: dict[tuple, Any] = {key: root_lengths}
-    # each state and length tuple once, however many nodes share it
-    canon: dict[tuple[int, ...], tuple[int, ...]] = {}
-    queue = deque([((), key, root_lengths)])
-    while queue:
-        sigma, (states, q, x_i, x_d), lengths = queue.popleft()
+    def expand(p: int) -> list[tuple]:
+        """Pair ``p``'s successors: per event its states enable, the child
+        pair, its lengths, its states' expanded nodes and whether a child
+        state is secret."""
         # event -> each state it reaches, with its shortest plant trace
         stepped: dict[str, dict[int, int]] = {}
-        for state, length in zip(states, lengths):
+        for state, length in zip(*pairs[p]):
             if length < depth:
                 length += 1
                 for event, dst in obs_arcs[state]:
@@ -236,27 +281,51 @@ def evaluate_editor(
                         stepped[event] = {dst: length}
                     elif length < reached.get(dst, depth + 1):
                         reached[dst] = length
+        got = successors[p] = []
         for event in sorted(stepped):
-            got = moves.get((q, x_i, x_d, event)) or move(q, x_i, x_d, event)
-            if got is None:
+            child = number(stepped[event])
+            states, lengths = pairs[child]
+            got.append((event, child, lengths, expanded.setdefault(states, {}),
+                        not secret.isdisjoint(states)))
+        return got
+
+    root = number({aut.initial: 0})
+    states, lengths = pairs[root]
+    if table.solely_secret[0] and not secret.isdisjoint(states):
+        return OracleVerdict(False, "confidentiality", ())
+    expanded[states] = {0: lengths}
+    configs, rows, solely_secret = table.configs, table.rows, table.solely_secret
+    queue = deque([((), root, 0)])
+    while queue:
+        sigma, p, c = queue.popleft()
+        row = rows[c]
+        moves = successors[p]
+        if moves is None:
+            moves = expand(p)
+        for event, child, lengths, by_config, child_secret in moves:
+            if event in row:
+                c2 = row[event]
+            else:
+                c2 = table.step(c, event)
+                if (c2 is not None and event not in defender
+                        and configs[c2][0] != configs[c][0]):
+                    raise ValueError("editor changed state on an event it cannot observe")
+            if c2 is None:
                 return OracleVerdict(False, "i-availability", sigma + (event,))
-            q2, nx_i, nx_d, solely_secret = got
-            child, child_lengths = closed(stepped[event])
-            if solely_secret and not secret.isdisjoint(child):
+            if child_secret and solely_secret[c2]:
                 return OracleVerdict(False, "confidentiality", sigma + (event,))
-            key = (canon.setdefault(child, child), q2, nx_i, nx_d)
-            seen = expanded.get(key)
+            seen = by_config.get(c2)
             if seen is None:
-                expanded[key] = child_lengths = canon.setdefault(child_lengths, child_lengths)
+                by_config[c2] = lengths
             elif type(seen) is tuple:
-                if _dominates(seen, child_lengths):
+                if _dominates(seen, lengths):
                     continue
-                expanded[key] = [seen, child_lengths]
-            elif any(_dominates(earlier, child_lengths) for earlier in seen):
+                by_config[c2] = [seen, lengths]
+            elif any(_dominates(earlier, lengths) for earlier in seen):
                 continue
             else:
-                seen.append(child_lengths)
-            queue.append((sigma + (event,), key, child_lengths))
+                seen.append(lengths)
+            queue.append((sigma + (event,), child, c2))
     return OracleVerdict(True)
 
 

@@ -20,10 +20,12 @@ configurations per node and one editor step per child, for plants too
 large for the tree.  The language enumerations,
 the reach sets, the literal opacity check and the stand-alone
 joint-configuration count are the definitions the package's observers,
-``verify_cso`` and ``certifying_depth`` are tested against; the eager
-observer builds the whole accessible powerset in one pass, the way the
-package's on-demand observer must end up once ``states`` is read.  The
-reference exporters write the game and mechanism DOT files one line per
+``verify_cso`` and ``certifying_depth`` are tested against, and the
+reference joint walk, over 4-tuples with a fresh editor step per joint
+configuration and event, is the sequence the package's walk must yield;
+the eager observer builds the whole accessible powerset in one pass, the
+way the package's on-demand observer must end up once ``states`` is read.
+The reference exporters write the game and mechanism DOT files one line per
 write, quoting each label as they format it, and are what ``opacedit.dot``
 must write byte for byte.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, TextIO, Union
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, TextIO, Union
 
 from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, fmt_state_set, project
 from opacedit.game import EditAction, EditGameStructure
@@ -342,6 +344,38 @@ def certifying_depth_reference(
                 seen.add(nxt)
                 queue.append(nxt)
     return min(len(seen) + 1, cap)
+
+
+def joint_configs_reference(
+    aut: FiniteAutomaton, profile: ObservationProfile, editor: SupportsEdit
+) -> Iterator[Optional[tuple[int, StateSet, StateSet, Any]]]:
+    """``harness._joint_configs`` as first written: the same breadth-first
+    walk over (plant state, intruder estimate, defender estimate, editor
+    state) 4-tuples, stepping the editor and both observers afresh for every
+    joint configuration and event.  The package's walk must yield the same
+    sequence, None markers included, since ``certifying_depth`` counts it
+    up to a cap."""
+    observers = editor_observers(aut, profile)
+    start = (aut.initial, observers[0].initial, observers[1].initial, editor.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        config = queue.popleft()
+        yield config
+        x, xi, xd, q = config
+        for event, dst in aut.arcs(x).items():
+            if event not in profile.observable:
+                nxt = (dst, xi, xd, q)
+            else:
+                step = edit_step(editor, profile, observers, q, xi, xd, event)
+                if step is None:
+                    yield None
+                    continue
+                _, q2, nxi, nxd = step
+                nxt = (dst, nxi, nxd, q2)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
 
 
 def unobservable_closure_reference(game: EditGameStructure, seeds: Iterable[int]) -> frozenset:

@@ -1,9 +1,11 @@
 import pytest
 
 import opacedit as oe
+from opacedit.harness import _joint_configs
 
 from conftest import sset
-from oracles import brute_force_cso, certifying_depth_reference, decode, generated_language
+from oracles import (brute_force_cso, certifying_depth_reference, decode, generated_language,
+                     joint_configs_reference)
 
 
 def T(s):
@@ -121,9 +123,11 @@ class TestJointWalk:
     """``certifying_depth`` and ``exact_ic_check`` read one joint walk, and
     every editor check enforces the same contract on unseen events."""
 
-    @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("max_states", [5, 8])
-    def test_certifying_depth_matches_the_reference(self, max_states, k):
+    @staticmethod
+    def population(max_states, k):
+        """``random_instance(seed, max_states, 4)`` for seeds 0-79, each with
+        the identity editor and, where the plant can be made opaque at
+        insertion bound ``k``, every policy's transducer."""
         ops = oe.OPS_ALL if k else oe.OPS_ALL - {"insert"}
         for seed in range(80):
             aut, profile = oe.random_instance(seed, max_states, 4)
@@ -133,10 +137,38 @@ class TestJointWalk:
             if em is not None:
                 editors += [oe.synthesize(em, policy=p) for p in sorted(oe.POLICIES)]
             for fe in editors:
-                for cap in (3, 8, 50, 400):
-                    assert oe.certifying_depth(aut, profile, fe, cap) == (
-                        certifying_depth_reference(aut, profile, fe, cap)
-                    ), f"seed {seed} cap {cap}"
+                yield seed, aut, profile, fe
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("max_states", [5, 8])
+    def test_certifying_depth_matches_the_reference(self, max_states, k):
+        for seed, aut, profile, fe in self.population(max_states, k):
+            for cap in (3, 8, 50, 400):
+                assert oe.certifying_depth(aut, profile, fe, cap) == (
+                    certifying_depth_reference(aut, profile, fe, cap)
+                ), f"seed {seed} cap {cap}"
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("max_states", [5, 8])
+    def test_walk_yields_the_reference_sequence(self, max_states, k):
+        # the walk over numbered configurations leaves the queue in the
+        # 4-tuple walk's order, with its None markers in the same places:
+        # certifying_depth's cap counts a prefix of this sequence.  No
+        # editor of the population gets stuck, so each plant also runs the
+        # identity editor without its least event, which does.
+        undefined = 0
+        for seed, aut, profile, fe in self.population(max_states, k):
+            editors = [fe]
+            if fe.policy == "identity":
+                least = min(profile.defender)
+                editors.append(oe.MealyEditFunction(
+                    alphabet=fe.alphabet, n_states=1, initial=0,
+                    edges={(0, e): ((e,), 0) for e in fe.alphabet if e != least}))
+            for editor in editors:
+                got = list(_joint_configs(aut, profile, editor))
+                assert got == list(joint_configs_reference(aut, profile, editor)), f"seed {seed}"
+                undefined += got.count(None)
+        assert undefined
 
     def test_rewriting_an_unseen_event_is_refused_everywhere(self):
         aut, profile = oe.random_instance(0)

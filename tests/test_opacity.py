@@ -4,10 +4,11 @@ from collections import Counter
 import pytest
 
 import opacedit as oe
+from opacedit.harness import _joint_configs
 
 from conftest import sset
 from oracles import (brute_force_cso, evaluate_editor_reference, evaluate_editor_tree,
-                     generated_language, inverse_projection_members,
+                     generated_language, inverse_projection_members, joint_configs_reference,
                      nonsecret_explanation_exists)
 
 
@@ -353,6 +354,26 @@ class TestReferenceCrossCheck:
         assert outcomes == {None, "i-availability", "confidentiality",
                             "editor changed state on an event it cannot observe"}
 
+    def test_search_matches_the_reference_on_shared_plant_nodes(self):
+        # On these plants of up to 40 states many search nodes hold one
+        # plant node under different editor configurations, so the
+        # search's per-node successors and numbered configurations are
+        # each read by many nodes.
+        shared = 0
+        for seed in range(20):
+            aut, profile = oe.random_instance(seed, 40, 4)
+            editors = [oe.MealyEditFunction.identity(profile.defender)]
+            tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=1))
+            em = oe.refine_to_em(oe.build_uem(tgs)) if tgs else None
+            editors += [oe.synthesize(em)] if em else []
+            for editor in editors:
+                for depth in (6, 10):
+                    got = _outcome(oe.evaluate_editor, aut, profile, editor, depth)
+                    assert got == _outcome(evaluate_editor_reference, aut, profile, editor, depth)
+                met = Counter(c[0] for c in _joint_configs(aut, profile, editor) if c)
+                shared += sum(n > 1 for n in met.values())
+        assert shared
+
 
 class _CountingEditor:
     """A transducer that counts its ``step`` calls by (state, event)."""
@@ -367,23 +388,65 @@ class _CountingEditor:
         return self.inner.step(state, event)
 
 
+def _log_edit_steps(monkeypatch):
+    """Route ``opacity.edit_step`` through a log of its (editor state,
+    estimates, event) arguments, and return the log."""
+    met = []
+    edit_step = oe.opacity.edit_step
+
+    def logged(editor, profile, observers, q, x_intr, x_def, event):
+        met.append((q, x_intr, x_def, event))
+        return edit_step(editor, profile, observers, q, x_intr, x_def, event)
+
+    monkeypatch.setattr(oe.opacity, "edit_step", logged)
+    return met
+
+
+def _walk_reference(aut, profile, editor):
+    return list(joint_configs_reference(aut, profile, editor))
+
+
+# each editor check, the reference search that steps the editor once per
+# node or joint configuration, and the check's result on fig3's editor
+_STEP_CHECKS = {
+    "evaluate_editor": (lambda aut, profile, fe: oe.evaluate_editor(aut, profile, fe, 8),
+                        lambda aut, profile, fe: evaluate_editor_reference(aut, profile, fe, 8),
+                        oe.OracleVerdict(True)),
+    "exact_ic_check": (oe.exact_ic_check, _walk_reference, True),
+    "certifying_depth": (lambda aut, profile, fe: oe.certifying_depth(aut, profile, fe, 10**6),
+                         _walk_reference, 12),
+}
+
+
 class TestStepMemo:
     def test_each_joint_step_is_taken_once(self, fig3, fig3_fe, monkeypatch):
-        # The search steps the editor only through edit_step, and each
-        # (editor state, estimates, event) goes through it at most once.
-        # Some (state, event) is met under two estimate pairs, so it is
-        # stepped once for each.
+        # Every editor check steps the editor only through edit_step, and
+        # each (editor state, estimates, event) goes through it at most
+        # once.  Some (state, event) is met under two estimate pairs, so it
+        # is stepped once for each.
         aut, profile = fig3
-        met = []
-        edit_step = oe.opacity.edit_step
+        for name, (check, _, expected) in _STEP_CHECKS.items():
+            with monkeypatch.context() as patch:
+                met = _log_edit_steps(patch)
+                counted = _CountingEditor(fig3_fe)
+                assert check(aut, profile, counted) == expected, name
+            assert len(met) == len(set(met)) == sum(counted.calls.values()), name
+            assert set(counted.calls) == {(q, event) for q, _, _, event in met}, name
+            assert len(counted.calls) < len(met), name
 
-        def logged(editor, profile, observers, q, x_intr, x_def, event):
-            met.append((q, x_intr, x_def, event))
-            return edit_step(editor, profile, observers, q, x_intr, x_def, event)
-
-        monkeypatch.setattr(oe.opacity, "edit_step", logged)
-        counted = _CountingEditor(fig3_fe)
-        assert oe.evaluate_editor(aut, profile, counted, 8) == oe.OracleVerdict(True)
-        assert len(met) == len(set(met)) == sum(counted.calls.values())
-        assert set(counted.calls) == {(q, event) for q, _, _, event in met}
-        assert len(counted.calls) < len(met)
+    def test_a_step_shared_by_plant_states_is_taken_once(self, monkeypatch):
+        # On this 18-state plant, on which the identity editor passes, many
+        # search nodes and joint configurations meet one (editor state,
+        # estimates, event): the reference searches, which step the editor
+        # for each of them, step it more often than there are such steps.
+        aut, profile = oe.random_instance(5, 40, 4)
+        ident = oe.MealyEditFunction.identity(profile.defender)
+        for name, (check, reference, _) in _STEP_CHECKS.items():
+            by_reference = _CountingEditor(ident)
+            reference(aut, profile, by_reference)
+            with monkeypatch.context() as patch:
+                met = _log_edit_steps(patch)
+                counted = _CountingEditor(ident)
+                check(aut, profile, counted)
+            assert len(met) == len(set(met)) == sum(counted.calls.values()), name
+            assert len(met) < sum(by_reference.calls.values()), name
