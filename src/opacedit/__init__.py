@@ -50,7 +50,6 @@ from .opacity import (
 )
 from .harness import (
     EditUndefinedError,
-    HistoryEditor,
     SimulationError,
     SimulationStep,
     certifying_depth,

@@ -3,8 +3,8 @@ random-instance generation for property testing.
 
 The oracle evaluates the definitional checks over all observable behavior
 up to a depth; the exhaustive strategy search is its converse companion: it
-backtracks over every deterministic history-based editor and reports one
-that passes, or certifies that none in the bounded family does.
+backtracks over every deterministic history-based editor and returns a
+passing one as a transducer, or certifies that none in the bounded family does.
 """
 from __future__ import annotations
 
@@ -155,9 +155,9 @@ def exact_ic_check(
     whose plant state is secret while the intruder estimate sits inside the
     secret set fails confidentiality, since the estimate collects exactly
     the endpoints of the traces explaining the emitted word.  Only valid
-    for editors whose state depends on defender observations alone (Mealy
-    and history editors); such editors satisfy defender-view consistency
-    by construction.
+    for editors whose state depends on defender observations alone, such
+    as transducers; such editors satisfy defender-view consistency by
+    construction.
     """
     secret = aut.secret
     return all(c is not None and not (c[0] in secret and c[1] <= secret)
@@ -231,29 +231,6 @@ def random_instance(
 # Exhaustive strategy search
 # ---------------------------------------------------------------------------
 
-class HistoryEditor:
-    """Editor keyed by the full sequence of defender observations so far.
-
-    This is the most general deterministic causal editor: its response may
-    depend on everything it has ever observed.  Used as the search space of
-    the exhaustive converse check.
-    """
-
-    def __init__(self, decisions: dict[Trace, EditAction], defender: frozenset[str]):
-        self.decisions = dict(decisions)
-        self.defender = defender
-        self.initial: Trace = ()
-
-    def step(self, state: Trace, event: str) -> Optional[tuple[Trace, Trace]]:
-        if event not in self.defender:
-            return ((event,), state)
-        key = state + (event,)
-        act = self.decisions.get(key)
-        if act is None:
-            return None
-        return (act.word(event), key)
-
-
 def iter_memoryless_editors(
     profile: ObservationProfile, k: int, ops: frozenset[str]
 ) -> "Iterable[MealyEditFunction]":
@@ -283,7 +260,7 @@ def find_edit_strategy(
     k: int,
     ops: frozenset[str],
     depth: int,
-) -> Optional[HistoryEditor]:
+) -> Optional[MealyEditFunction]:
     """Search every bounded deterministic editor; return a passing one or None.
 
     Decision points are defender observation histories of length at most
@@ -293,16 +270,16 @@ def find_edit_strategy(
     None certifies that no editor in the bounded family is.  Two histories
     awaiting a decision are never prefixes of one another, so the subproblem
     below each history is solved independently and memoized on the budget,
-    the observed event, and the parked configuration set.
+    the observed event, and the parked configuration set.  The answer has
+    one state per decided history, the empty one first, then shortest first
+    and least; deciding ``h`` as ``act`` is the edge from ``h[:-1]`` on
+    ``h[-1]`` to ``h``, emitting ``act.word(h[-1])``.
     """
     o_intr, o_def = editor_observers(aut, profile)
     action_menu = {
         e: enumerate_actions(e, profile, k, ops) for e in sorted(profile.defender)
     }
     secret = aut.secret
-
-    def violates(x: int, xi: StateSet) -> bool:
-        return x in secret and xi <= secret
 
     def expand(seeds) -> Optional[dict[str, frozenset]]:
         """Walk configurations (plant, intruder est., defender est.) from
@@ -313,7 +290,7 @@ def find_edit_strategy(
         parked: dict[str, set] = {}
         while queue:
             x, xi, xd = queue.popleft()
-            if violates(x, xi):
+            if x in secret and xi <= secret:
                 return None
             for event, dst in aut.arcs(x).items():
                 if event in profile.defender:
@@ -333,55 +310,47 @@ def find_edit_strategy(
 
     memo: dict[tuple, Optional[dict]] = {}
 
+    def answer(budget: int, grouped: Optional[dict[str, frozenset]]) -> Optional[dict]:
+        """Relative decision map below the configurations ``grouped`` parks, or
+        None on a violation, a decision past the budget, or an unanswered event."""
+        if grouped is None or grouped and budget <= 0:
+            return None
+        decisions: dict[Trace, EditAction] = {}
+        for event, nodes in grouped.items():
+            sub = solve_key(budget - 1, event, nodes)
+            if sub is None:
+                return None
+            decisions.update({(event,) + suffix: act for suffix, act in sub.items()})
+        return decisions
+
     def solve_key(budget: int, event: str, parked: frozenset) -> Optional[dict]:
         """Relative decision map for one observation subtree, or None."""
         token = (budget, event, parked)
-        if token in memo:
-            return memo[token]
-        result = None
-        for act in action_menu[event]:
-            word = act.word(event)
-            children = []
-            ok = True
-            for (dst, xi, xd) in parked:
-                nxi = o_intr.run(word, xi)
-                nxd = o_def.run(word, xd)
-                if nxi is None or nxd is None:
-                    ok = False
-                    break
-                children.append((dst, nxi, nxd))
-            if not ok:
-                continue
-            grouped = expand(children)
-            if grouped is None:
-                continue
-            if grouped and budget == 0:
-                continue
-            decisions = {(): act}
-            for ev, nodes in grouped.items():
-                sub = solve_key(budget - 1, ev, nodes)
-                if sub is None:
-                    ok = False
-                    break
-                decisions.update({(ev,) + suffix: a for suffix, a in sub.items()})
-            if ok:
-                result = decisions
-                break
-        memo[token] = result
-        return result
+        if token not in memo:
+            memo[token] = None
+            for act in action_menu[event]:
+                word = act.word(event)
+                children = [(dst, o_intr.run(word, xi), o_def.run(word, xd))
+                            for dst, xi, xd in parked]
+                if all(xi is not None and xd is not None for _, xi, xd in children):
+                    sub = answer(budget, expand(children))
+                    if sub is not None:
+                        memo[token] = {(): act, **sub}
+                        break
+        return memo[token]
 
-    root = (aut.initial, o_intr.initial, o_def.initial)
-    grouped = expand([root])
-    if grouped is None:
+    decisions = answer(depth, expand([(aut.initial, o_intr.initial, o_def.initial)]))
+    if decisions is None:
         return None
-    if grouped and depth == 0:
-        return None
-    decisions: dict[Trace, EditAction] = {}
-    for event, nodes in grouped.items():
-        sub = solve_key(depth - 1, event, nodes)
-        if sub is None:
-            return None
-        decisions.update({(event,) + suffix: act for suffix, act in sub.items()})
-    editor = HistoryEditor(decisions, profile.defender)
+    order = [()] + sorted(decisions, key=lambda h: (len(h), h))
+    state = {h: q for q, h in enumerate(order)}
+    editor = MealyEditFunction(
+        alphabet=profile.defender,
+        n_states=len(state),
+        initial=0,
+        edges={(state[h[:-1]], h[-1]): (act.word(h[-1]), state[h])
+               for h, act in decisions.items()},
+        policy="history",
+    )
     assert exact_ic_check(aut, profile, editor)
     return editor

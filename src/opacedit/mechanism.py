@@ -377,8 +377,6 @@ def synthesize(em: EditMechanism, policy: str = "prefer-passthrough") -> MealyEd
     policy's strategy needs beyond what refinement expanded."""
     if not isinstance(em, EditMechanism):
         raise ValueError("synthesis requires a refined mechanism")
-    if not all(em.moves_out.values()):
-        raise ValueError("corrupt mechanism: observation state without actions")
     try:
         key = POLICIES[policy]
     except KeyError:

@@ -27,7 +27,9 @@ the eager observer builds the whole accessible powerset in one pass, the
 way the package's on-demand observer must end up once ``states`` is read.
 The reference exporters write the game and mechanism DOT files one line per
 write, quoting each label as they format it, and are what ``opacedit.dot``
-must write byte for byte.
+must write byte for byte.  ``needs_editing`` picks out the plants that the
+identity editor leaves leaking, where a cross-check of synthesized editors
+is not already won by passthrough.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, TextI
 
 from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, fmt_state_set, project
 from opacedit.game import EditAction, EditGameStructure
+from opacedit.harness import exact_ic_check
 from opacedit.mechanism import EditMechanism, MealyEditFunction, MergedA, Mechanism
 from opacedit.observers import ObserverAutomaton, StateSet
 from opacedit.opacity import OracleVerdict, SupportsEdit, edit_step, editor_observers
@@ -309,6 +312,12 @@ def brute_force_cso(aut: FiniteAutomaton, profile: ObservationProfile, depth: in
         if not level:
             break
     return True
+
+
+def needs_editing(aut: FiniteAutomaton, profile: ObservationProfile) -> bool:
+    """The plant is not opaque to the intruder: the identity editor, which
+    passes every defender event through, fails ``exact_ic_check``."""
+    return not exact_ic_check(aut, profile, MealyEditFunction.identity(profile.defender))
 
 
 def certifying_depth_reference(

@@ -12,7 +12,9 @@ from opacedit.cli import main
 from opacedit.game import PASSTHROUGH
 
 from conftest import FIG3_TEXT, SUBS_ONLY, code, info, sset
-from oracles import AugmentedState, decode, decoded, generated_language, trim_game_naive
+from oracles import (
+    AugmentedState, decode, decoded, generated_language, needs_editing, trim_game_naive,
+)
 
 
 @contextmanager
@@ -144,8 +146,10 @@ def test_criterion_7_theorem_agreement_suite():
                     )
             else:
                 empty += 1
-                assert oe.find_edit_strategy(aut, profile, k, ops, 8) is None, (
-                    f"seed {seed - 1}: bounded strategy found despite empty mechanism"
+                found = oe.find_edit_strategy(aut, profile, k, ops, 8)
+                assert found is None, (
+                    f"seed {seed - 1}: bounded strategy found despite empty mechanism:\n"
+                    f"{oe.format_mealy(found)}"
                 )
                 for editor in oe.iter_memoryless_editors(profile, k, ops):
                     assert not oe.exact_ic_check(aut, profile, editor), (
@@ -156,6 +160,41 @@ def test_criterion_7_theorem_agreement_suite():
         assert elapsed < 600.0
         print(f"  [criterion 7: {nonempty} synthesizable, {empty} unenforceable, "
               f"{elapsed:.1f}s]", end=" ")
+
+
+def test_criterion_7_on_plants_that_need_editing():
+    with verdict("7b", "synthesized and searched editors enforce 60 plants that need editing"):
+        start = time.monotonic()
+        tested = searched = 0
+        seed = 0
+        while tested < 60:
+            aut, profile = oe.random_instance(seed, max_states=5, max_events=4)
+            seed += 1
+            if profile.intruder <= profile.defender or profile.defender <= profile.intruder:
+                continue
+            k = seed % 2
+            ops = oe.OPS_ALL if k == 1 else oe.OPS_ALL - {"insert"}
+            if not needs_editing(aut, profile):
+                continue
+            tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=k, ops=ops))
+            em = oe.refine_to_em(oe.build_uem(tgs)) if tgs else None
+            if em is None:
+                continue
+            tested += 1
+            editors = [oe.synthesize(em, policy=policy) for policy in oe.POLICIES]
+            found = oe.find_edit_strategy(aut, profile, k, ops, 8)
+            if found is not None:
+                searched += 1
+                editors.append(found)
+            for fe in editors:
+                depth = oe.certifying_depth(aut, profile, fe, cap=8)
+                assert oe.exact_ic_check(aut, profile, fe), f"seed {seed - 1} policy {fe.policy}"
+                assert oe.evaluate_editor(aut, profile, fe, depth).ok, (
+                    f"seed {seed - 1} policy {fe.policy} (depth {depth})"
+                )
+        assert searched
+        print(f"  [criterion 7b: {tested} need editing, {searched} with a bounded strategy, "
+              f"{seed} seeds, {time.monotonic() - start:.1f}s]", end=" ")
 
 
 def test_criterion_8_definition_level_properties():

@@ -18,6 +18,7 @@ EMPTY_SECRET = FIG3_TEXT.replace("secret 5\n", "")
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "bench" / "instances"
+README = ROOT / "README.md"
 
 RESERVED = ("event id {} is reserved: the transducer format writes '-' for the "
             "empty word and joins words with '·'")
@@ -438,6 +439,13 @@ class TestOtherCommands:
         aut, profile = oe.parse_model(one.read_text())
         assert aut.n_states >= 2
 
+    def test_gen_prints_the_instance_without_output(self, tmp_path, capsys):
+        plant = tmp_path / "gen3.aut"
+        assert main(["gen", "--seed", "3"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["gen", "--seed", "3", "-o", str(plant)]) == 0
+        assert printed == plant.read_text() == oe.format_model(*oe.random_instance(3))
+
     def test_gen_rejects_more_than_ten_events(self, tmp_path, capsys):
         plant = tmp_path / "big.aut"
         assert main(["gen", "--seed", "1", "--max-events", "12", "-o", str(plant)]) == 2
@@ -650,3 +658,27 @@ class TestCyclicCollector:
         gc.disable()
         run()
         assert gc.collect() == 0
+
+
+def test_readme_walkthrough(tmp_path, monkeypatch, capsys):
+    # the plant is README's first text block; each opacedit line of its
+    # command-line block must print the "#   " lines below it, if any
+    text = README.read_text()
+    plant = text.split("```text\n", 1)[1].split("```", 1)[0]
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "plant.aut").write_text(plant)
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("opacedit "):
+            commands.append((line.split()[1:], []))
+        elif line.startswith("#   "):
+            commands[-1][1].append(line[4:].split())
+    assert [argv[0] for argv, _ in commands] == ["verify", "synthesize", "simulate", "check"]
+    codes = []
+    for argv, expected in commands:
+        codes.append(main(argv))
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+        if expected:
+            assert printed == expected, argv
+    assert codes == [1, 0, 0, 0]

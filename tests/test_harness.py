@@ -279,9 +279,9 @@ class TestStrategySearch:
             "trans 1 b 2\ntrans 1 c 3\ntrans 2 c 4\ntrans 3 b 4\n"
         )
         editor = oe.find_edit_strategy(aut, profile, 1, oe.OPS_ALL, 6)
-        if editor is not None:
-            assert oe.exact_ic_check(aut, profile, editor)
-            assert oe.oracle_ic_enforcing(aut, profile, editor, 6).ok
+        assert editor is not None
+        assert oe.exact_ic_check(aut, profile, editor)
+        assert oe.oracle_ic_enforcing(aut, profile, editor, 6).ok
 
     def test_unenforceable_instance_yields_nothing(self):
         aut, profile = oe.parse_model(
@@ -299,16 +299,36 @@ class TestStrategySearch:
         )
         assert oe.find_edit_strategy(aut, profile, 1, oe.OPS_ALL, 0) is None
         editor = oe.find_edit_strategy(aut, profile, 1, oe.OPS_ALL, 1)
-        assert editor.decisions == {T("a"): oe.DELETE}
+        assert (editor.n_states, editor.initial, editor.policy) == (2, 0, "history")
+        assert editor.edges == {(0, "a"): ((), 1)}
 
-    def test_history_editor_steps(self):
-        editor = oe.HistoryEditor({T("b"): oe.DELETE}, frozenset("bc"))
-        # an event it cannot see passes through and leaves the history alone
-        assert editor.step(T("b"), "a") == (T("a"), T("b"))
-        assert editor.step(editor.initial, "b") == ((), T("b"))
-        # a history it holds no decision for is undefined
-        assert editor.step(editor.initial, "c") is None
-        assert editor.step(T("b"), "b") is None
+    @pytest.mark.parametrize("loop", ["", "trans t a t\n"], ids=["acyclic", "looping"])
+    def test_negative_depth_allows_no_decision(self, loop):
+        aut, profile = oe.parse_model(
+            "states s t\ninitial s\nsecret t\nevents a\nobservable a\n"
+            "intruder a\ndefender a\ntrans s a t\n" + loop
+        )
+        assert oe.find_edit_strategy(aut, profile, 1, oe.OPS_ALL, -1) is None
+
+    def test_states_are_the_decided_histories_shortest_first(self):
+        # each state but the start is entered by one edge, so it names one
+        # history; the states count up in (length, history) order
+        largest = 0
+        for seed in range(250):
+            aut, profile = oe.random_instance(seed, max_states=5, max_events=4)
+            editor = oe.find_edit_strategy(aut, profile, 1, oe.OPS_ALL, 8)
+            if editor is None:
+                continue
+            history = {0: ()}
+            for (q, event), (_, q2) in sorted(editor.edges.items(), key=lambda e: e[1][1]):
+                assert q2 not in history and q in history, seed
+                history[q2] = history[q] + (event,)
+            assert sorted(history) == list(range(editor.n_states)), seed
+            order = [history[q] for q in range(editor.n_states)]
+            assert order == sorted(order, key=lambda h: (len(h), h)), seed
+            assert oe.parse_mealy(oe.format_mealy(editor)) == editor, seed
+            largest = max(largest, editor.n_states)
+        assert largest >= 7
 
     def test_memoryless_family_is_complete_per_event_menu(self, fig3_profile):
         editors = list(oe.iter_memoryless_editors(fig3_profile, 0, frozenset({"substitute"})))
