@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -104,28 +105,34 @@ def _load_transducer(path: str, profile: ObservationProfile) -> MealyEditFunctio
 
 
 def _write_dot(dot_dir: str, name: str, render: Callable[[TextIO], None]) -> None:
-    """Stream ``render``'s output into ``DIR/<name>.dot``.  A render that
-    raises leaves no file behind, so no DOT file is ever truncated."""
+    """Stream ``render``'s output into ``DIR/.<name>.dot.<pid>``, and move
+    that file onto ``DIR/<name>.dot`` once the render returns.  A render
+    that raises removes its file and any ``DIR/<name>.dot`` of an earlier
+    run, so ``DIR/<name>.dot`` is never a cut-off or stale render, and a
+    run killed midway leaves no cut-off one."""
     path = Path(dot_dir)
     path.mkdir(parents=True, exist_ok=True)
-    target = path / f"{name}.dot"
+    target, partial = path / f"{name}.dot", path / f".{name}.dot.{os.getpid()}"
     try:
-        with target.open("w") as out:
+        with partial.open("w") as out:
             render(out)
     except BaseException:
-        target.unlink(missing_ok=True)
+        for stale in (partial, target):
+            stale.unlink(missing_ok=True)
         raise
+    os.replace(partial, target)
 
 
 def _copy_dot(dot_dir: str, source: str, name: str) -> None:
     """``DIR/<name>.dot`` as a copy of ``DIR/<source>.dot``, written before,
-    whose first line, the ``digraph`` line, names the graph ``name``."""
+    whose first line, the ``digraph`` line, names the graph ``name``.  The
+    rest is copied byte for byte."""
 
     def copy(out: TextIO) -> None:
-        with (Path(dot_dir) / f"{source}.dot").open() as src:
+        with (Path(dot_dir) / f"{source}.dot").open("rb") as src:
             src.readline()
-            out.write(f"digraph {name} {{\n")
-            shutil.copyfileobj(src, out)
+            out.buffer.write(f"digraph {name} {{\n".encode())
+            shutil.copyfileobj(src, out.buffer)
 
     _write_dot(dot_dir, name, copy)
 

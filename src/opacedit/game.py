@@ -15,7 +15,7 @@ state tuples and the one-step move over them are reference copies in
 from __future__ import annotations
 
 import copy
-from collections import deque
+from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .automata import FiniteAutomaton, ObservationProfile, Trace
@@ -271,9 +271,10 @@ class EditGameStructure:
         return row
 
     def complete(self) -> "EditGameStructure":
-        """Expand every information state reachable from the initial one
-        (``expand_reachable``)."""
-        expand_reachable(self.initial, self.expand, self.def_moves)
+        """Expand every information state reachable from the initial one:
+        ``expand_met`` over ``_info``, whose insertion order on a fresh
+        game is the breadth-first discovery order."""
+        expand_met(self._info, self.expand)
         return self
 
     def restrict(
@@ -289,19 +290,19 @@ class EditGameStructure:
         return game
 
 
-def expand_reachable(initial: Hashable, expand: Callable[[Hashable], Mapping],
-                     ctrl: Mapping[Hashable, Mapping]) -> None:
-    """Expand, breadth-first, every node reachable from ``initial``:
-    ``expand`` builds a node's row into controllable nodes, whose rows
-    ``ctrl`` then holds.  The game and the mechanism complete by it."""
-    seen = {initial}
-    queue = deque(seen)
-    while queue:
-        for node in expand(queue.popleft()).values():
-            for target in ctrl[node].values():
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
+def expand_met(met: dict[Hashable, Hashable], expand: Callable[[Hashable], Mapping]) -> None:
+    """Expand every node of ``met``, in insertion order, until none is left
+    unexpanded: ``expand`` builds a node's row and records in ``met`` the
+    nodes it meets, so the table doubles as the work list.  Each round
+    reads the nodes met since the last off the table's end, so the walk
+    is linear in the nodes.  Expanding an expanded node returns its row.
+    The game and the mechanism complete by it."""
+    done = 0
+    while done < len(met):
+        todo = list(islice(reversed(met), len(met) - done))
+        done += len(todo)
+        for node in reversed(todo):
+            expand(node)
 
 
 def build_edit_game(

@@ -16,7 +16,8 @@ safety solver is fed each row as it is expanded, with unexpanded beliefs
 counted as live, and the walk repeats its pass until a pass meets no dead
 observation state (a local fixpoint in the style of on-the-fly game
 solving).  ``Mechanism.complete`` expands everything, for callers that show
-the whole structure, by the game's completion walk.
+the whole structure, by the game's completion walk over the table of the
+beliefs met so far.
 
 Rows are never changed once built, so equal values are shared
 (hash-consing): the mechanism holds one object per belief and per
@@ -28,7 +29,7 @@ from typing import Callable, Collection, Iterable, Optional
 
 from .automata import (ModelError, ParseError, Record, Trace, _check_symbol, _declare,
                        statements)
-from .game import EditAction, EditGameStructure, expand_reachable
+from .game import EditAction, EditGameStructure, expand_met
 from .observers import close
 from .trimming import BackwardSolver, TrimmedGameStructure, backward_dead, live_part
 
@@ -59,9 +60,10 @@ class Mechanism:
     ``partial_at`` one observation state's actions of those; reading them
     never expands.
 
-    Each belief and each observation state is one object, interned in
-    ``_canon``: a ``moves_in`` row's values are ``moves_out``'s keys, and a
-    ``moves_out`` row's values ``moves_in``'s keys.
+    Each belief is one object, interned in ``_beliefs`` in the order
+    ``_closure`` meets it, and each observation state one object, interned
+    in ``_canon``: a ``moves_in`` row's values are ``moves_out``'s keys,
+    and a ``moves_out`` row's values ``moves_in``'s keys.
     """
 
     def __init__(self, game: EditGameStructure):
@@ -73,9 +75,10 @@ class Mechanism:
         # each observation state's partial actions, the cut of its row
         self._cut: dict[frozenset, set[EditAction]] = {}
         self._closures: dict[int, frozenset] = {}
-        # every set of codes met, to the one object of its closure: a belief
-        # and an observation state to themselves, a set of hits to its
-        # belief.  A belief is closed, so the two meet in one table.
+        # every belief met, to itself, in the order met: breadth-first on a
+        # fresh mechanism, as every belief is met as some row's target
+        self._beliefs: dict[MergedA, MergedA] = {}
+        # an observation state to itself, and a set of hits to its belief
         self._canon: dict[frozenset, frozenset] = {}
         # fed each row as ``expand`` builds it, each observation state's with
         # its partial actions as the cut, so its ``dead`` is always the
@@ -122,16 +125,13 @@ class Mechanism:
             if v not in closures:
                 close((v,), self._silent, closures)
             belief = closures[v]
-            return canon.setdefault(belief, belief)
+            return self._beliefs.setdefault(belief, belief)
         key = frozenset(hits)
         belief = canon.get(key)
         if belief is None:
-            for v in hits:
-                if v not in closures:
-                    close((v,), self._silent, closures)
+            close(hits, self._silent, closures)
             belief = frozenset().union(*map(closures.__getitem__, key))
-            belief = canon.setdefault(belief, belief)
-            canon[key] = belief
+            belief = canon[key] = self._beliefs.setdefault(belief, belief)
         return belief
 
     def expand(self, vua: MergedA) -> dict[str, frozenset]:
@@ -139,10 +139,11 @@ class Mechanism:
         rows and partial pairs of its new observation states.  An
         observation state's actions come in its event's menu order
         (``game.menu``), which is ``EditAction.sort_key`` order."""
-        if vua in self.moves_in:
-            return self.moves_in[vua]
+        row = self.moves_in.get(vua)
+        if row is not None:
+            return row
         game, canon = self.game, self._canon
-        vua = canon.setdefault(vua, vua)
+        vua = self._beliefs.setdefault(vua, vua)
         def_moves = game.def_moves
         rows = [game.expand(v) for v in vua]
         row: dict[str, frozenset] = {}
@@ -176,15 +177,16 @@ class Mechanism:
             self.moves_out[vuf] = out
             if cut:
                 self._cut[vuf] = cut
-            self._solver.add_ctrl(vuf, out, self._cut.get(vuf, ()))
+            self._solver.add_ctrl(vuf, out, cut or ())
         self.moves_in[vua] = row
         self._solver.add_unctrl(vua, row)
         return row
 
     def complete(self) -> "Mechanism":
-        """Expand every belief reachable from the initial one, by the game's
-        completion walk (``expand_reachable``)."""
-        expand_reachable(self.initial, self.expand, self.moves_out)
+        """Expand every belief reachable from the initial one: the game's
+        completion walk (``expand_met``) over ``_beliefs``, since every
+        belief met is the initial one or a target of an expanded row."""
+        expand_met(self._beliefs, self.expand)
         return self
 
     def _walk(self, key: Callable[[EditAction], tuple]) -> Optional[Walk]:
@@ -273,17 +275,22 @@ def refine_to_em(uem: Mechanism) -> Optional[EditMechanism]:
     may share a successor, and a totally defined action must not be dragged
     down by someone else's partial one.
 
-    The walk in canonical action order (prefer-passthrough's) expands what
-    it needs to decide the initial belief state.  Over a partial expansion
-    the refined rows keep only proven-winning parts: the unexpanded beliefs
+    A completed mechanism with no partial action, where the solver proved
+    nothing dead, has won whole and is its own refinement, with the same
+    row dicts.  Otherwise the walk in canonical action order
+    (prefer-passthrough's) expands what it needs to decide the initial
+    belief state.  Over a partial expansion the refined rows keep only
+    proven-winning parts: the unexpanded beliefs, read off ``_beliefs``,
     are seeded as dead, which cuts every action into them, since they have
     no row.  On a completed mechanism the solver, fed every row, has
     already proven the whole refinement.
     """
+    # every belief met, the initial one included, is expanded
+    if len(uem.moves_in) == len(uem._beliefs) and not uem._cut and not uem._solver.dead:
+        return EditMechanism(uem, uem.moves_in, uem.moves_out)
     if uem._walk(EditAction.sort_key) is None:
         return None
-    unexpanded = {target for row in uem.moves_out.values()
-                  for target in row.values() if target not in uem.moves_in}
+    unexpanded = [v for v in uem._beliefs if v not in uem.moves_in]
     if unexpanded:
         dead = backward_dead(uem.moves_in, uem.moves_out, unexpanded, uem._cut)
     else:

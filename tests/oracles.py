@@ -29,13 +29,20 @@ The reference exporters write the game and mechanism DOT files one line per
 write, quoting each label as they format it, and are what ``opacedit.dot``
 must write byte for byte.  ``needs_editing`` picks out the plants that the
 identity editor leaves leaking, where a cross-check of synthesized editors
-is not already won by passthrough.
+is not already won by passthrough.  ``expand_reachable_reference`` is the
+completion walk as first written, a breadth-first search with its own seen
+set and queue, whose expansion order the game's and the mechanism's
+``complete`` must keep; ``refine_reference`` is ``refine_to_em`` as it was
+before a won mechanism became its own refinement: the walk, the backward
+attractor of the unexpanded beliefs it finds by scanning every row, and
+the live part.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, TextIO, Union
+from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    TextIO, Union)
 
 from opacedit.automata import FiniteAutomaton, ObservationProfile, Trace, fmt_state_set, project
 from opacedit.game import EditAction, EditGameStructure
@@ -43,7 +50,7 @@ from opacedit.harness import exact_ic_check
 from opacedit.mechanism import EditMechanism, MealyEditFunction, MergedA, Mechanism
 from opacedit.observers import ObserverAutomaton, StateSet
 from opacedit.opacity import OracleVerdict, SupportsEdit, edit_step, editor_observers
-from opacedit.trimming import TrimmedGameStructure
+from opacedit.trimming import TrimmedGameStructure, backward_dead, live_part
 
 EPSILON: Trace = ()
 
@@ -485,6 +492,33 @@ def trim_game_naive(game: EditGameStructure) -> Optional[TrimmedGameStructure]:
         removed_f=tuple(sorted((v for v in game.f_states if v in dead),
                                key=decoded_key(game, aug_key))),
     )
+
+
+def expand_reachable_reference(initial: Hashable, expand: Callable[[Hashable], Mapping],
+                               ctrl: Mapping[Hashable, Mapping]) -> None:
+    """Expand, breadth-first, every node reachable from ``initial``:
+    ``expand`` builds a node's row into controllable nodes, whose rows
+    ``ctrl`` then holds."""
+    seen = {initial}
+    queue = deque(seen)
+    while queue:
+        for node in expand(queue.popleft()).values():
+            for target in ctrl[node].values():
+                if target not in seen:
+                    seen.add(target)
+                    queue.append(target)
+
+
+def refine_reference(uem: Mechanism) -> Optional[EditMechanism]:
+    if uem._walk(EditAction.sort_key) is None:
+        return None
+    unexpanded = {target for row in uem.moves_out.values()
+                  for target in row.values() if target not in uem.moves_in}
+    if unexpanded:
+        dead = backward_dead(uem.moves_in, uem.moves_out, unexpanded, uem._cut)
+    else:
+        dead = uem._solver.dead
+    return EditMechanism(uem, *live_part(uem.initial, uem.moves_in, uem.moves_out, dead, uem._cut))
 
 
 def refine_naive(uem: Mechanism) -> Optional[EditMechanism]:

@@ -147,8 +147,35 @@ class TestSynthesize:
         dot_dir = tmp_path / "dots"
         assert main(["synthesize", fig3_file, "--dot", str(dot_dir)]) == 2
         assert capsys.readouterr().err == "error: out of memory\n"
+        # the observers' files, written before, and no temporary file
+        assert sorted(p.name for p in dot_dir.iterdir()) == [
+            f"observer_{name}.dot" for name in ("defender", "intruder", "system")]
+
+    def test_failed_render_removes_an_earlier_runs_dot_file(self, fig3_file, tmp_path, capsys,
+                                                          monkeypatch):
+        # a stale game.dot would sit beside this run's observer files
+        def exhausted(game, aut, out, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("opacedit.cli.game_dot", exhausted)
+        dot_dir = tmp_path / "dots"
+        dot_dir.mkdir()
+        (dot_dir / "game.dot").write_text("digraph game {\n}\n")
+        assert main(["synthesize", fig3_file, "--dot", str(dot_dir)]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert not (dot_dir / "game.dot").exists()
-        assert (dot_dir / "observer_system.dot").is_file()  # written before
+
+    def test_dot_file_appears_only_once_rendered(self, fig3_file, tmp_path, monkeypatch):
+        # a run killed midway leaves no cut-off DIR/<name>.dot: the render
+        # goes into a temporary file, moved onto the name once it returns
+        dot_dir = tmp_path / "dots"
+
+        def render(game, aut, out, **kwargs):
+            assert not (dot_dir / "game.dot").exists()
+            out.write("digraph game {\n}\n")
+        monkeypatch.setattr("opacedit.cli.game_dot", render)
+        assert main(["game", fig3_file, "--dot", str(dot_dir)]) == 0
+        assert [p.name for p in dot_dir.iterdir()] == ["game.dot"]
+        assert (dot_dir / "game.dot").read_text() == "digraph game {\n}\n"
 
     def test_stage_dots_are_reproducible(self, fig3_file, tmp_path):
         dirs = []

@@ -11,7 +11,7 @@ from opacedit.game import DELETE, PASSTHROUGH, insertion, substitution
 
 from conftest import SUBS_ONLY, code, info
 from oracles import (AugmentedState, InfoState, apply_defender_move, aug_key, decode, decoded_key,
-                     info_key, merged_a_key, merged_f_key)
+                     expand_reachable_reference, info_key, merged_a_key, merged_f_key)
 
 
 def T(s):
@@ -214,6 +214,40 @@ class TestOnDemand:
         game = oe.build_edit_game(aut, profile, k=1).complete()
         assert game.a_states == tuple(sorted(game.a_states, key=decoded_key(game, info_key)))
         assert game.f_states == tuple(sorted(game.f_states, key=decoded_key(game, aug_key)))
+
+
+class TestCompletionOrder:
+    """A fresh ``complete()`` of the game and of the merged mechanism
+    expands in the breadth-first order of the reference walk, so their rows
+    come in its key order.  The hash-seed CI step relies on this order."""
+
+    @staticmethod
+    def _check(aut, profile, k) -> bool:
+        """Compare both completions with the reference walk's; False when
+        trimming refutes the plant."""
+        game = oe.build_edit_game(aut, profile, k=k).complete()
+        want = oe.build_edit_game(aut, profile, k=k)
+        expand_reachable_reference(want.initial, want.expand, want.def_moves)
+        assert list(game.sys_moves.items()) == list(want.sys_moves.items())
+        assert list(game.def_moves.items()) == list(want.def_moves.items())
+        tgs = oe.trim_game(game)
+        if tgs is None:
+            return False
+        uem = oe.build_uem(tgs).complete()
+        ref = oe.build_uem(tgs)
+        expand_reachable_reference(ref.initial, ref.expand, ref.moves_out)
+        assert list(uem.moves_in.items()) == list(ref.moves_in.items())
+        assert list(uem.moves_out.items()) == list(ref.moves_out.items())
+        return True
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_fig3(self, fig3, k):
+        assert self._check(*fig3, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_random_plants(self, k):
+        merged = sum(self._check(*oe.random_instance(seed), k) for seed in range(60))
+        assert merged >= 30
 
 
 class TestGameInvariants:

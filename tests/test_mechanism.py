@@ -11,7 +11,7 @@ from opacedit.game import EditAction, PASSTHROUGH
 
 from conftest import FORCED_LEAK_TEXT, SUBS_ONLY, code, info
 from oracles import (AugmentedState, decode, decoded, decoded_key, merged_a_key, merged_f_key,
-                     refine_naive, sweep_dead, unobservable_closure_reference)
+                     refine_naive, refine_reference, sweep_dead, unobservable_closure_reference)
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances"
@@ -199,6 +199,46 @@ class TestRefineToEm:
         assert fast.uf_states == slow.uf_states
         assert fast.moves_in == slow.moves_in
         assert fast.moves_out == slow.moves_out
+
+
+class TestClosedRefinement:
+    """A completed mechanism with no partial action and nothing dead is its
+    own refinement; every mechanism, completed or fresh, refines to the
+    verdict and rows of the walk, the backward attractor and the live part
+    (``refine_reference``)."""
+
+    @staticmethod
+    def _same(got, want) -> None:
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.moves_in == want.moves_in
+            assert got.moves_out == want.moves_out
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_random_plants(self, k):
+        won = shortcut = 0
+        for seed in range(300):
+            aut, profile = oe.random_instance(seed, 6, 4)
+            tgs = oe.trim_game(oe.build_edit_game(aut, profile, k=k))
+            if tgs is None:
+                continue
+            self._same(oe.refine_to_em(oe.build_uem(tgs)),
+                       refine_reference(oe.build_uem(tgs)))
+            uem = oe.build_uem(tgs).complete()
+            em = oe.refine_to_em(uem)
+            self._same(em, refine_reference(uem))
+            won += em is not None
+            if not uem.partial and not uem._solver.dead:
+                assert all(em.moves_in[v] is row for v, row in uem.moves_in.items())
+                assert all(em.moves_out[vf] is row for vf, row in uem.moves_out.items())
+                shortcut += 1
+        assert 0 < shortcut < won
+
+    def test_fourteen_state_anchor_expands_as_before(self):
+        aut, profile = oe.parse_model((INSTANCES / "gen-6-16-6.aut").read_text())
+        uem = oe.build_uem(oe.trim_game(oe.build_edit_game(aut, profile)))
+        assert oe.refine_to_em(uem) is not None
+        assert len(uem.moves_in) == 399
 
 
 class TestSynthesize:
